@@ -735,34 +735,8 @@ def is_acyclic(x: ComplexRQ) -> bool:
     return True
 
 
-def same_complex(x: ComplexRQ, y: ComplexRQ) -> bool:
-    """Structural equality on the nose: same fibers, arrows, differentials."""
-    if x.quiver != y.quiver or x.ring != y.ring or x.degrees != y.degrees:
-        return False
-    for n in x.degrees:
-        a, b = x.terms[n], y.terms[n]
-        for v in x.quiver.vertices:
-            if a.fibers[v].presentation.entries != b.fibers[v].presentation.entries:
-                return False
-            if a.fibers[v].gens != b.fibers[v].gens:
-                return False
-        for name, _, _ in x.quiver.arrows:
-            if a.arrows[name].entries != b.arrows[name].entries:
-                return False
-    for n in set(x.diffs) | set(y.diffs):
-        for v in x.quiver.vertices:
-            if x.diff(n).mats[v].entries != y.diff(n).mats[v].entries:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # projective resolution
-
-
-def _regular_tier(ring: Ring) -> bool:
-    from .rings import IntegersMod
-    return not isinstance(ring, IntegersMod)
 
 
 def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:

@@ -555,10 +555,6 @@ def solve(a: Matrix, b: Matrix):
     return v.mul(Matrix(r, a.cols, b.cols, tuple(tuple(row) for row in y)))
 
 
-def in_column_span(a: Matrix, b: Matrix) -> bool:
-    return solve(a, b) is not None
-
-
 def is_invertible(m: Matrix) -> bool:
     if m.rows != m.cols:
         return False

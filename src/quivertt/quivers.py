@@ -158,14 +158,6 @@ def full_subquiver(q: Quiver, vs: frozenset) -> Quiver:
     return Quiver(keep, arrows)
 
 
-def sources(q: Quiver) -> list[str]:
-    return [v for v in q.vertices if not q.arrows_in(v)]
-
-
-def sinks(q: Quiver) -> list[str]:
-    return [v for v in q.vertices if not q.arrows_out(v)]
-
-
 # ---------------------------------------------------------------------------
 # Dynkin recognition on the underlying undirected graph
 

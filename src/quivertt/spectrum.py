@@ -411,49 +411,29 @@ def untranslate_classification(form) -> QSupport:
 # approximation lies in identifying objects with equal fingerprints, which
 # is faithful for the small linear quivers the oracle is used on.
 #
+# The cheap steps run semi-naively (Bancilhon 1986): each newly admitted
+# member is split into universe summands and tensored with the universe
+# once, and summed once with itself and each earlier member at every shift;
+# normalize(x + y[k]) = normalize(y + x[-k]), so unordered pairs suffice.
+# For the sums a fingerprint is packed into one int, a fixed-width rank
+# field per (degree, key), wide enough that adding two members never
+# carries: a shifted sum is one shift and one add, looked up among the
+# packed universe.  Cone sweeps, smallest pairs first, start only once the
+# worklist is empty, and any find goes back onto it.
+#
 # Results outside the universe's stated bounds are skipped as out of scope;
 # a result inside the bounds but missing from the universe raises
 # UniverseNotClosed.
 
 
-def _fp_shift(fp, k):
-    return tuple(sorted(((n - k, key, rank, divs) for n, key, rank, divs in fp), key=lambda t: (t[0], str(t[1]))))
-
-
 def _fp_normalize(fp):
-    if not fp:
-        return fp
-    return _fp_shift(fp, min(n for n, _, _, _ in fp))
-
-
-def _fp_add(a, b):
-    tally = {}
-    for n, key, rank, divs in itertools.chain(a, b):
-        if divs:
-            raise BadElement("closure oracle needs field coefficients; saw torsion")
-        tally[(n, key)] = tally.get((n, key), 0) + rank
-    return tuple(sorted(((n, key, r, ()) for (n, key), r in tally.items()), key=lambda t: (t[0], str(t[1]))))
-
-
-def _fp_sub(a, b):
-    # a minus b when b embeds entrywise, else None
-    tally = {(n, key): rank for n, key, rank, _ in a}
-    for n, key, rank, _ in b:
-        left = tally.get((n, key), 0) - rank
-        if left < 0:
-            return None
-        if left == 0:
-            tally.pop((n, key), None)
-        else:
-            tally[(n, key)] = left
-    return tuple(sorted(((n, key, r, ()) for (n, key), r in tally.items()), key=lambda t: (t[0], str(t[1]))))
+    low = min((n for n, _, _, _ in fp), default=0)
+    return tuple(sorted(((n - low, key, rank, divs) for n, key, rank, divs in fp), key=lambda t: (t[0], str(t[1]))))
 
 
 def _fp_span(fp):
-    if not fp:
-        return 0
-    ns = [n for n, _, _, _ in fp]
-    return max(ns) - min(ns) + 1
+    # fingerprints are sorted by degree
+    return fp[-1][0] - fp[0][0] + 1 if fp else 0
 
 
 def _fp_max_dim(fp):
@@ -470,59 +450,130 @@ def _default_within(universe_fps):
     return within
 
 
+class _Universe:
+    """Normalized fingerprints of one universe list, plain and packed.
+
+    Kept in the closure cache and reused only for the very same objects.
+    """
+
+    def __init__(self, universe, ring):
+        self.elements = tuple(universe)
+        for u in universe:
+            check_same_ring(ring, u.ring)
+        self.fps = [_fp_normalize(homology_fingerprint(u)) for u in universe]
+        self.index = {fp: pos for pos, fp in enumerate(self.fps)}
+        if len(self.index) < len(self.fps):
+            raise BadElement("universe lists two objects with the same fingerprint")
+        self.nonzero = frozenset(self.index) - {()}
+        self.span = max(_fp_span(fp) for fp in self.fps)
+        self.keys = sorted({key for fp in self.fps for _, key, _, _ in fp}, key=str)
+        # a field holds the sum of two member ranks, so packed sums never carry
+        self.width = (2 * max((r for fp in self.fps for _, _, r, _ in fp), default=0)).bit_length() or 1
+        self.stride = self.width * len(self.keys)  # bits per degree
+        slot = {key: i * self.width for i, key in enumerate(self.keys)}
+        self.packed = {fp: sum(r << (n * self.stride + slot[key]) for n, key, r, _ in fp) for fp in self.fps}
+        self.unpacked = {p: fp for fp, p in self.packed.items()}
+        self.rows = {}
+
+    def unpack(self, p):
+        out, n, field = [], 0, (1 << self.width) - 1
+        while p:
+            row = (n, p & ((1 << self.stride) - 1))  # one degree's fields, decoded once per universe
+            if row not in self.rows:
+                ranks = [(key, row[1] >> (i * self.width) & field) for i, key in enumerate(self.keys)]
+                self.rows[row] = [(n, key, r, ()) for key, r in ranks if r]
+            out += self.rows[row]
+            p >>= self.stride
+            n += 1
+        return tuple(out)
+
+    def split(self, x):
+        """(u, rest) for each universe summand u of x whose rest is () or in the universe."""
+        px, out = self.packed[x], []
+        for u in self.fps:
+            for offset in range(_fp_span(x) - _fp_span(u) + 1) if u else ():
+                # a field that borrows ends above every universe rank and an
+                # overdrawn top field leaves rest negative: the lookup rejects both
+                rest = px - (self.packed[u] << (offset * self.stride))
+                if rest > 0:
+                    rest >>= ((rest & -rest).bit_length() - 1) // self.stride * self.stride
+                if rest == 0 or rest in self.unpacked:
+                    out.append((u, self.unpacked[rest] if rest else ()))
+        return out
+
+
 class _ClosureState:
-    """Universe bookkeeping shared between closure runs via the cache dict."""
+    """One closure run; the universe and the sweeps live in the cache dict."""
 
     def __init__(self, universe, ring, within, max_maps, cache):
         self.ring = ring
-        self.within = within
         self.max_maps = max_maps
         self.cache = cache if cache is not None else {}
-        self.elements = list(universe)
-        self.fps = []
-        self.index = {}
-        for pos, u in enumerate(universe):
-            check_same_ring(ring, u.ring)
-            fp = _fp_normalize(homology_fingerprint(u))
-            if fp in self.index:
-                raise BadElement("universe lists two objects with the same fingerprint")
-            self.index[fp] = pos
-            self.fps.append(fp)
-        self.all_fps = frozenset(self.index)
+        u = self.cache.get(("universe",))
+        if u is None or len(u.elements) != len(universe) or any(a is not b for a, b in zip(universe, u.elements)):
+            u = _Universe(universe, ring)
+            self.cache.clear()  # every other entry is keyed by the old universe's fingerprints
+            self.cache[("universe",)] = u
+        self.u = u
+        self.within = within or _default_within(u.fps)
+        self.found = set()
+        self.todo = []  # admitted members whose cheap steps are still to run
+        self.done = []  # shifted packings of members already combined
+        self.seen = set()  # packed members, and packed sums already offered to admit
+
+    def cached(self, key, make):
+        if key not in self.cache:
+            self.cache[key] = make()
+        return self.cache[key]
 
     def rep(self, fp):
         # shift the stored representative so its fingerprint is normalized
         key = ("rep", fp)
         if key not in self.cache:
-            u = self.elements[self.index[fp]]
-            raw = homology_fingerprint(u)
-            k = min((n for n, _, _, _ in raw), default=0)
+            u = self.u.elements[self.u.index[fp]]
+            k = min((n for n, _, _, _ in homology_fingerprint(u)), default=0)
             self.cache[key] = shift_complex(u, k) if k else u
         return self.cache[key]
 
     def resolved(self, fp):
-        key = ("res", fp)
-        if key not in self.cache:
-            self.cache[key] = ensure_perfect(self.rep(fp))
-        return self.cache[key]
+        return self.cached(("res", fp), lambda: ensure_perfect(self.rep(fp)))
 
-    def admit(self, fp, found, how):
-        if not fp:
-            return
-        if fp in found:
-            return
-        if not self.within(fp):
-            return
-        if fp not in self.index:
-            raise UniverseNotClosed(f"{how} produced an object outside the universe: {fp}")
-        found.add(fp)
+    def add(self, fp):
+        if fp and fp not in self.found:
+            self.found.add(fp)
+            self.todo.append(fp)
+            self.seen.add(self.u.packed[fp])
+
+    def admit(self, fp, how):
+        if fp and fp not in self.found and self.within(fp):
+            if fp not in self.u.index:
+                raise UniverseNotClosed(f"{how} produced an object outside the universe: {fp}")
+            self.add(fp)
+
+    def drain(self):
+        """Run the cheap steps until no member is left on the worklist."""
+        u, span = self.u, self.u.span
+        while self.todo:
+            x = self.todo.pop()
+            for v, rest in self.cached(("split", x), lambda: u.split(x)):
+                self.add(v)
+                self.add(rest)
+            # shifted direct sums, which also stand in for cones of zero maps
+            xs = [u.packed[x] << (j * u.stride) for j in range(span + 1)]
+            self.done.append(xs)
+            for ys in self.done:
+                for cand in {xs[0] + y for y in ys} | {a + ys[0] for a in xs}:
+                    if cand not in self.seen:
+                        self.seen.add(cand)
+                        self.admit(u.unpacked.get(cand) or u.unpack(cand), "direct sum")
+            # tensor with every universe element, distinct products once
+            row = self.cached(("tensor", x), lambda: tuple(dict.fromkeys(self.box_fps(x, v) for v in u.fps if v)))
+            for fp in row:
+                self.admit(fp, "tensor product")
 
     def box_fps(self, a, b):
-        key = ("box", a, b) if a <= b else ("box", b, a)
-        if key not in self.cache:
-            prod = box_tensor(self.rep(key[1]), self.rep(key[2]))
-            self.cache[key] = _fp_normalize(homology_fingerprint(prod))
-        return self.cache[key]
+        a, b = sorted((a, b))
+        return self.cached(("box", a, b), lambda: _fp_normalize(homology_fingerprint(box_tensor(self.rep(a), self.rep(b)))))
 
     def cone_fps(self, a, b, k):
         """Fingerprints of cones over all nonzero chain maps a[k] -> b.
@@ -532,9 +583,7 @@ class _ClosureState:
         """
         key = ("cone", a, b, k)
         if key not in self.cache:
-            src = shift_complex(self.resolved(a), k)
-            tgt = self.resolved(b)
-            space = ChainMapSpace(src, tgt)
+            space = ChainMapSpace(shift_complex(self.resolved(a), k), self.resolved(b))
             p = self.ring.modulus_int
             if p ** space.dim > self.max_maps:
                 self.cache[key] = None
@@ -548,6 +597,28 @@ class _ClosureState:
                 self.cache[key] = frozenset(out)
         return self.cache[key]
 
+    def cone_pass(self):
+        """Sweep cones between members, small pairs first, up to the first
+        pair that admits something; False when no pair does."""
+        capped = 0
+        pairs = sorted(
+            ((x, y) for x in self.found for y in self.found),
+            key=lambda t: (sum(r for fp in t for _, key, r, _ in fp if not str(key).startswith("->")), str(t)),
+        )
+        for x, y in pairs:
+            for k in range(-(_fp_span(y) + 1), _fp_span(x) + 2):
+                cands = self.cone_fps(x, y, k)
+                if cands is None:
+                    capped += 1
+                    continue
+                for cand in cands:
+                    self.admit(cand, "mapping cone")
+            if self.todo:
+                return True
+        if capped:
+            raise UniverseNotClosed(f"{capped} cone sweeps exceed the map cap {self.max_maps}; closure not certified")
+        return False
+
 
 def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, cache=None):
     """Least subset of the universe containing the generators and closed
@@ -557,106 +628,28 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
     bounds the oracle's scope: fingerprints outside it are ignored rather
     than demanded of the universe (default: the universe's own degree span
     and fiber dimensions).  `cache` is a plain dict; pass the same one to
-    successive calls over the same universe to share the expensive cone and
-    tensor sweeps.
+    successive calls over the same universe to share its fingerprints, the
+    summand splits and the expensive cone and tensor sweeps.  The cache is
+    tied to one universe by object identity: given a universe whose
+    elements are not the very objects it holds, it is emptied first.
+    The cheap steps run semi-naively, summing packed fingerprints (see the
+    block comment above).
     """
     if not universe:
         raise BadElement("empty universe")
     ring = universe[0].ring
     if not ring.is_field or getattr(ring, "modulus_int", None) is None:
         raise UnsupportedRing("the closure sweep enumerates maps; it needs a finite field")
-    st = _ClosureState(universe, ring, within or _default_within([
-        _fp_normalize(homology_fingerprint(u)) for u in universe
-    ]), max_maps, cache)
+    st = _ClosureState(universe, ring, within, max_maps, cache)
 
-    found = set()
     for g in generators:
         fp = _fp_normalize(homology_fingerprint(g))
-        if fp and fp not in st.index:
+        if fp and fp not in st.u.index:
             raise UniverseNotClosed("generator is not a member of the universe")
-        if fp:
-            found.add(fp)
-    span = max((_fp_span(fp) for fp in st.all_fps), default=1)
+        st.add(fp)
+    st.drain()
+    while st.found < st.u.nonzero and st.cone_pass():
+        st.drain()
 
-    def cheap_pass():
-        added = True
-        grew = False
-        while added:
-            added = False
-            members = sorted(found, key=str)
-            # summands: split off a shifted universe fingerprint entrywise
-            for x in members:
-                for u in st.fps:
-                    if not u:
-                        continue
-                    for offset in range(_fp_span(x) - _fp_span(u) + 1):
-                        rem = _fp_sub(x, _fp_shift(u, -offset))
-                        if rem is None:
-                            continue
-                        rem = _fp_normalize(rem)
-                        if u in found and (not rem or rem in found):
-                            continue
-                        if not rem or rem in st.all_fps:
-                            before = len(found)
-                            found.add(u)
-                            if rem:
-                                found.add(rem)
-                            added = added or len(found) > before
-            # shifted direct sums, which also stand in for cones of zero maps
-            for x in members:
-                for y in members:
-                    for k in range(-span, span + 1):
-                        cand = _fp_normalize(_fp_add(x, _fp_shift(y, k)))
-                        if cand not in found:
-                            before = len(found)
-                            st.admit(cand, found, "direct sum")
-                            added = added or len(found) > before
-            # tensor with every universe element
-            for x in members:
-                for u in st.fps:
-                    if not u:
-                        continue
-                    cand = st.box_fps(x, u)
-                    if cand not in found:
-                        before = len(found)
-                        st.admit(cand, found, "tensor product")
-                        added = added or len(found) > before
-            grew = grew or added
-        return grew
-
-    def total_rank(fp):
-        return sum(rank for _, key, rank, _ in fp if not str(key).startswith("->"))
-
-    while True:
-        cheap_pass()
-        if found >= st.all_fps - {()}:
-            break
-        # cone sweeps, small pairs first; any find goes back to the cheap ops
-        progressed = False
-        capped = 0
-        pairs = sorted(
-            ((x, y) for x in found for y in found if x and y),
-            key=lambda t: (total_rank(t[0]) + total_rank(t[1]), str(t)),
-        )
-        for x, y in pairs:
-            for k in range(-(_fp_span(y) + 1), _fp_span(x) + 2):
-                cands = st.cone_fps(x, y, k)
-                if cands is None:
-                    capped += 1
-                    continue
-                for cand in cands:
-                    if cand not in found:
-                        before = len(found)
-                        st.admit(cand, found, "mapping cone")
-                        progressed = progressed or len(found) > before
-            if progressed:
-                break
-        if progressed:
-            continue
-        if capped:
-            raise UniverseNotClosed(
-                f"{capped} cone sweeps exceed the map cap {max_maps}; closure not certified"
-            )
-        break
-
-    return [st.elements[st.index[fp]] for fp in sorted(found | ({()} & st.all_fps), key=str) if fp in st.index]
+    members = st.found | ({()} & st.u.index.keys())
+    return [st.u.elements[st.u.index[fp]] for fp in sorted(members, key=str)]

@@ -1,35 +1,43 @@
 """Points, supports, ideals, and the classification translations."""
 
+import itertools
 import random
 
 import pytest
 
 from quivertt import (
+    BadElement,
     FGModule,
     Integers,
     IntegersLocalized,
     MonotonicityViolation,
     PrimeField,
     Rationals,
+    UniverseNotClosed,
+    UnsupportedRing,
     big_support_compact,
     box_tensor,
     build_quiver,
     change_ring,
     compact_support,
     complex_r,
+    direct_sum_complexes,
     ensure_perfect,
     enumerate_primes,
     eval_vertex,
+    homology_fingerprint,
     i_times,
     ideal_generators,
     ideal_membership,
     is_acyclic,
     koszul_complex,
     prime_ideal,
+    projective_rep,
     q_support,
     q_support_all,
     q_support_subset,
     q_support_union,
+    shift_complex,
     spc_dot,
     spc_enumerate,
     stalk_complex,
@@ -40,9 +48,11 @@ from quivertt import (
     untranslate_classification,
     vertex_poset_map,
     xi_zero_test,
+    zero_complex,
 )
 from quivertt.rings import sp_closed_contains, sp_points
 from quivertt.samples import random_perfect_complex, random_q_support
+from quivertt.spectrum import _fp_normalize, _fp_span, _Universe
 
 Z = Integers()
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
@@ -274,8 +284,6 @@ def test_poset_map_monotonicity_enforced():
 
 
 def test_closure_of_nothing_and_unit():
-    from quivertt import direct_sum_complexes, shift_complex, zero_complex
-
     f2 = PrimeField(2)
     u1 = ensure_perfect(stalk_complex(unit_restriction(A2, f2, ("1",))))
     u2 = ensure_perfect(stalk_complex(unit_restriction(A2, f2, ("2",))))
@@ -284,3 +292,148 @@ def test_closure_of_nothing_and_unit():
     assert len(empty) == 1 and empty[0].is_zero
     c1 = thick_closure_bruteforce([u1], universe)
     assert any(x is u1 for x in c1) and all(x is not u2 for x in c1)
+
+
+# --- closure oracle: error paths and the shared cache ----------------------------------
+
+F2 = PrimeField(2)
+P1 = stalk_complex(projective_rep(A2, F2, 1))
+U1 = stalk_complex(unit_restriction(A2, F2, ("1",)))
+U2 = stalk_complex(unit_restriction(A2, F2, ("2",)))
+
+
+def _sums(parts):
+    return direct_sum_complexes(parts) if parts else zero_complex(A2, F2)
+
+
+def _small_universe():
+    # every sum of distinct P1, U1, U2 in degree 0: closed under the steps
+    # that stay inside _one_copy_each
+    return [_sums(list(c)) for r in range(4) for c in itertools.combinations((P1, U1, U2), r)]
+
+
+def _one_copy_each(fp):
+    if _fp_span(fp) > 1:
+        return False
+    row = {key: rank for _, key, rank, _ in fp}
+    r = row.get("->a", 0)
+    return r <= 1 and 0 <= row.get("1", 0) - r <= 1 and 0 <= row.get("2", 0) - r <= 1
+
+
+def test_closure_direct_sum_outside_universe_raises():
+    universe = [zero_complex(A2, F2), U1]
+    with pytest.raises(UniverseNotClosed, match="direct sum"):
+        thick_closure_bruteforce([U1], universe, within=lambda fp: True)
+
+
+def test_closure_tensor_product_outside_universe_raises():
+    # (P1 + U2) box itself is P1 + 3 U2: one copy at vertex 1, so within
+    # allows it, while every shifted sum of two copies is out of scope
+    x = _sums([P1, U2])
+
+    def within(fp):
+        return _fp_span(fp) <= 1 and all(rank <= 1 for _, key, rank, _ in fp if key == "1")
+
+    with pytest.raises(UniverseNotClosed, match="tensor product"):
+        thick_closure_bruteforce([x], [zero_complex(A2, F2), x], within=within)
+
+
+def test_closure_generator_outside_universe_raises():
+    with pytest.raises(UniverseNotClosed, match="generator"):
+        thick_closure_bruteforce([U2], [zero_complex(A2, F2), U1])
+
+
+def test_closure_cone_cap_raises():
+    universe = _small_universe()
+    with pytest.raises(UniverseNotClosed, match="map cap"):
+        thick_closure_bruteforce([U1], universe, within=_one_copy_each, max_maps=1)
+
+
+def test_closure_needs_a_finite_field():
+    with pytest.raises(UnsupportedRing):
+        thick_closure_bruteforce([], [zero_complex(A2, Z)])
+
+
+def test_closure_rejects_repeated_fingerprints():
+    with pytest.raises(BadElement, match="same fingerprint"):
+        thick_closure_bruteforce([], [zero_complex(A2, F2), U1, shift_complex(U1, 1)])
+
+
+def test_closure_shared_cache_matches_fresh_cache():
+    universe = _small_universe()
+    calls = [[x] for x in universe] + [[U1, U2], [P1, U2], []]
+
+    def run(gens, cache):
+        got = thick_closure_bruteforce(gens, universe, within=_one_copy_each, cache=cache)
+        return [next(k for k, u in enumerate(universe) if u is m) for m in got]
+
+    fresh = [run(g, None) for g in calls]
+    # universe order: 0, P1, U1, U2, then the sums of two, then of all three
+    assert {frozenset(r) for r in fresh} == {frozenset(c) for c in ({0}, {0, 2}, {0, 3}, range(8))}
+    for order in (calls, calls[::-1]):
+        shared = {}
+        got = [run(g, shared) for g in order]
+        assert got == (fresh if order is calls else fresh[::-1])
+
+
+def test_closure_cache_follows_the_universe_it_is_given():
+    first = _small_universe()
+    second = first[::-1]  # the same objects in another order
+    third = _small_universe()  # fresh copies
+    cache = {}
+    for universe in (first, second, third, first):
+        for gens in ([U1], [U2], [P1]):
+            got = thick_closure_bruteforce(gens, universe, within=_one_copy_each, cache=cache)
+            want = thick_closure_bruteforce(gens, universe, within=_one_copy_each)
+            assert [id(m) for m in got] == [id(m) for m in want]
+            assert all(any(m is u for u in universe) for m in got)
+
+
+def _shifted_sum(a, b, k, sign=1):
+    # normalized a + sign * b[k] on plain fingerprints; None if a rank goes negative
+    tally = {}
+    for n, key, r, _ in a:
+        tally[n, key] = r
+    for n, key, r, _ in b:
+        tally[n - k, key] = tally.get((n - k, key), 0) + sign * r
+    if min(tally.values()) < 0:
+        return None
+    return _fp_normalize(tuple((n, key, r, ()) for (n, key), r in tally.items() if r))
+
+
+def test_closure_offers_every_shifted_sum_to_within():
+    universe = _small_universe()
+    offered = set()
+
+    def within(fp):
+        offered.add(fp)
+        return _one_copy_each(fp)
+
+    assert len(thick_closure_bruteforce([P1], universe, within=within)) == len(universe)
+    fps = {_fp_normalize(homology_fingerprint(x)) for x in universe}
+    members = [fp for fp in fps if fp]
+    sums = {_shifted_sum(a, b, k) for a in members for b in members for k in (-1, 0, 1)}
+    assert sums - fps <= offered
+
+
+def test_packed_fingerprints_match_tuple_arithmetic():
+    wide = [_sums([P1, shift_complex(U2, 1)]), _sums([U1, U1, shift_complex(P1, -1)])]
+    u = _Universe(_small_universe() + wide, F2)
+    assert u.span == 2
+
+    members = [fp for fp in u.fps if fp]
+    for a, b in itertools.product(members, repeat=2):
+        for k in range(-u.span, u.span + 1):
+            if k <= 0:
+                p = u.packed[a] + (u.packed[b] << (-k * u.stride))
+            else:
+                p = (u.packed[a] << (k * u.stride)) + u.packed[b]
+            assert u.unpack(p) == _shifted_sum(a, b, k)
+    for x in members:
+        want = []
+        for v in members:
+            for offset in range(_fp_span(x) - _fp_span(v) + 1):
+                rest = _shifted_sum(x, v, -offset, sign=-1)
+                if rest is not None and (not rest or rest in u.index):
+                    want.append((v, rest))
+        assert u.split(x) == want
