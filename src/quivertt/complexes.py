@@ -6,6 +6,12 @@ arrow acting on chosen generators.  Validation is structural and exact:
 arrow maps must respect relations, morphisms must be natural modulo the
 target relations, differentials must square to zero.
 
+The validation boundary: the public constructors, `rep_free`, `complex_r`
+and workspace loading always validate.  `_trusted` (one object) and
+`_complex` (a whole complex) are the only way to skip `validate()`, for
+objects valid by construction; `cone`, `box_tensor` and the resolution
+steps call `.validate()` on what `_complex` returns.
+
 Complexes are cohomological, sparse dictionaries degree -> representation.
 The shift is (X[1])^n = X^{n+1} with differential negated per shift.  All
 block orderings (tensor summands, Kan path copies, resolution terms) are
@@ -23,9 +29,16 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .linalg import Matrix, is_split_mono, kernel_basis, solve
-from .quivers import Quiver, full_subquiver, path_target, paths, point_quiver, vertex_set
-from .rings import FGModule, Ring, check_same_ring
+from .linalg import Matrix, diagonal_of, is_split_mono, kernel_basis, rank, smith_normal_form, solve
+from .quivers import Quiver, paths, point_quiver, vertex_set
+from .rings import FGModule, IntegersMod, Ring, check_same_ring, int_prime_factors
+
+
+def _trusted(cls, *args):
+    """cls(*args) without validate(): only for objects valid by construction."""
+    obj = cls.__new__(cls)
+    obj._setup(*args)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -35,14 +48,16 @@ from .rings import FGModule, Ring, check_same_ring
 class Representation:
     __slots__ = ("quiver", "ring", "fibers", "arrows", "_pa_cache")
 
-    def __init__(self, quiver: Quiver, ring: Ring, fibers: dict, arrows: dict, check: bool = True):
+    def __init__(self, quiver: Quiver, ring: Ring, fibers: dict, arrows: dict):
+        self._setup(quiver, ring, fibers, arrows)
+        self.validate()
+
+    def _setup(self, quiver, ring, fibers, arrows):
         self.quiver = quiver
         self.ring = ring
         self.fibers = {v: fibers[v] for v in quiver.vertices}
         self.arrows = {name: arrows[name] for name, _, _ in quiver.arrows}
         self._pa_cache = {}
-        if check:
-            self.validate()
 
     def validate(self):
         for v, fib in self.fibers.items():
@@ -85,10 +100,10 @@ def rep_zero(quiver: Quiver, ring: Ring) -> Representation:
     zero = FGModule.free(ring, 0)
     fibers = {v: zero for v in quiver.vertices}
     arrows = {n: Matrix.zeros(ring, 0, 0) for n, _, _ in quiver.arrows}
-    return Representation(quiver, ring, fibers, arrows, check=False)
+    return _trusted(Representation, quiver, ring, fibers, arrows)
 
 
-def rep_free(quiver: Quiver, ring: Ring, ranks: dict, arrows: dict, check: bool = True) -> Representation:
+def rep_free(quiver: Quiver, ring: Ring, ranks: dict, arrows: dict) -> Representation:
     fibers = {v: FGModule.free(ring, ranks.get(v, 0)) for v in quiver.vertices}
     mats = {}
     for name, s, t in quiver.arrows:
@@ -96,7 +111,7 @@ def rep_free(quiver: Quiver, ring: Ring, ranks: dict, arrows: dict, check: bool 
         if m is None:
             m = Matrix.zeros(ring, fibers[t].gens, fibers[s].gens)
         mats[name] = m
-    return Representation(quiver, ring, fibers, mats, check=check)
+    return Representation(quiver, ring, fibers, mats)
 
 
 def rep_direct_sum(reps: list) -> Representation:
@@ -114,18 +129,20 @@ def rep_direct_sum(reps: list) -> Representation:
         for rep in reps[1:]:
             m = m.direct_sum(rep.arrows[name])
         arrows[name] = m
-    return Representation(q, r, fibers, arrows, check=False)
+    return _trusted(Representation, q, r, fibers, arrows)
 
 
 class RepMorphism:
     __slots__ = ("source", "target", "mats")
 
-    def __init__(self, source: Representation, target: Representation, mats: dict, check: bool = True):
+    def __init__(self, source: Representation, target: Representation, mats: dict):
+        self._setup(source, target, mats)
+        self.validate()
+
+    def _setup(self, source, target, mats):
         self.source = source
         self.target = target
         self.mats = {v: mats[v] for v in source.quiver.vertices}
-        if check:
-            self.validate()
 
     def validate(self):
         if self.source.quiver != self.target.quiver:
@@ -150,7 +167,7 @@ class RepMorphism:
 
     def compose(self, earlier: "RepMorphism") -> "RepMorphism":
         mats = {v: self.mats[v].mul(earlier.mats[v]) for v in self.source.quiver.vertices}
-        return RepMorphism(earlier.source, self.target, mats, check=False)
+        return _trusted(RepMorphism, earlier.source, self.target, mats)
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
@@ -158,12 +175,12 @@ class RepMorphism:
 
 def rep_mor_zero(source: Representation, target: Representation) -> RepMorphism:
     mats = {v: Matrix.zeros(source.ring, target.gens(v), source.gens(v)) for v in source.quiver.vertices}
-    return RepMorphism(source, target, mats, check=False)
+    return _trusted(RepMorphism, source, target, mats)
 
 
 def rep_mor_identity(rep: Representation) -> RepMorphism:
     mats = {v: Matrix.identity(rep.ring, rep.gens(v)) for v in rep.quiver.vertices}
-    return RepMorphism(rep, rep, mats, check=False)
+    return _trusted(RepMorphism, rep, rep, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +192,17 @@ class ComplexRQ:
 
     __slots__ = ("quiver", "ring", "terms", "diffs", "_perfect")
 
-    def __init__(self, quiver: Quiver, ring: Ring, terms: dict, diffs: dict, check: bool = True):
+    def __init__(self, quiver: Quiver, ring: Ring, terms: dict, diffs: dict):
+        self._setup(quiver, ring, terms, diffs)
+        self.validate()
+
+    def _setup(self, quiver, ring, terms, diffs):
         self.quiver = quiver
         self.ring = ring
         self.terms = {n: rep for n, rep in sorted(terms.items()) if not rep.is_zero_gens()}
         self.diffs = {n: d for n, d in sorted(diffs.items())
                       if n in self.terms and n + 1 in self.terms and not d.is_zero()}
         self._perfect = None
-        if check:
-            self.validate()
 
     def validate(self):
         for d in self.diffs.values():
@@ -251,22 +270,27 @@ def _rep_is_projective(rep: Representation) -> bool:
     return True
 
 
+def _complex(quiver: Quiver, ring: Ring, terms: dict, diff_mats: dict) -> ComplexRQ:
+    """Trusted complex: diff_mats[n] is {vertex: matrix} from terms[n] to
+    terms[n + 1]; degrees missing either neighbour get no differential."""
+    diffs = {n: _trusted(RepMorphism, terms[n], terms[n + 1], mats)
+             for n, mats in diff_mats.items() if n in terms and n + 1 in terms}
+    return _trusted(ComplexRQ, quiver, ring, terms, diffs)
+
+
 def zero_complex(quiver: Quiver, ring: Ring) -> ComplexRQ:
-    return ComplexRQ(quiver, ring, {}, {}, check=False)
+    return _complex(quiver, ring, {}, {})
 
 
 def stalk_complex(rep: Representation, degree: int = 0) -> ComplexRQ:
-    return ComplexRQ(rep.quiver, rep.ring, {degree: rep}, {}, check=False)
+    return _complex(rep.quiver, rep.ring, {degree: rep}, {})
 
 
 def shift_complex(x: ComplexRQ, k: int) -> ComplexRQ:
     """(X[k])^n = X^{n+k}; the differential picks up (-1)^k."""
-    terms = {n - k: rep for n, rep in x.terms.items()}
-    diffs = {}
-    for n, d in x.diffs.items():
-        mats = d.mats if k % 2 == 0 else {v: m.neg() for v, m in d.mats.items()}
-        diffs[n - k] = RepMorphism(d.source, d.target, mats, check=False)
-    return ComplexRQ(x.quiver, x.ring, terms, diffs, check=False)
+    diffs = {n - k: d.mats if k % 2 == 0 else {v: m.neg() for v, m in d.mats.items()}
+             for n, d in x.diffs.items()}
+    return _complex(x.quiver, x.ring, {n - k: rep for n, rep in x.terms.items()}, diffs)
 
 
 def direct_sum_complexes(xs: list) -> ComplexRQ:
@@ -275,9 +299,8 @@ def direct_sum_complexes(xs: list) -> ComplexRQ:
         raise ShapeMismatch("empty direct sum needs an ambient quiver; use zero_complex")
     q, r = xs[0].quiver, xs[0].ring
     degrees = sorted({n for x in xs for n in x.degrees})
-    terms, diffs = {}, {}
-    for n in degrees:
-        terms[n] = rep_direct_sum([x.term(n) for x in xs])
+    terms = {n: rep_direct_sum([x.term(n) for x in xs]) for n in degrees}
+    diffs = {}
     for n in degrees:
         if n + 1 not in terms:
             continue
@@ -287,19 +310,21 @@ def direct_sum_complexes(xs: list) -> ComplexRQ:
             for x in xs[1:]:
                 m = m.direct_sum(x.diff(n).mats[v])
             mats[v] = m
-        diffs[n] = RepMorphism(terms[n], terms[n + 1], mats, check=False)
-    return ComplexRQ(q, r, terms, diffs, check=False)
+        diffs[n] = mats
+    return _complex(q, r, terms, diffs)
 
 
 class ComplexMorphism:
     __slots__ = ("source", "target", "parts")
 
-    def __init__(self, source: ComplexRQ, target: ComplexRQ, parts: dict, check: bool = True):
+    def __init__(self, source: ComplexRQ, target: ComplexRQ, parts: dict):
+        self._setup(source, target, parts)
+        self.validate()
+
+    def _setup(self, source, target, parts):
         self.source = source
         self.target = target
         self.parts = dict(sorted(parts.items()))
-        if check:
-            self.validate()
 
     def part(self, n) -> RepMorphism:
         p = self.parts.get(n)
@@ -329,9 +354,8 @@ def cone(f: ComplexMorphism) -> ComplexRQ:
     a, b = f.source, f.target
     q, r = a.quiver, a.ring
     degrees = sorted({n - 1 for n in a.degrees} | set(b.degrees))
-    terms, diffs = {}, {}
-    for n in degrees:
-        terms[n] = rep_direct_sum([a.term(n + 1), b.term(n)])
+    terms = {n: rep_direct_sum([a.term(n + 1), b.term(n)]) for n in degrees}
+    diffs = {}
     for n in degrees:
         if n + 1 not in terms:
             continue
@@ -343,8 +367,10 @@ def cone(f: ComplexMorphism) -> ComplexRQ:
             top = da.hstack(Matrix.zeros(r, da.rows, db.cols))
             bot = fv.hstack(db)
             mats[v] = top.vstack(bot)
-        diffs[n] = RepMorphism(terms[n], terms[n + 1], mats, check=False)
-    return ComplexRQ(q, r, terms, diffs)
+        diffs[n] = mats
+    out = _complex(q, r, terms, diffs)
+    out.validate()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +388,7 @@ def projective_rep(q: Quiver, ring: Ring, i) -> Representation:
         for col, p in enumerate(base[s]):
             m[base[t].index(p + (name,))][col] = ring.one()
         arrows[name] = Matrix(ring, len(base[t]), len(base[s]), tuple(tuple(row) for row in m))
-    return Representation(q, ring, fibers, arrows, check=False)
+    return _trusted(Representation, q, ring, fibers, arrows)
 
 
 def unit_restriction(q: Quiver, ring: Ring, s) -> Representation:
@@ -375,7 +401,7 @@ def unit_restriction(q: Quiver, ring: Ring, s) -> Representation:
             arrows[name] = Matrix.identity(ring, 1)
         else:
             arrows[name] = Matrix.zeros(ring, fibers[b].gens, fibers[a].gens)
-    return Representation(q, ring, fibers, arrows, check=False)
+    return _trusted(Representation, q, ring, fibers, arrows)
 
 
 def unit_rep(q: Quiver, ring: Ring) -> Representation:
@@ -397,7 +423,7 @@ def proj_precompose(q: Quiver, ring: Ring, arrow_name) -> RepMorphism:
         for c, p in enumerate(cols):
             m[rows.index((arrow_name,) + p)][c] = ring.one()
         mats[v] = Matrix(ring, len(rows), len(cols), tuple(tuple(row) for row in m))
-    return RepMorphism(pj, pi, mats, check=False)
+    return _trusted(RepMorphism, pj, pi, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +434,8 @@ def eval_vertex(x: ComplexRQ, i) -> ComplexRQ:
     """i^* X: the complex of R-modules sitting at one vertex."""
     i = x.quiver.check_vertex(i)
     pt = point_quiver()
-    terms, diffs = {}, {}
-    for n, rep in x.terms.items():
-        terms[n] = Representation(pt, x.ring, {"pt": rep.fibers[i]}, {}, check=False)
-    for n, d in x.diffs.items():
-        if n in terms and n + 1 in terms:
-            diffs[n] = RepMorphism(terms[n], terms[n + 1], {"pt": d.mats[i]}, check=False)
-    return ComplexRQ(pt, x.ring, terms, diffs, check=False)
+    terms = {n: _trusted(Representation, pt, x.ring, {"pt": rep.fibers[i]}, {}) for n, rep in x.terms.items()}
+    return _complex(pt, x.ring, terms, {n: {"pt": d.mats[i]} for n, d in x.diffs.items()})
 
 
 def _copies_rep(q: Quiver, ring: Ring, fib: FGModule, slot_lists: dict, arrow_slot):
@@ -433,7 +454,7 @@ def _copies_rep(q: Quiver, ring: Ring, fib: FGModule, slot_lists: dict, arrow_sl
                 perm[rows.index(tgt)][c] = ring.one()
         pm = Matrix(ring, len(rows), len(cols), tuple(tuple(r) for r in perm))
         arrows[name] = pm.kron(Matrix.identity(ring, fib.gens))
-    return Representation(q, ring, fibers, arrows, check=False)
+    return _trusted(Representation, q, ring, fibers, arrows)
 
 
 def kan_extend(m: ComplexRQ, q: Quiver, i, side: str = "left") -> ComplexRQ:
@@ -459,35 +480,29 @@ def kan_extend(m: ComplexRQ, q: Quiver, i, side: str = "left") -> ComplexRQ:
             # so the source slot p maps to its tail when it starts with name
             return p[1:] if p and p[0] == name else None
 
-    terms, diffs = {}, {}
-    for n, rep in m.terms.items():
-        terms[n] = _copies_rep(q, m.ring, rep.fibers["pt"], slots, move)
+    terms = {n: _copies_rep(q, m.ring, rep.fibers["pt"], slots, move) for n, rep in m.terms.items()}
+    diffs = {}
     for n, d in m.diffs.items():
-        if n in terms and n + 1 in terms:
-            mats = {}
-            for v in q.vertices:
-                k = len(slots[v])
-                mats[v] = Matrix.identity(m.ring, k).kron(d.mats["pt"]) if k else Matrix.zeros(m.ring, 0, 0)
-            diffs[n] = RepMorphism(terms[n], terms[n + 1], mats, check=False)
-    return ComplexRQ(q, m.ring, terms, diffs, check=False)
+        mats = {}
+        for v in q.vertices:
+            k = len(slots[v])
+            mats[v] = Matrix.identity(m.ring, k).kron(d.mats["pt"]) if k else Matrix.zeros(m.ring, 0, 0)
+        diffs[n] = mats
+    return _complex(q, m.ring, terms, diffs)
 
 
 def i_times(m: ComplexRQ, q: Quiver, i) -> ComplexRQ:
     """Park an R-complex at one vertex: fiber m at i, zero elsewhere."""
     i = q.check_vertex(i)
-    terms, diffs = {}, {}
+    terms = {}
     for n, rep in m.terms.items():
         fib = rep.fibers["pt"]
         fibers = {v: (fib if v == i else FGModule.free(m.ring, 0)) for v in q.vertices}
-        arrows = {}
-        for name, s, t in q.arrows:
-            arrows[name] = Matrix.zeros(m.ring, fibers[t].gens, fibers[s].gens)
-        terms[n] = Representation(q, m.ring, fibers, arrows, check=False)
-    for n, d in m.diffs.items():
-        if n in terms and n + 1 in terms:
-            mats = {v: (d.mats["pt"] if v == i else Matrix.zeros(m.ring, 0, 0)) for v in q.vertices}
-            diffs[n] = RepMorphism(terms[n], terms[n + 1], mats, check=False)
-    return ComplexRQ(q, m.ring, terms, diffs, check=False)
+        arrows = {name: Matrix.zeros(m.ring, fibers[t].gens, fibers[s].gens) for name, s, t in q.arrows}
+        terms[n] = _trusted(Representation, q, m.ring, fibers, arrows)
+    diffs = {n: {v: (d.mats["pt"] if v == i else Matrix.zeros(m.ring, 0, 0)) for v in q.vertices}
+             for n, d in m.diffs.items()}
+    return _complex(q, m.ring, terms, diffs)
 
 
 def change_ring(x: ComplexRQ, ring: Ring, convert=None) -> ComplexRQ:
@@ -503,25 +518,22 @@ def change_ring(x: ComplexRQ, ring: Ring, convert=None) -> ComplexRQ:
     def push(m: Matrix) -> Matrix:
         return m.map_entries(conv, ring=ring)
 
-    terms, diffs = {}, {}
+    terms = {}
     for n, rep in x.terms.items():
         fibers = {v: FGModule(ring, push(f.presentation)) for v, f in rep.fibers.items()}
         arrows = {a: push(m) for a, m in rep.arrows.items()}
-        terms[n] = Representation(x.quiver, ring, fibers, arrows, check=False)
-    for n, d in x.diffs.items():
-        diffs[n] = RepMorphism(terms[n], terms[n + 1], {v: push(m) for v, m in d.mats.items()}, check=False)
-    return ComplexRQ(x.quiver, ring, terms, diffs, check=False)
+        terms[n] = _trusted(Representation, x.quiver, ring, fibers, arrows)
+    diffs = {n: {v: push(m) for v, m in d.mats.items()} for n, d in x.diffs.items()}
+    return _complex(x.quiver, ring, terms, diffs)
 
 
-def complex_r(ring: Ring, entries: dict, diff_mats: dict, check: bool = True) -> ComplexRQ:
+def complex_r(ring: Ring, entries: dict, diff_mats: dict) -> ComplexRQ:
     """A complex over the one-vertex quiver from modules and matrices."""
     pt = point_quiver()
-    terms = {n: Representation(pt, ring, {"pt": fib}, {}, check=False) for n, fib in entries.items()}
-    diffs = {}
-    for n, m in diff_mats.items():
-        if n in terms and n + 1 in terms:
-            diffs[n] = RepMorphism(terms[n], terms[n + 1], {"pt": m}, check=False)
-    return ComplexRQ(pt, ring, terms, diffs, check=check)
+    terms = {n: _trusted(Representation, pt, ring, {"pt": fib}, {}) for n, fib in entries.items()}
+    out = _complex(pt, ring, terms, {n: {"pt": m} for n, m in diff_mats.items()})
+    out.validate()
+    return out
 
 
 def koszul_complex(ring: Ring, gens) -> ComplexRQ:
@@ -572,10 +584,10 @@ def rep_box(a: Representation, b: Representation) -> Representation:
         raise ShapeMismatch("tensor of representations over different quivers")
     fibers = {v: _fiber_tensor(a.fibers[v], b.fibers[v]) for v in a.quiver.vertices}
     arrows = {name: a.arrows[name].kron(b.arrows[name]) for name, _, _ in a.quiver.arrows}
-    return Representation(a.quiver, a.ring, fibers, arrows, check=False)
+    return _trusted(Representation, a.quiver, a.ring, fibers, arrows)
 
 
-def box_tensor(x: ComplexRQ, y: ComplexRQ, check: bool = True) -> ComplexRQ:
+def box_tensor(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
     """Total complex of the vertexwise tensor, Koszul signs on the y side.
 
     Computed termwise, which is only the derived tensor when both inputs are
@@ -592,15 +604,12 @@ def box_tensor(x: ComplexRQ, y: ComplexRQ, check: bool = True) -> ComplexRQ:
     q, r = x.quiver, x.ring
     if x.is_zero or y.is_zero:
         return zero_complex(q, r)
-    pairs = {}  # total degree -> ordered (p, q) summands
+    pairs = {}  # total degree -> (p, q) summands, ascending in p
     for p in x.degrees:
         for qq in y.degrees:
             pairs.setdefault(p + qq, []).append((p, qq))
-    for n in pairs:
-        pairs[n].sort()
-    terms = {}
-    for n, ps in sorted(pairs.items()):
-        terms[n] = rep_direct_sum([rep_box(x.terms[p], y.terms[qq]) for p, qq in ps])
+    terms = {n: rep_direct_sum([rep_box(x.terms[p], y.terms[qq]) for p, qq in ps])
+             for n, ps in sorted(pairs.items())}
     diffs = {}
     for n in sorted(pairs):
         if n + 1 not in pairs:
@@ -620,8 +629,10 @@ def box_tensor(x: ComplexRQ, y: ComplexRQ, check: bool = True) -> ComplexRQ:
                     blk = Matrix.identity(r, x.terms[p].gens(v)).kron(y.diff(qq).mats[v])
                     grid[ri][ci] = blk if p % 2 == 0 else blk.neg()
             mats[v] = _assemble(r, grid, tgt_dims, src_dims)
-        diffs[n] = RepMorphism(terms[n], terms[n + 1], mats, check=False)
-    return ComplexRQ(q, r, terms, diffs, check=check)
+        diffs[n] = mats
+    out = _complex(q, r, terms, diffs)
+    out.validate()
+    return out
 
 
 def _assemble(ring, grid, row_dims, col_dims) -> Matrix:
@@ -689,7 +700,7 @@ def homology(x: ComplexRQ, n: int) -> Representation:
         if m is None:
             raise ShapeMismatch(f"arrow {name} does not preserve cycles")
         arrows[name] = m
-    return Representation(q, r, fibers, arrows, check=False)
+    return _trusted(Representation, q, r, fibers, arrows)
 
 
 def homology_range(x: ComplexRQ):
@@ -716,15 +727,10 @@ def homology_fingerprint(x: ComplexRQ):
             for name, _, t in x.quiver.arrows:
                 a = h.arrows[name]
                 pres = h.fibers[t].presentation
-                rank = _matrix_rank(a.hstack(pres)) - _matrix_rank(pres)
-                if rank:
-                    out.append((n, "->" + name, rank, ()))
+                arrow_rank = rank(a.hstack(pres)) - rank(pres)
+                if arrow_rank:
+                    out.append((n, "->" + name, arrow_rank, ()))
     return tuple(sorted(out, key=lambda t: (t[0], str(t[1]))))
-
-
-def _matrix_rank(m: Matrix) -> int:
-    from .linalg import rank
-    return rank(m)
 
 
 def is_acyclic(x: ComplexRQ) -> bool:
@@ -745,7 +751,6 @@ def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:
     Change of basis by the Smith u on each fiber; all matrices in and out are
     conjugated accordingly, unit-killed generators are dropped.
     """
-    from .linalg import diagonal_of, is_invertible, smith_normal_form
     r = x.ring
     q = x.quiver
     # per (degree, vertex): (u, keep-indices, new presentation)
@@ -783,20 +788,18 @@ def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:
             m = Matrix(r, len(keep_t), m.cols, tuple(m.entries[i] for i in keep_t))
         return m
 
-    terms, diffs = {}, {}
+    terms = {}
     for n, rep in x.terms.items():
         fibers = {}
         for v in q.vertices:
             c = coord[(n, v)]
             fibers[v] = rep.fibers[v] if c is None else FGModule(r, c[2])
-        arrows = {}
-        for name, s, t in q.arrows:
-            arrows[name] = convert(rep.arrows[name], (n, s), (n, t))
+        arrows = {name: convert(rep.arrows[name], (n, s), (n, t)) for name, s, t in q.arrows}
         terms[n] = Representation(q, r, fibers, arrows)
-    for n in x.diffs:
-        mats = {v: convert(x.diffs[n].mats[v], (n, v), (n + 1, v)) for v in q.vertices}
-        diffs[n] = RepMorphism(terms[n], terms[n + 1], mats)
-    return ComplexRQ(q, r, terms, diffs)
+    diffs = {n: {v: convert(d.mats[v], (n, v), (n + 1, v)) for v in q.vertices} for n, d in x.diffs.items()}
+    out = _complex(q, r, terms, diffs)
+    out.validate()
+    return out
 
 
 def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
@@ -864,8 +867,10 @@ def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
             mats[v] = _assemble(r, grid,
                                 [x.term(m + 1).gens(v), pres(m + 2, v).cols],
                                 [x.term(m).gens(v), p_next.cols])
-        diffs[m] = RepMorphism(terms[m], terms[m + 1], mats)
-    return ComplexRQ(q, r, terms, diffs)
+        diffs[m] = mats
+    out = _complex(q, r, terms, diffs)
+    out.validate()
+    return out
 
 
 def projective_resolution(x: ComplexRQ) -> ComplexRQ:
@@ -883,19 +888,20 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
 
 
 def _resolution_with_counit(x: ComplexRQ):
-    from .rings import IntegersMod
     q, r = x.quiver, x.ring
     if isinstance(r, IntegersMod):
-        from .rings import int_prime_factors
         square_free = all(r.n % (p * p) != 0 for p in int_prime_factors(r.n))
         if not (square_free and all(rep.all_free() for rep in x.terms.values())):
             raise NonRegularRing(f"cannot resolve over {r.label}; input must already be perfect")
     x = _free_fiber_replacement(x)
     if x.is_zero:
-        return x, ComplexMorphism(x, x, {}, check=False)
+        return x, _trusted(ComplexMorphism, x, x, {})
 
     vorder = list(q.vertices)
     aorder = list(q.arrows)
+    # (generator vertex, path start) per block: P(i) x X_i in B0, P(t(a)) x X_{s(a)} in B1
+    b0_blocks = [(i, i) for i in vorder]
+    b1_blocks = [(s, t) for _, s, t in aorder]
     projs = {v: projective_rep(q, r, v) for v in vorder}
 
     def b0_of(term: Representation) -> Representation:
@@ -905,30 +911,17 @@ def _resolution_with_counit(x: ComplexRQ):
         parts = [_proj_tensor(projs[t], term.gens(s)) for _, s, t in aorder]
         return rep_direct_sum(parts) if parts else rep_zero(q, r)
 
-    def b0_map(src: Representation, tgt: Representation, f_mats) -> dict:
-        # blockwise P(i) x f_i
+    def block_map(blocks, src: Representation, tgt: Representation, f_mats) -> dict:
+        # blockwise P(start) x f_g
         out = {}
         for v in q.vertices:
-            grid = [[None] * len(vorder) for _ in vorder]
+            grid = [[None] * len(blocks) for _ in blocks]
             rdims, cdims = [], []
-            for k, i in enumerate(vorder):
-                np_ = len(paths(q, i, v))
-                rdims.append(np_ * tgt.gens(i))
-                cdims.append(np_ * src.gens(i))
-                grid[k][k] = Matrix.identity(r, np_).kron(f_mats[i])
-            out[v] = _assemble(r, grid, rdims, cdims)
-        return out
-
-    def b1_map(src: Representation, tgt: Representation, f_mats) -> dict:
-        out = {}
-        for v in q.vertices:
-            grid = [[None] * len(aorder) for _ in aorder]
-            rdims, cdims = [], []
-            for k, (_, s, t) in enumerate(aorder):
-                np_ = len(paths(q, t, v))
-                rdims.append(np_ * tgt.gens(s))
-                cdims.append(np_ * src.gens(s))
-                grid[k][k] = Matrix.identity(r, np_).kron(f_mats[s])
+            for k, (g, start) in enumerate(blocks):
+                np_ = len(paths(q, start, v))
+                rdims.append(np_ * tgt.gens(g))
+                cdims.append(np_ * src.gens(g))
+                grid[k][k] = Matrix.identity(r, np_).kron(f_mats[g])
             out[v] = _assemble(r, grid, rdims, cdims)
         return out
 
@@ -974,12 +967,9 @@ def _resolution_with_counit(x: ComplexRQ):
                     act = term.path_action(i, p)
                     for z in range(term.gens(i)):
                         cols.append(act.column(z))
-            if cols:
-                m = cols[0]
-                for c in cols[1:]:
-                    m = m.hstack(c)
-            else:
-                m = Matrix.zeros(r, term.gens(v), 0)
+            m = Matrix.zeros(r, term.gens(v), 0)
+            for c in cols:
+                m = m.hstack(c)
             out[v] = m
         return out
 
@@ -989,25 +979,17 @@ def _resolution_with_counit(x: ComplexRQ):
     terms, diffs, aug_parts = {}, {}, {}
     span = sorted(set(degrees) | {n - 1 for n in degrees})
     for m in span:
-        pieces = []
-        if m in degrees:
-            pieces.append(b0[m])
-        else:
-            pieces.append(rep_zero(q, r))
-        if m + 1 in degrees:
-            pieces.append(b1[m + 1])
-        else:
-            pieces.append(rep_zero(q, r))
-        t = rep_direct_sum(pieces)
+        t = rep_direct_sum([b0[m] if m in degrees else rep_zero(q, r),
+                            b1[m + 1] if m + 1 in degrees else rep_zero(q, r)])
         if not t.is_zero_gens():
             terms[m] = t
     for m in span:
         if m not in terms or m + 1 not in terms:
             continue
         d_cur = x.diff(m)
-        top_d = b0_map(x.term(m), x.term(m + 1), d_cur.mats) if m in degrees and m + 1 in degrees else None
+        top_d = block_map(b0_blocks, x.term(m), x.term(m + 1), d_cur.mats) if m in degrees and m + 1 in degrees else None
         phi_next = phi(x.terms[m + 1]) if m + 1 in degrees else None
-        bot_d = b1_map(x.term(m + 1), x.term(m + 2), x.diff(m + 1).mats) if (m + 1 in degrees and m + 2 in degrees) else None
+        bot_d = block_map(b1_blocks, x.term(m + 1), x.term(m + 2), x.diff(m + 1).mats) if (m + 1 in degrees and m + 2 in degrees) else None
         mats = {}
         for v in q.vertices:
             r00 = b0[m + 1].gens(v) if m + 1 in degrees else 0
@@ -1017,8 +999,9 @@ def _resolution_with_counit(x: ComplexRQ):
             grid = [[top_d[v] if top_d else None, phi_next[v] if phi_next else None],
                     [None, bot_d[v].neg() if bot_d else None]]
             mats[v] = _assemble(r, grid, [r00, r10], [c00, c10])
-        diffs[m] = RepMorphism(terms[m], terms[m + 1], mats, check=False)
-    resolved = ComplexRQ(q, r, terms, diffs)
+        diffs[m] = mats
+    resolved = _complex(q, r, terms, diffs)
+    resolved.validate()
     for m in degrees:
         if m not in terms:
             continue
@@ -1027,17 +1010,17 @@ def _resolution_with_counit(x: ComplexRQ):
         for v in q.vertices:
             pad = Matrix.zeros(r, x.term(m).gens(v), terms[m].gens(v) - eps[v].cols)
             mats[v] = eps[v].hstack(pad)
-        aug_parts[m] = RepMorphism(terms[m], x.terms[m], mats, check=False)
+        aug_parts[m] = _trusted(RepMorphism, terms[m], x.terms[m], mats)
     aug = ComplexMorphism(resolved, x, aug_parts)
     return resolved, aug
 
 
-def _proj_tensor(p: Representation, rank: int) -> Representation:
-    """P(i) tensor a free module of the given rank."""
+def _proj_tensor(p: Representation, n: int) -> Representation:
+    """P(i) tensor a free module of rank n."""
     q, r = p.quiver, p.ring
-    fibers = {v: FGModule.free(r, p.gens(v) * rank) for v in q.vertices}
-    arrows = {name: p.arrows[name].kron(Matrix.identity(r, rank)) for name, _, _ in q.arrows}
-    return Representation(q, r, fibers, arrows, check=False)
+    fibers = {v: FGModule.free(r, p.gens(v) * n) for v in q.vertices}
+    arrows = {name: p.arrows[name].kron(Matrix.identity(r, n)) for name, _, _ in q.arrows}
+    return _trusted(Representation, q, r, fibers, arrows)
 
 
 def ensure_perfect(x: ComplexRQ) -> ComplexRQ:

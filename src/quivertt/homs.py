@@ -5,9 +5,13 @@ naturality constraint system, one matrix variable per vertex.  The internal
 hom against a vertex i evaluates Hom(X tensor P(i), Y); arrows act by
 precomposition with the path-prefixing inclusions P(j) -> P(i).
 
-Everything here is assembled from explicit generator lifts, and every
-constructed morphism re-validates the chain-map equations, so a sign error
-anywhere would refuse to build rather than return garbage.
+Everything here is assembled from explicit generator lifts.  `chom_rep`,
+`chom_complex` and the evaluation map validate what they build (arrow maps,
+naturality, d^2 = 0, the chain-map equations), so a sign error there refuses
+to build rather than return garbage; the `chom_complex` differentials are
+validated once, as part of the complex.  `ChainMapSpace.build` does not
+validate: its maps are kernel vectors of the chain-map equations, valid by
+construction.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from .complexes import (
     Representation,
     RepMorphism,
     _assemble,
+    _complex,
     _resolution_with_counit,
+    _trusted,
     box_tensor,
     cone,
     ensure_perfect,
@@ -26,15 +32,14 @@ from .complexes import (
     projective_rep,
     proj_precompose,
     rep_box,
-    rep_direct_sum,
     rep_mor_identity,
-    rep_zero,
     stalk_complex,
     unit_complex,
     unit_restriction,
 )
 from .errors import NotPerfect, ShapeMismatch, UnsupportedRing
 from .linalg import Matrix, kernel_basis, solve
+from .quivers import paths
 from .rings import FGModule
 
 
@@ -254,7 +259,7 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
                         f = src_hd.lift(l)
                         g = {}
                         for v in q.vertices:
-                            pre = dx.mats[v].kron(Matrix.identity(r, len_paths(q, i, v)))
+                            pre = dx.mats[v].kron(Matrix.identity(r, len(paths(q, i, v))))
                             comp = f[v].mul(pre)
                             g[v] = comp if a % 2 == 1 else comp.neg()
                         glist.append(g)
@@ -262,15 +267,10 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
             rdims = [hd[(i, a + 1, m)].gens for m in ms_t]
             cdims = [hd[(i, a, m)].gens for m in ms]
             mats[i] = _assemble(r, grid, rdims, cdims)
-        if a in terms and a + 1 in terms:
-            diffs[a] = RepMorphism(terms[a], terms[a + 1], mats, check=False)
-    cx = ComplexRQ(q, r, terms, diffs)
+        diffs[a] = mats
+    cx = _complex(q, r, terms, diffs)
+    cx.validate()
     return ChomData(cx, summands, hd, offsets, x, y)
-
-
-def len_paths(q, i, v):
-    from .quivers import paths
-    return len(paths(q, i, v))
 
 
 def internal_hom(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
@@ -284,13 +284,12 @@ def internal_hom(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
 def _unit_with_counit(q, ring):
     u = unit_complex(q, ring)
     if u.perfect:
-        return u, ComplexMorphism(u, u, {0: rep_mor_identity(u.terms[0])}, check=False)
+        return u, _trusted(ComplexMorphism, u, u, {0: rep_mor_identity(u.terms[0])})
     return _resolution_with_counit(u)
 
 
 def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) -> ComplexMorphism:
     """chom(x, W) tensor y -> chom(x, y), f tensor z to +-(aug of f) . z."""
-    from .quivers import paths
     x = cu.source
     q, r = x.quiver, x.ring
     s = box_tensor(cu.complex, y)
@@ -334,7 +333,7 @@ def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) 
             mats[i] = Matrix(r, tgt_total, len(cols),
                              tuple(tuple(c[rr] for c in cols) for rr in range(tgt_total)))
         if n in s.terms:
-            parts[n] = RepMorphism(s.terms[n], t.term(n), mats, check=False)
+            parts[n] = _trusted(RepMorphism, s.terms[n], t.term(n), mats)
     return ComplexMorphism(s, t, parts)
 
 
@@ -487,5 +486,5 @@ class ChainMapSpace:
                                  tuple(tuple(vec[off + rr * cols + cc] for cc in range(cols))
                                        for rr in range(rows)))
             if d in self.source.terms:
-                parts[d] = RepMorphism(self.source.terms[d], self.target.term(d), mats, check=False)
-        return ComplexMorphism(self.source, self.target, parts, check=False)
+                parts[d] = _trusted(RepMorphism, self.source.terms[d], self.target.term(d), mats)
+        return _trusted(ComplexMorphism, self.source, self.target, parts)

@@ -14,6 +14,7 @@ valuation over the p-locals), ties broken by lowest row then lowest column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import RingMismatch, ShapeMismatch
 
@@ -527,7 +528,6 @@ def annihilator_gen(ring, a):
     if ring.is_domain:
         return ring.zero()
     # Z/n: ann(a) = (n / gcd(a, n))
-    from math import gcd
     return (ring.n // gcd(a, ring.n)) % ring.n
 
 
@@ -553,16 +553,6 @@ def solve(a: Matrix, b: Matrix):
             elif not r.is_zero(target):
                 return None
     return v.mul(Matrix(r, a.cols, b.cols, tuple(tuple(row) for row in y)))
-
-
-def is_invertible(m: Matrix) -> bool:
-    if m.rows != m.cols:
-        return False
-    r = m.ring
-    if r.is_field:
-        return rank(m) == m.rows
-    d, _, _ = smith_normal_form(m)
-    return all(r.is_unit(e) for e in diagonal_of(d))
 
 
 def is_split_mono(m: Matrix) -> bool:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import BadElement, RingMismatch, UnsupportedRing
-from .linalg import ElementaryDivisors, Matrix, cokernel_presentation
+from .linalg import Matrix, cokernel_presentation
 
 
 # ---------------------------------------------------------------------------

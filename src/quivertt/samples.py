@@ -21,7 +21,7 @@ from .complexes import (
 )
 from .homs import ChainMapSpace
 from .linalg import Matrix
-from .quivers import Quiver, build_quiver
+from .quivers import Quiver, build_quiver, point_quiver
 from .rings import Ring, enumerate_primes, sp_all, sp_empty, sp_points
 from .spectrum import QSupport
 
@@ -83,8 +83,6 @@ def random_perfect_complex(q: Quiver, ring: Ring, rng: random.Random, pieces: in
 
 def random_point_complex(ring: Ring, rng: random.Random) -> ComplexRQ:
     """Perfect complex over the one-vertex quiver: a small random staircase."""
-    from .quivers import point_quiver
-
     q = point_quiver()
     return random_perfect_complex(q, ring, rng, pieces=rng.randint(1, 2))
 

@@ -578,23 +578,29 @@ class _ClosureState:
     def cone_fps(self, a, b, k):
         """Fingerprints of cones over all nonzero chain maps a[k] -> b.
 
-        None when the sweep would exceed the map cap; the caller decides
-        whether that pair is actually needed.
+        None when the sweep would exceed this call's map cap; the caller
+        decides whether that pair is actually needed.  A capped sweep is
+        cached as its map-space dimension, so a call with a larger cap on
+        the same cache still runs it.
         """
         key = ("cone", a, b, k)
-        if key not in self.cache:
-            space = ChainMapSpace(shift_complex(self.resolved(a), k), self.resolved(b))
-            p = self.ring.modulus_int
-            if p ** space.dim > self.max_maps:
-                self.cache[key] = None
-            else:
-                out = set()
-                for coeffs in itertools.product(range(p), repeat=space.dim):
-                    if not any(coeffs):
-                        continue  # the zero map's cone is the shifted direct sum
-                    f = space.build(coeffs)
-                    out.add(_fp_normalize(homology_fingerprint(cone(f))))
-                self.cache[key] = frozenset(out)
+        hit = self.cache.get(key)
+        if isinstance(hit, frozenset):
+            return hit
+        p = self.ring.modulus_int
+        if hit is not None and p ** hit > self.max_maps:
+            return None
+        space = ChainMapSpace(shift_complex(self.resolved(a), k), self.resolved(b))
+        if p ** space.dim > self.max_maps:
+            self.cache[key] = space.dim
+            return None
+        out = set()
+        for coeffs in itertools.product(range(p), repeat=space.dim):
+            if not any(coeffs):
+                continue  # the zero map's cone is the shifted direct sum
+            f = space.build(coeffs)
+            out.add(_fp_normalize(homology_fingerprint(cone(f))))
+        self.cache[key] = frozenset(out)
         return self.cache[key]
 
     def cone_pass(self):

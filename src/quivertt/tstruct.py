@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from .complexes import (
     ComplexRQ,
     Representation,
-    RepMorphism,
+    _complex,
+    _trusted,
     homology,
     homology_range,
 )
@@ -302,15 +303,8 @@ def component_restrict(x: ComplexRQ, k: int, c: FiltrationSystem) -> ComplexRQ:
     """Forget everything outside part k's subquiver."""
     part = _check_part(c, k)
     sub = full_subquiver(x.quiver, part)
-    terms, diffs = {}, {}
-    for n, rep in x.terms.items():
-        fibers = {v: rep.fibers[v] for v in sub.vertices}
-        arrows = {name: rep.arrows[name] for name, _, _ in sub.arrows}
-        terms[n] = Representation(sub, x.ring, fibers, arrows, check=False)
-    for n, d in x.diffs.items():
-        if n in terms and n + 1 in terms:
-            diffs[n] = RepMorphism(terms[n], terms[n + 1], {v: d.mats[v] for v in sub.vertices}, check=False)
-    return ComplexRQ(sub, x.ring, terms, diffs, check=False)
+    terms = {n: _trusted(Representation, sub, x.ring, rep.fibers, rep.arrows) for n, rep in x.terms.items()}
+    return _complex(sub, x.ring, terms, {n: d.mats for n, d in x.diffs.items()})
 
 
 def component_times(m: ComplexRQ, k: int, c: FiltrationSystem) -> ComplexRQ:
@@ -321,7 +315,7 @@ def component_times(m: ComplexRQ, k: int, c: FiltrationSystem) -> ComplexRQ:
     if m.quiver != sub:
         raise BadElement("complex is not over the part's subquiver")
     r = m.ring
-    terms, diffs = {}, {}
+    terms = {}
     for n, rep in m.terms.items():
         fibers = {v: (rep.fibers[v] if v in part else FGModule.free(r, 0)) for v in q.vertices}
         arrows = {}
@@ -330,12 +324,10 @@ def component_times(m: ComplexRQ, k: int, c: FiltrationSystem) -> ComplexRQ:
                 arrows[name] = rep.arrows[name]
             else:
                 arrows[name] = Matrix.zeros(r, fibers[t].gens, fibers[s].gens)
-        terms[n] = Representation(q, r, fibers, arrows, check=False)
-    for n, d in m.diffs.items():
-        if n in terms and n + 1 in terms:
-            mats = {v: (d.mats[v] if v in part else Matrix.zeros(r, 0, 0)) for v in q.vertices}
-            diffs[n] = RepMorphism(terms[n], terms[n + 1], mats, check=False)
-    return ComplexRQ(q, r, terms, diffs, check=False)
+        terms[n] = _trusted(Representation, q, r, fibers, arrows)
+    diffs = {n: {v: (d.mats[v] if v in part else Matrix.zeros(r, 0, 0)) for v in q.vertices}
+             for n, d in m.diffs.items()}
+    return _complex(q, r, terms, diffs)
 
 
 def c_aisle_decompose(f: Filtration, c: FiltrationSystem) -> list:

@@ -86,8 +86,8 @@ def test_koszul_over_poly_ring():
 def test_koszul_squares_to_zero_three_generators():
     k = koszul_complex(Z, [2, 3, 5])
     assert k.degrees == [-3, -2, -1, 0]
-    # validation already ran in the constructor; rebuild with checks on
-    ComplexRQ(k.quiver, k.ring, k.terms, k.diffs, check=True)
+    # validation already ran in koszul_complex; run it again explicitly
+    k.validate()
 
 
 # --- structural operations ----------------------------------------------------
@@ -238,11 +238,11 @@ def test_box_needs_a_usable_side():
 
 
 def test_box_koszul_signs_square():
-    # totalization signs: d^2 = 0 checked by the constructor on a 2x2 grid
+    # totalization signs: d^2 = 0 on a 2x2 grid, checked by box_tensor and again here
     a = koszul_complex(Z, [2])
     b = koszul_complex(Z, [3])
     prod = box_tensor(a, b)
-    ComplexRQ(prod.quiver, prod.ring, prod.terms, prod.diffs, check=True)
+    prod.validate()
 
 
 # --- resolutions and perfection ------------------------------------------------

@@ -349,6 +349,18 @@ def test_closure_cone_cap_raises():
         thick_closure_bruteforce([U1], universe, within=_one_copy_each, max_maps=1)
 
 
+def test_closure_capped_sweep_is_retried_under_a_larger_cap():
+    # a sweep skipped under a small cap must not stay skipped in the cache
+    universe = _small_universe()
+    cache = {}
+    with pytest.raises(UniverseNotClosed, match="map cap"):
+        thick_closure_bruteforce([U1], universe, within=_one_copy_each, max_maps=1, cache=cache)
+    got = thick_closure_bruteforce([U1], universe, within=_one_copy_each, cache=cache)
+    want = thick_closure_bruteforce([U1], universe, within=_one_copy_each)
+    assert len(want) == 2
+    assert [id(m) for m in got] == [id(m) for m in want]
+
+
 def test_closure_needs_a_finite_field():
     with pytest.raises(UnsupportedRing):
         thick_closure_bruteforce([], [zero_complex(A2, Z)])
