@@ -188,9 +188,16 @@ def rep_mor_identity(rep: Representation) -> RepMorphism:
 
 
 class ComplexRQ:
-    """Bounded complex of representations; zero terms are simply absent."""
+    """Bounded complex of representations; zero terms are simply absent.
 
-    __slots__ = ("quiver", "ring", "terms", "diffs", "_perfect")
+    Complexes are immutable: no code assigns into `terms`, `diffs` or the
+    fibers, arrows and matrices below them once `_setup` has run.  So two
+    invariants are memoized on the object: `perfect` and, per vertex, the
+    support of the fiber's homology (`_supports`, filled by the spectrum
+    module's support tests).
+    """
+
+    __slots__ = ("quiver", "ring", "terms", "diffs", "_perfect", "_supports")
 
     def __init__(self, quiver: Quiver, ring: Ring, terms: dict, diffs: dict):
         self._setup(quiver, ring, terms, diffs)
@@ -203,6 +210,7 @@ class ComplexRQ:
         self.diffs = {n: d for n, d in sorted(diffs.items())
                       if n in self.terms and n + 1 in self.terms and not d.is_zero()}
         self._perfect = None
+        self._supports = {}
 
     def validate(self):
         for d in self.diffs.values():

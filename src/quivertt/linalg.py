@@ -6,6 +6,13 @@ F_p[x].  Z/n never enters the Euclidean loop: its Smith form is computed on an
 integer lift and reduced, which stays a certificate because reduction is a
 ring map and the transforms have determinant +-1.
 
+Integer rings skip the dispatch: when `ring.modulus_int` is set (0 for Z, p
+for Fp, n for Z/n), `Matrix.mul` runs on plain ints and reduces only for a
+nonzero modulus (F_2 packs rows into ints instead), and the Smith form's row
+and column operations over Z are plain `x + c*y`.  An empty matrix (no rows
+or no columns) is already in Smith form with identity transforms, and its
+cokernel is free on its rows; neither runs elimination.
+
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x],
 valuation over the p-locals), ties broken by lowest row then lowest column.
@@ -98,11 +105,15 @@ class Matrix:
                         acc ^= brows[k]
                 out.append(tuple((acc >> j) & 1 for j in range(other.cols)))
             return Matrix(r, self.rows, other.cols, tuple(out))
-        if mod:
+        if mod is not None:
             # entries are plain ints; avoid per-op method dispatch
-            bt = [tuple(other.entries[k][j] for k in range(other.rows)) for j in range(other.cols)]
-            out = tuple(tuple(sum(a * b for a, b in zip(row, col)) % mod for col in bt)
-                        for row in self.entries)
+            bt = list(zip(*other.entries)) if other.rows else [()] * other.cols
+            if mod:
+                out = tuple(tuple(sum(a * b for a, b in zip(row, col)) % mod for col in bt)
+                            for row in self.entries)
+            else:
+                out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                            for row in self.entries)
             return Matrix(r, self.rows, other.cols, out)
         z = r.zero()
         out = []
@@ -195,6 +206,7 @@ class _Worker:
 
     def __init__(self, m: Matrix):
         self.ring = m.ring
+        self.plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
         self.a = [list(row) for row in m.entries]
         self.rows, self.cols = m.rows, m.cols
         eye_r = Matrix.identity(m.ring, m.rows)
@@ -219,6 +231,10 @@ class _Worker:
         r = self.ring
         if r.is_zero(c):
             return
+        if self.plain:
+            self.a[i] = [x + c * y for x, y in zip(self.a[i], self.a[j])]
+            self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
+            return
         self.a[i] = [r.add(x, r.mul(c, y)) for x, y in zip(self.a[i], self.a[j])]
         self.u[i] = [r.add(x, r.mul(c, y)) for x, y in zip(self.u[i], self.u[j])]
 
@@ -226,6 +242,11 @@ class _Worker:
         """col_i += c * col_j"""
         r = self.ring
         if r.is_zero(c):
+            return
+        if self.plain:
+            for rows in (self.a, self.v):
+                for row in rows:
+                    row[i] += c * row[j]
             return
         for row in self.a:
             row[i] = r.add(row[i], r.mul(c, row[j]))
@@ -260,6 +281,8 @@ def smith_normal_form(m: Matrix):
     input: the pivot rule is pinned.
     """
     r = m.ring
+    if not m.rows or not m.cols:
+        return m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols)
     if r.needs_lift:
         return _smith_via_lift(m)
     w = _Worker(m)
@@ -479,6 +502,8 @@ def cokernel_presentation(m: Matrix) -> ElementaryDivisors:
     free of rank one, since (Z/n)/(0) = Z/n.
     """
     r = m.ring
+    if not m.rows or not m.cols:
+        return ElementaryDivisors((), m.rows)
     if r.is_field:
         return ElementaryDivisors((), m.rows - rank(m))
     d, _, _ = smith_normal_form(m)

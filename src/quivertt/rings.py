@@ -222,6 +222,9 @@ class Ring:
     is_field = False
     is_domain = True
     needs_lift = False  # True when linear algebra must run on integer lifts
+    # elements are plain ints reduced mod this (0: not reduced, as over Z);
+    # None when they are not ints.  Matrix products use it for a fast path.
+    modulus_int = None
 
     # -- element arithmetic -------------------------------------------------
     def zero(self):
@@ -250,7 +253,9 @@ class Ring:
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        # elements are canonical and zero is the only falsy one: 0,
+        # Fraction(0), or the empty coefficient tuple
+        return not a
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -314,7 +319,6 @@ class PrimeField(Ring):
 
     @property
     def modulus_int(self):
-        # marks entries as plain ints mod this, enabling fast matrix paths
         return self.p
 
     @property
@@ -434,6 +438,7 @@ class Rationals(Ring):
 @dataclass(frozen=True)
 class Integers(Ring):
     label = "Z"
+    modulus_int = 0
 
     def from_int(self, k):
         return k
@@ -708,9 +713,6 @@ class PolyOverPrimeField(Ring):
 
     def mul(self, a, b):
         return _poly_mul(a, b, self.p)
-
-    def is_zero(self, a):
-        return a == ()
 
     def is_unit(self, a):
         return len(a) == 1

@@ -147,12 +147,16 @@ def q_support_subset(a: QSupport, b: QSupport) -> bool:
 
 
 def _vertex_support(x: ComplexRQ, i) -> SpClosedSet:
-    # union of homology supports of the fiber complex at one vertex
-    xi = eval_vertex(x, i)
-    s = sp_empty(x.ring)
-    for n in homology_range(xi):
-        h = homology(xi, n)
-        s = sp_closed_union(s, module_support(h.fibers["pt"]))
+    # union of homology supports of the fiber complex at one vertex; it does
+    # not depend on the prime, so it is computed once per complex and vertex
+    s = x._supports.get(i)
+    if s is None:
+        xi = eval_vertex(x, i)
+        s = sp_empty(x.ring)
+        for n in homology_range(xi):
+            h = homology(xi, n)
+            s = sp_closed_union(s, module_support(h.fibers["pt"]))
+        x._supports[i] = s
     return s
 
 
@@ -649,7 +653,8 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
     st = _ClosureState(universe, ring, within, max_maps, cache)
 
     for g in generators:
-        fp = _fp_normalize(homology_fingerprint(g))
+        pos = next((k for k, u in enumerate(st.u.elements) if u is g), None)
+        fp = st.u.fps[pos] if pos is not None else _fp_normalize(homology_fingerprint(g))
         if fp and fp not in st.u.index:
             raise UniverseNotClosed("generator is not a member of the universe")
         st.add(fp)

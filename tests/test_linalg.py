@@ -1,20 +1,25 @@
 """Exact normal forms: certificates are multiplied out, never trusted."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from quivertt import (
     Matrix,
     Integers,
+    IntegersLocalized,
+    IntegersMod,
     PrimeField,
     PolyOverPrimeField,
+    Rationals,
     cokernel_presentation,
     kernel_basis,
     rank,
     smith_normal_form,
     solve,
 )
+from quivertt.linalg import ElementaryDivisors
 
 Z = Integers()
 
@@ -170,3 +175,99 @@ def test_snf_mod_n_by_lift(n):
     m = Matrix.from_rows(r, [[r.from_int(2), r.from_int(4)], [r.from_int(0), r.from_int(2)]])
     d, u, v = smith_normal_form(m)
     assert u.mul(m).mul(v).entries == d.entries
+
+
+# --- fast paths against slow references ----------------------------------------
+
+SIX_RINGS = (Integers(), Rationals(), PrimeField(5), IntegersMod(12), IntegersLocalized(3), PolyOverPrimeField(3))
+
+
+def reference_mul(a, b):
+    """Triple loop through the ring's own add and mul."""
+    r = a.ring
+    out = [[r.zero()] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] = r.add(out[i][j], r.mul(a.entries[i][k], b.entries[k][j]))
+    return tuple(tuple(row) for row in out)
+
+
+@pytest.mark.parametrize("ring", [Integers(), PrimeField(5), IntegersMod(12)], ids=str)
+def test_integer_mul_matches_reference(ring):
+    rng = random.Random(5)
+    wide = 2 ** 70 + 3  # wider than a machine word; Fp and Z/n reduce it on entry
+    pick = (-wide, -7, -1, 0, 0, 1, 4, wide)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (3, 4, 2), (5, 5, 5)]
+    for rows, inner, cols in shapes:
+        for _ in range(4):
+            # from_rows canonicalizes entries; the shape is restated for empty rows
+            a = Matrix.from_rows(ring, [[rng.choice(pick) for _ in range(inner)] for _ in range(rows)])
+            b = Matrix.from_rows(ring, [[rng.choice(pick) for _ in range(cols)] for _ in range(inner)])
+            a, b = Matrix(ring, rows, inner, a.entries), Matrix(ring, inner, cols, b.entries)
+            got = a.mul(b)
+            assert (got.rows, got.cols) == (rows, cols)
+            assert got.entries == reference_mul(a, b)
+
+
+def sample_elements(ring, rng, count=12):
+    """Canonical elements, zero always among them."""
+    if isinstance(ring, PolyOverPrimeField):
+        raw = [tuple(rng.randint(0, ring.p - 1) for _ in range(rng.randint(0, 3))) for _ in range(count)]
+    elif isinstance(ring, (Rationals, IntegersLocalized)):
+        dens = [d for d in range(1, 8) if not isinstance(ring, IntegersLocalized) or d % ring.p]
+        raw = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(count)]
+    else:
+        raw = [rng.randint(-30, 30) for _ in range(count)]
+    return [ring.canon(a) for a in raw + [0, ring.zero(), ring.one()]]
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_is_zero_is_equality_with_zero(ring):
+    for a in sample_elements(ring, random.Random(1), 40):
+        assert ring.is_zero(a) == (a == ring.zero())
+
+
+def random_matrix(ring, rng, rows, cols):
+    elems = sample_elements(ring, rng, 6)
+    return Matrix(ring, rows, cols, tuple(tuple(rng.choice(elems) for _ in range(cols)) for _ in range(rows)))
+
+
+def snf_cokernel(m, d):
+    """Cokernel presentation read off the Smith form by hand."""
+    r = m.ring
+    nonzero = [e for e in diag(d) if not r.is_zero(e)]
+    return ElementaryDivisors(tuple(e for e in nonzero if not r.is_unit(e)), m.rows - len(nonzero))
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_snf_certificates_on_every_ring(ring):
+    rng = random.Random(9)
+    cases = [Matrix.zeros(ring, rows, cols) for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3), (1, 1))]
+    cases += [random_matrix(ring, rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(12)]
+    for m in cases:
+        d, u, v = smith_normal_form(m)
+        assert (d.rows, d.cols, u.rows, u.cols, v.rows, v.cols) == (m.rows, m.cols, m.rows, m.rows, m.cols, m.cols)
+        assert u.mul(m).mul(v).entries == d.entries
+        assert solve(u, Matrix.identity(ring, u.rows)) is not None
+        assert solve(v, Matrix.identity(ring, v.rows)) is not None
+        for i in range(d.rows):
+            for j in range(d.cols):
+                assert i == j or ring.is_zero(d.entries[i][j])
+        ds = diag(d)
+        for e in ds:
+            assert ring.canonical_associate(e)[1] == e
+        for a, b in zip(ds, ds[1:]):
+            assert ring.divide(b, a) is not None if not ring.is_zero(a) else ring.is_zero(b)
+        assert cokernel_presentation(m) == snf_cokernel(m, d)
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_empty_shapes_skip_elimination(ring):
+    for rows, cols in ((0, 4), (4, 0), (0, 0)):
+        m = Matrix.zeros(ring, rows, cols)
+        d, u, v = smith_normal_form(m)
+        assert d is m
+        assert u.entries == Matrix.identity(ring, rows).entries
+        assert v.entries == Matrix.identity(ring, cols).entries
+        assert cokernel_presentation(m) == ElementaryDivisors((), rows)

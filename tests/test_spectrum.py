@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import quivertt.spectrum as spectrum
 from quivertt import (
     BadElement,
     FGModule,
@@ -93,6 +95,43 @@ def test_support_of_torsion_cone():
     c = cone(ComplexMorphism(u, u, {0: RepMorphism(rep, rep, six)}))
     s = compact_support(c)
     assert str(s.at("1")) == "{(2), (3)}" and str(s.at("2")) == "{(2), (3)}"
+
+
+def _torsion_mix():
+    # torsion at two primes on two vertices, free homology on the third
+    free3 = stalk_complex(unit_restriction(A3, Z, ("3",)))
+    return direct_sum_complexes([parked_koszul(6, "2", A3), shift_complex(parked_koszul(5, "1", A3), 1), free3])
+
+
+def test_vertex_support_is_computed_once_per_complex(monkeypatch):
+    # the support at a vertex does not depend on the prime: a whole window
+    # of xi tests takes one homology per (vertex, degree)
+    x = _torsion_mix()
+    calls, vertex = Counter(), []
+    real_eval, real_homology = spectrum.eval_vertex, spectrum.homology
+
+    def eval_vertex(c, i):
+        vertex.append(i)
+        return real_eval(c, i)
+
+    def homology(c, n):
+        calls[vertex[-1], n] += 1
+        return real_homology(c, n)
+
+    monkeypatch.setattr(spectrum, "eval_vertex", eval_vertex)
+    monkeypatch.setattr(spectrum, "homology", homology)
+    win = spc_enumerate(Z, A3, 7)
+    answers = [xi_zero_test(x, pt.prime, pt.vertex) for pt in win.points]
+    assert calls and max(calls.values()) == 1
+    support = compact_support(x)
+    assert max(calls.values()) == 1
+    monkeypatch.undo()
+
+    fresh = _torsion_mix()
+    assert fresh is not x
+    assert answers == [xi_zero_test(fresh, pt.prime, pt.vertex) for pt in win.points]
+    assert support == compact_support(_torsion_mix())
+    assert not all(answers) and any(answers)
 
 
 def test_support_intersects_under_box():
@@ -399,6 +438,26 @@ def test_closure_cache_follows_the_universe_it_is_given():
             want = thick_closure_bruteforce(gens, universe, within=_one_copy_each)
             assert [id(m) for m in got] == [id(m) for m in want]
             assert all(any(m is u for u in universe) for m in got)
+
+
+def test_closure_reads_universe_generator_fingerprints_from_the_cache(monkeypatch):
+    universe = _small_universe()
+    cache = {}
+    want = [thick_closure_bruteforce([u], universe, within=_one_copy_each, cache=cache) for u in universe]
+    calls = []
+    real = spectrum.homology_fingerprint
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(spectrum, "homology_fingerprint", counted)
+    got = [thick_closure_bruteforce([u], universe, within=_one_copy_each, cache=cache) for u in universe]
+    assert got == want
+    assert calls == []
+    # a generator that is not a universe element is still fingerprinted
+    thick_closure_bruteforce([shift_complex(U1, 1)], universe, within=_one_copy_each, cache=cache)
+    assert len(calls) == 1
 
 
 def _shifted_sum(a, b, k, sign=1):
