@@ -10,7 +10,9 @@ The validation boundary: the public constructors, `rep_free`, `complex_r`
 and workspace loading always validate.  `_trusted` (one object) and
 `_complex` (a whole complex) are the only way to skip `validate()`, for
 objects valid by construction; `cone`, `box_tensor` and the resolution
-steps call `.validate()` on what `_complex` returns.
+steps call `.validate()` on what `_complex` returns.  Workspace loading
+validates each differential once, as it builds it, and then checks only
+d^2 = 0 on the assembled complex.
 
 Complexes are cohomological, sparse dictionaries degree -> representation.
 The shift is (X[1])^n = X^{n+1} with differential negated per shift.  All
@@ -215,6 +217,10 @@ class ComplexRQ:
     def validate(self):
         for d in self.diffs.values():
             d.validate()
+        self._check_square_zero()
+
+    def _check_square_zero(self):
+        """Check d^2 = 0 modulo the target relations, given valid differentials."""
         for n in self.diffs:
             if n + 1 in self.diffs:
                 comp = self.diffs[n + 1].compose(self.diffs[n])

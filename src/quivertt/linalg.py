@@ -6,12 +6,17 @@ F_p[x].  Z/n never enters the Euclidean loop: its Smith form is computed on an
 integer lift and reduced, which stays a certificate because reduction is a
 ring map and the transforms have determinant +-1.
 
-Integer rings skip the dispatch: when `ring.modulus_int` is set (0 for Z, p
-for Fp, n for Z/n), `Matrix.mul` runs on plain ints and reduces only for a
-nonzero modulus (F_2 packs rows into ints instead), and the Smith form's row
-and column operations over Z are plain `x + c*y`.  An empty matrix (no rows
-or no columns) is already in Smith form with identity transforms, and its
-cokernel is free on its rows; neither runs elimination.
+Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
+kernel for every ring: each row of the left factor adds a*b only for its
+nonzero a and the nonzero b of the matching right row, and the Smith form's
+row and column operations skip zero source entries.  Skipping is exact, since
+x + c*0 = x and zero is the only falsy canonical element.  Integer rings skip
+the dispatch: when `ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n)
+the product runs on plain ints and reduces once at the end for a nonzero
+modulus, and the Smith form's operations over Z call no ring method.  F_2
+products pack rows into ints and xor them.  An empty matrix (no rows or no
+columns) is already in Smith form with identity transforms, and its cokernel
+is free on its rows; neither runs elimination.
 
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x],
@@ -20,6 +25,7 @@ valuation over the p-locals), ties broken by lowest row then lowest column.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -85,7 +91,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         r = self.ring
-        mod = getattr(r, "modulus_int", None)
+        mod = r.modulus_int
         if mod == 2:
             # row-xor over packed rows; one int op per nonzero of self
             brows = []
@@ -105,26 +111,18 @@ class Matrix:
                         acc ^= brows[k]
                 out.append(tuple((acc >> j) & 1 for j in range(other.cols)))
             return Matrix(r, self.rows, other.cols, tuple(out))
-        if mod is not None:
-            # entries are plain ints; avoid per-op method dispatch
-            bt = list(zip(*other.entries)) if other.rows else [()] * other.cols
-            if mod:
-                out = tuple(tuple(sum(a * b for a, b in zip(row, col)) % mod for col in bt)
-                            for row in self.entries)
-            else:
-                out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                            for row in self.entries)
-            return Matrix(r, self.rows, other.cols, out)
+        # sparse row accumulation over the nonzeros of other's rows, indexed once
+        add, mul = (operator.add, operator.mul) if mod is not None else (r.add, r.mul)
+        brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         z = r.zero()
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = r.add(acc, r.mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
+        for arow in self.entries:
+            acc = [z] * other.cols
+            for a, brow in zip(arow, brows):
+                if a:
+                    for j, b in brow:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(tuple(x % mod for x in acc) if mod else tuple(acc))
         return Matrix(r, self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "Matrix":
@@ -206,7 +204,8 @@ class _Worker:
 
     def __init__(self, m: Matrix):
         self.ring = m.ring
-        self.plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
+        plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
+        self.add, self.mul = (operator.add, operator.mul) if plain else (m.ring.add, m.ring.mul)
         self.a = [list(row) for row in m.entries]
         self.rows, self.cols = m.rows, m.cols
         eye_r = Matrix.identity(m.ring, m.rows)
@@ -228,30 +227,22 @@ class _Worker:
 
     def addmul_row(self, i, j, c):
         """row_i += c * row_j"""
-        r = self.ring
-        if r.is_zero(c):
+        if not c:
             return
-        if self.plain:
-            self.a[i] = [x + c * y for x, y in zip(self.a[i], self.a[j])]
-            self.u[i] = [x + c * y for x, y in zip(self.u[i], self.u[j])]
-            return
-        self.a[i] = [r.add(x, r.mul(c, y)) for x, y in zip(self.a[i], self.a[j])]
-        self.u[i] = [r.add(x, r.mul(c, y)) for x, y in zip(self.u[i], self.u[j])]
+        add, mul = self.add, self.mul
+        for m in (self.a, self.u):
+            m[i] = [add(x, mul(c, y)) if y else x for x, y in zip(m[i], m[j])]
 
     def addmul_col(self, i, j, c):
         """col_i += c * col_j"""
-        r = self.ring
-        if r.is_zero(c):
+        if not c:
             return
-        if self.plain:
-            for rows in (self.a, self.v):
-                for row in rows:
-                    row[i] += c * row[j]
-            return
-        for row in self.a:
-            row[i] = r.add(row[i], r.mul(c, row[j]))
-        for row in self.v:
-            row[i] = r.add(row[i], r.mul(c, row[j]))
+        add, mul = self.add, self.mul
+        for rows in (self.a, self.v):
+            for row in rows:
+                y = row[j]
+                if y:
+                    row[i] = add(row[i], mul(c, y))
 
     def scale_row(self, i, w):
         r = self.ring

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import yaml
 
-from .complexes import ComplexRQ, Representation, RepMorphism
+from .complexes import ComplexRQ, Representation, RepMorphism, _trusted
 from .errors import QuiverTTError, WorkspaceError
 from .linalg import Matrix
 from .quivers import Quiver, build_quiver
@@ -187,10 +187,13 @@ def _build_object(node, q: Quiver, ring: Ring, where) -> ComplexRQ:
             diffs[n] = RepMorphism(terms[n], terms[n + 1], mats)
         except QuiverTTError as e:
             raise WorkspaceError(f"{where}/differentials/{k}: {e}") from e
+    # each differential is validated once above, where its error names it
+    cx = _trusted(ComplexRQ, q, ring, terms, diffs)
     try:
-        return ComplexRQ(q, ring, terms, diffs)
+        cx._check_square_zero()
     except QuiverTTError as e:
         raise WorkspaceError(f"{where}: {e}") from e
+    return cx
 
 
 # ---------------------------------------------------------------------------

@@ -193,21 +193,54 @@ def reference_mul(a, b):
     return tuple(tuple(row) for row in out)
 
 
-@pytest.mark.parametrize("ring", [Integers(), PrimeField(5), IntegersMod(12)], ids=str)
+def sparse_matrix(ring, rng, rows, cols, elems, density=0.1):
+    """Entries drawn from elems with probability density, else zero."""
+    return Matrix(ring, rows, cols, tuple(
+        tuple(rng.choice(elems) if rng.random() < density else ring.zero() for _ in range(cols))
+        for _ in range(rows)))
+
+
+def cancelling_pair(ring, rng, rows, pairs, cols, elems):
+    """a with equal columns 2m and 2m+1, b with row 2m+1 = -row 2m: a*b = 0."""
+    a = [[e for _ in range(pairs) for e in [rng.choice(elems)] * 2] for _ in range(rows)]
+    b = []
+    for _ in range(pairs):
+        row = [rng.choice(elems) for _ in range(cols)]
+        b += [row, [ring.neg(e) for e in row]]
+    return (Matrix(ring, rows, 2 * pairs, tuple(map(tuple, a))),
+            Matrix(ring, 2 * pairs, cols, tuple(map(tuple, b))))
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS + (PrimeField(2),), ids=str)
 def test_integer_mul_matches_reference(ring):
     rng = random.Random(5)
     wide = 2 ** 70 + 3  # wider than a machine word; Fp and Z/n reduce it on entry
     pick = (-wide, -7, -1, 0, 0, 1, 4, wide)
+    # from_rows canonicalizes the ints; the other rings add their own elements
+    elems = [e for e in Matrix.from_rows(ring, [pick]).entries[0] + tuple(sample_elements(ring, rng)) if e]
+    zero = ring.zero()
+    pairs = []
     shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (3, 4, 2), (5, 5, 5)]
     for rows, inner, cols in shapes:
         for _ in range(4):
-            # from_rows canonicalizes entries; the shape is restated for empty rows
+            # the shape is restated for empty rows
             a = Matrix.from_rows(ring, [[rng.choice(pick) for _ in range(inner)] for _ in range(rows)])
             b = Matrix.from_rows(ring, [[rng.choice(pick) for _ in range(cols)] for _ in range(inner)])
-            a, b = Matrix(ring, rows, inner, a.entries), Matrix(ring, inner, cols, b.entries)
-            got = a.mul(b)
-            assert (got.rows, got.cols) == (rows, cols)
-            assert got.entries == reference_mul(a, b)
+            pairs.append((Matrix(ring, rows, inner, a.entries), Matrix(ring, inner, cols, b.entries)))
+    for _ in range(30):
+        rows, inner, cols = (rng.randint(1, 12) for _ in range(3))
+        pairs.append((sparse_matrix(ring, rng, rows, inner, elems), sparse_matrix(ring, rng, inner, cols, elems)))
+    cancelling = [cancelling_pair(ring, rng, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 4), elems)
+                  for _ in range(6)]
+    for a, b in pairs + cancelling:
+        got = a.mul(b)
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        assert got.entries == reference_mul(a, b)
+        for e in (e for row in got.entries for e in row):
+            # canonical: Fraction(0) over Q and Zloc, () over FpX, int 0 otherwise
+            assert type(e) is type(zero) and ring.canon(e) == e
+    for a, b in cancelling:
+        assert a.mul(b).entries == Matrix.zeros(ring, a.rows, b.cols).entries
 
 
 def sample_elements(ring, rng, count=12):
@@ -245,6 +278,9 @@ def test_snf_certificates_on_every_ring(ring):
     rng = random.Random(9)
     cases = [Matrix.zeros(ring, rows, cols) for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3), (1, 1))]
     cases += [random_matrix(ring, rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(12)]
+    # sparse blocks drive the zero-skipping row and column operations
+    elems = [e for e in sample_elements(ring, rng) if e]
+    cases += [sparse_matrix(ring, rng, rng.randint(1, 8), rng.randint(1, 8), elems) for _ in range(12)]
     for m in cases:
         d, u, v = smith_normal_form(m)
         assert (d.rows, d.cols, u.rows, u.cols, v.rows, v.cols) == (m.rows, m.cols, m.rows, m.rows, m.cols, m.cols)

@@ -7,6 +7,7 @@ offending entry, because the CLI turns that into its parse-error exit code.
 import pytest
 
 from quivertt import (
+    RepMorphism,
     WorkspaceError,
     build_quiver,
     homology,
@@ -138,6 +139,28 @@ def test_object_must_square_to_zero():
         "differentials": {0: {"1": [[1]]}, 1: {"1": [[1]]}},
     }
     with pytest.raises(WorkspaceError, match="d\\^2"):
+        build_workspace(_doc({"objects": {"X": bad}}))
+
+
+def test_each_differential_is_validated_once(monkeypatch):
+    calls = []
+    validate = RepMorphism.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(RepMorphism, "validate", counted)
+    ws = load_workspace(f"{WS}/z_a3.yaml")
+    # K2 is the only object with a differential
+    assert sum(len(x.diffs) for x in ws.objects.values()) == 1
+    assert len(calls) == 1
+
+
+def test_non_natural_differential_names_its_path():
+    term = {"1": "free 1", "2": "free 1", "arrow_maps": {"a": [[1]]}}
+    bad = {"degrees": {0: term, 1: term}, "differentials": {0: {"1": [[1]], "2": [[0]]}}}
+    with pytest.raises(WorkspaceError, match="X/differentials/0: naturality fails at arrow a"):
         build_workspace(_doc({"objects": {"X": bad}}))
 
 
