@@ -281,6 +281,9 @@ def main(argv=None) -> int:
     if args.command == "aisle" and args.member is not None and args.filt is None:
         print("ERR 2: aisle --member needs --filt", file=sys.stderr)
         return 2
+    if args.command == "verify" and args.cases < 1:
+        print("ERR 2: --cases must be at least 1", file=sys.stderr)
+        return 2
     try:
         ws = load_workspace(args.workspace)
         lines, payload, code = args.handler(ws, args)

@@ -82,10 +82,6 @@ class HomData:
                 vec.extend(m.entries[r])
         return vec
 
-    def express(self, mats: dict) -> Matrix:
-        """Coordinates of a concrete morphism in the chosen generators."""
-        return self.express_cols([mats])
-
     def express_cols(self, mats_list: list) -> Matrix:
         """Coordinates of several morphisms at once, one column each."""
         if not mats_list:

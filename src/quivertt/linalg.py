@@ -8,8 +8,9 @@ ring map and the transforms have determinant +-1.
 
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
-nonzero a and the nonzero b of the matching right row, and the Smith form's
-row and column operations skip zero source entries.  Skipping is exact, since
+nonzero a and the nonzero b of the matching right row, the Smith form's row
+and column operations skip zero source entries, and field elimination updates
+a row only where the pivot row is nonzero.  Skipping is exact, since
 x + c*0 = x and zero is the only falsy canonical element.  Integer rings skip
 the dispatch: when `ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n)
 the product runs on plain ints and reduces once at the end for a nonzero
@@ -124,10 +125,6 @@ class Matrix:
                         acc[j] = add(acc[j], mul(a, b))
             out.append(tuple(x % mod for x in acc) if mod else tuple(acc))
         return Matrix(r, self.rows, other.cols, tuple(out))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows,
-                      tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -413,11 +410,12 @@ def _rref_field(m: Matrix):
         inv = r.inv(rows[rr][c])
         if not r.is_zero(r.sub(inv, r.one())):
             rows[rr] = [r.mul(inv, e) for e in rows[rr]]
-        prow = rows[rr]
-        for i in range(len(rows)):
-            if i != rr and not r.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [r.sub(e, r.mul(f, pe)) for e, pe in zip(rows[i], prow)]
+        nz = [(j, pe) for j, pe in enumerate(rows[rr]) if not r.is_zero(pe)]
+        for i, row in enumerate(rows):
+            if i != rr and not r.is_zero(row[c]):
+                f = row[c]
+                for j, pe in nz:
+                    row[j] = r.sub(row[j], r.mul(f, pe))
         piv.append(c)
         rr += 1
     return rows, piv

@@ -142,16 +142,6 @@ def _paths_cached(q: Quiver, i: str, j: str) -> tuple:
     return tuple(sorted(found))
 
 
-def path_target(q: Quiver, i, path) -> str:
-    v = i
-    for name in path:
-        _, s, t = q.arrow(name)
-        if s != v:
-            raise ShapeMismatch(f"path {path} breaks at {name}")
-        v = t
-    return v
-
-
 def full_subquiver(q: Quiver, vs: frozenset) -> Quiver:
     keep = [v for v in q.vertices if v in vs]
     arrows = [(n, s, t) for n, s, t in q.arrows if s in vs and t in vs]

@@ -941,10 +941,6 @@ class FGModule:
     def free(ring: Ring, rank: int) -> "FGModule":
         return FGModule(ring, Matrix.zeros(ring, rank, 0))
 
-    @staticmethod
-    def from_presentation(ring: Ring, rows) -> "FGModule":
-        return FGModule(ring, Matrix.from_rows(ring, rows))
-
     @property
     def gens(self) -> int:
         return self.presentation.rows

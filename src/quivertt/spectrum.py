@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     ComplexRQ,
-    box_tensor,
     cone,
     direct_sum_complexes,
     ensure_perfect,
@@ -91,9 +90,6 @@ class QSupport:
     def at(self, v) -> SpClosedSet:
         v = self.quiver.check_vertex(v)
         return self.components[self.quiver.vertices.index(v)]
-
-    def contains_point(self, pt: BalmerPoint) -> bool:
-        return sp_closed_contains(self.at(pt.vertex), pt.prime)
 
     @property
     def is_empty(self) -> bool:
@@ -415,6 +411,13 @@ def untranslate_classification(form) -> QSupport:
 # approximation lies in identifying objects with equal fingerprints, which
 # is faithful for the small linear quivers the oracle is used on.
 #
+# The tensor step is read off the two fingerprints by Kunneth (`_fp_box`):
+# the tensor is vertexwise, so over a field H^n(x box y) at a vertex is the
+# sum over p + q = n of H^p(x) (x) H^q(y) there, naturally in the arrow
+# maps.  Fiber dimensions multiply, and so do arrow ranks, since
+# rank(f (x) g) = rank f * rank g.  This holds only over a field, which the
+# oracle requires anyway; only the cone sweeps build complexes (`resolved`).
+#
 # The cheap steps run semi-naively (Bancilhon 1986): each newly admitted
 # member is split into universe summands and tensored with the universe
 # once, and summed once with itself and each earlier member at every shift;
@@ -433,6 +436,16 @@ def untranslate_classification(form) -> QSupport:
 def _fp_normalize(fp):
     low = min((n for n, _, _, _ in fp), default=0)
     return tuple(sorted(((n - low, key, rank, divs) for n, key, rank, divs in fp), key=lambda t: (t[0], str(t[1]))))
+
+
+def _fp_box(a, b):
+    """Normalized fingerprint of x box y from those of x and y (over a field)."""
+    tally = {}
+    for n, key, r, _ in a:
+        for m, other, s, _ in b:
+            if other == key:
+                tally[n + m, key] = tally.get((n + m, key), 0) + r * s
+    return _fp_normalize(tuple((n, key, t, ()) for (n, key), t in tally.items()))
 
 
 def _fp_span(fp):
@@ -530,17 +543,14 @@ class _ClosureState:
             self.cache[key] = make()
         return self.cache[key]
 
-    def rep(self, fp):
-        # shift the stored representative so its fingerprint is normalized
-        key = ("rep", fp)
-        if key not in self.cache:
+    def resolved(self, fp):
+        def make():
+            # shift the stored representative so its fingerprint is normalized
             u = self.u.elements[self.u.index[fp]]
             k = min((n for n, _, _, _ in homology_fingerprint(u)), default=0)
-            self.cache[key] = shift_complex(u, k) if k else u
-        return self.cache[key]
+            return ensure_perfect(shift_complex(u, k) if k else u)
 
-    def resolved(self, fp):
-        return self.cached(("res", fp), lambda: ensure_perfect(self.rep(fp)))
+        return self.cached(("res", fp), make)
 
     def add(self, fp):
         if fp and fp not in self.found:
@@ -577,7 +587,7 @@ class _ClosureState:
 
     def box_fps(self, a, b):
         a, b = sorted((a, b))
-        return self.cached(("box", a, b), lambda: _fp_normalize(homology_fingerprint(box_tensor(self.rep(a), self.rep(b)))))
+        return self.cached(("box", a, b), lambda: _fp_box(a, b))
 
     def cone_fps(self, a, b, k):
         """Fingerprints of cones over all nonzero chain maps a[k] -> b.
@@ -639,9 +649,10 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
     than demanded of the universe (default: the universe's own degree span
     and fiber dimensions).  `cache` is a plain dict; pass the same one to
     successive calls over the same universe to share its fingerprints, the
-    summand splits and the expensive cone and tensor sweeps.  The cache is
-    tied to one universe by object identity: given a universe whose
-    elements are not the very objects it holds, it is emptied first.
+    summand splits, the cheap tensor fingerprints and the expensive cone
+    sweeps.  The cache is tied to one universe by object identity: given a
+    universe whose elements are not the very objects it holds, it is
+    emptied first.
     The cheap steps run semi-naively, summing packed fingerprints (see the
     block comment above).
     """

@@ -185,6 +185,13 @@ def test_precondition_violations_exit_2(capsys):
     assert code == 2 and err == "ERR 2: aisle --member needs --filt\n"
 
 
+@pytest.mark.parametrize("cases", ["-1", "0"])
+def test_verify_rejects_an_empty_run(capsys, cases):
+    code, out, err = run(capsys, "verify", Z_A3, "--cases", cases)
+    assert code == 2 and out == ""
+    assert err == "ERR 2: --cases must be at least 1\n"
+
+
 def test_json_mirrors_are_valid_and_sorted(capsys):
     for argv in (
         ("spectrum", Z_A3, "--bound", "6", "--json"),

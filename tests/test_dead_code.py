@@ -1,0 +1,60 @@
+"""Every function, method and class of the package is named somewhere.
+
+A stdlib `ast` pass, like tests/test_imports.py: a definition under
+`src/quivertt/` is dead when no `Name`, `Attribute`, import alias or string
+constant in `src/`, `tests/` or `bench/` spells its name.  Its own `def` or
+`class` line does not count, since that binds the name rather than using it.
+Dunder names are exempt: the language calls them.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quivertt"
+SCANNED = ("src", "tests", "bench")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree):
+    """(name, line) of every function, method and class defined in tree."""
+    return [(node.name, node.lineno) for node in ast.walk(tree) if isinstance(node, DEFS)]
+
+
+def used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def dead_definitions(modules, others):
+    """'file:line name' for each definition in modules named nowhere in modules or others."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in list(modules) + list(others)}
+    used = set().union(*map(used_names, trees.values()))
+    return [f"{path.name}:{line} {name}"
+            for path in modules for name, line in definitions(trees[path])
+            if name not in used and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_used():
+    modules = sorted(SRC.glob("*.py"))
+    others = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py") if p not in modules)
+    dead = dead_definitions(modules, others)
+    assert not dead, "defined but named nowhere: " + ", ".join(dead)
+
+
+def test_the_guard_sees_a_dead_definition(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class A:\n    def used(self):\n        pass\n\n    def spare(self):\n        pass\n\n"
+                   "def by_string():\n    pass\n\n\ndef __init_subclass__():\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import A\nA().used()\nnames = ['by_string']\n")
+    assert dead_definitions([lib], [user]) == ["lib.py:5 spare"]

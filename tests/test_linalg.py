@@ -307,3 +307,56 @@ def test_empty_shapes_skip_elimination(ring):
         assert u.entries == Matrix.identity(ring, rows).entries
         assert v.entries == Matrix.identity(ring, cols).entries
         assert cokernel_presentation(m) == ElementaryDivisors((), rows)
+
+
+def dense_rref(m):
+    """Reduced row echelon form rebuilding whole rows, zeros included."""
+    r = m.ring
+    rows = [list(row) for row in m.entries]
+    piv = []
+    for c in range(m.cols):
+        sel = next((i for i in range(len(piv), len(rows)) if not r.is_zero(rows[i][c])), None)
+        if sel is None:
+            continue
+        rr = len(piv)
+        rows[rr], rows[sel] = rows[sel], rows[rr]
+        inv = r.inv(rows[rr][c])
+        rows[rr] = [r.mul(inv, e) for e in rows[rr]]
+        for i in range(len(rows)):
+            if i != rr:
+                f = rows[i][c]
+                rows[i] = [r.sub(e, r.mul(f, pe)) for e, pe in zip(rows[i], rows[rr])]
+        piv.append(c)
+    return rows, piv
+
+
+@pytest.mark.parametrize("ring", (Rationals(), PrimeField(5)), ids=str)
+def test_field_elimination_matches_dense_reference(ring):
+    rng = random.Random(13)
+    elems = [e for e in sample_elements(ring, rng) if e]
+    zero, one = ring.zero(), ring.one()
+    for _ in range(40):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        m = sparse_matrix(ring, rng, rows, cols, elems)
+        if rng.random() < 0.5:  # one dense row among the sparse ones
+            entries = list(m.entries)
+            entries[rng.randrange(rows)] = tuple(rng.choice(elems) for _ in range(cols))
+            m = Matrix(ring, rows, cols, tuple(entries))
+        ref, piv = dense_rref(m)
+        assert rank(m) == len(piv)
+        free = [c for c in range(cols) if c not in piv]
+        kernel = [[one if i == f else zero for i in range(cols)] for f in free]
+        for vec, f in zip(kernel, free):
+            for i, p in enumerate(piv):
+                vec[p] = ring.neg(ref[i][f])
+        assert kernel_basis(m).entries == tuple(tuple(vec[i] for vec in kernel) for i in range(cols))
+        b = sparse_matrix(ring, rng, rows, rng.randint(1, 3), elems, density=0.3)
+        ref, piv = dense_rref(m.hstack(b))
+        x = solve(m, b)
+        if piv and piv[-1] >= cols:
+            assert x is None
+        else:
+            want = [[zero] * b.cols for _ in range(cols)]
+            for i, p in enumerate(piv):
+                want[p] = ref[i][cols:]
+            assert x.entries == tuple(map(tuple, want))
