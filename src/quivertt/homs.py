@@ -95,6 +95,31 @@ class HomData:
         return out
 
 
+def _naturality_rows(r, n, a_mat, b_mat, off_t, off_s) -> list:
+    """Rows, over n unknowns, of f_t * a_mat - b_mat * f_s = 0, one per entry (rr, cc).
+
+    f_t is stored row-major from off_t with a_mat.rows columns, f_s from off_s with
+    a_mat.cols columns.  Rows run row-major in (rr, cc); over Z the kernel depends on it.
+    """
+    t_cols, s_cols = a_mat.rows, a_mat.cols
+    rows = []
+    for rr in range(b_mat.rows):
+        for cc in range(s_cols):
+            row = [r.zero()] * n
+            for k in range(t_cols):
+                val = a_mat.entries[k][cc]
+                if not r.is_zero(val):
+                    c = off_t + rr * t_cols + k
+                    row[c] = r.add(row[c], val)
+            for k in range(b_mat.cols):
+                val = b_mat.entries[rr][k]
+                if not r.is_zero(val):
+                    c = off_s + k * s_cols + cc
+                    row[c] = r.sub(row[c], val)
+            rows.append(tuple(row))
+    return rows
+
+
 def hom_space(a: Representation, b: Representation) -> HomData:
     """Hom(a, b) for representations with literally free fibers."""
     if not (a.all_free() and b.all_free()):
@@ -109,22 +134,7 @@ def hom_space(a: Representation, b: Representation) -> HomData:
 
     rows = []
     for name, s, t in q.arrows:
-        a_mat, b_mat = a.arrows[name], b.arrows[name]
-        ag_s, ag_t = a.gens(s), a.gens(t)
-        bg_s, bg_t = b.gens(s), b.gens(t)
-        for rr in range(bg_t):
-            for cc in range(ag_s):
-                row = [r.zero()] * n
-                for k in range(ag_t):
-                    val = a_mat.entries[k][cc]
-                    if not r.is_zero(val):
-                        row[offsets[t] + rr * ag_t + k] = r.add(row[offsets[t] + rr * ag_t + k], val)
-                for k in range(bg_s):
-                    val = b_mat.entries[rr][k]
-                    if not r.is_zero(val):
-                        col = offsets[s] + k * ag_s + cc
-                        row[col] = r.sub(row[col], val)
-                rows.append(tuple(row))
+        rows += _naturality_rows(r, n, a.arrows[name], b.arrows[name], offsets[t], offsets[s])
     c = Matrix(r, len(rows), n, tuple(rows))
     return HomData(r, q, kernel_basis(c), shapes, offsets)
 
@@ -392,66 +402,39 @@ def is_rigid(x: ComplexRQ) -> bool:
 
 
 class ChainMapSpace:
-    """Solution space of all degree-0 chain maps x -> y, free fibers only."""
+    """Solution space of all degree-0 chain maps x -> y.
+
+    Every term of both complexes needs literally free fibers (NotPerfect
+    otherwise).  The constraint rows come degree by degree: naturality at
+    each arrow, then commutation with the differential at each vertex.
+    """
 
     __slots__ = ("source", "target", "kmat", "shapes", "offsets", "ring")
 
     def __init__(self, source: ComplexRQ, target: ComplexRQ):
         x, y = source, target
+        if not all(rep.all_free() for c in (x, y) for rep in c.terms.values()):
+            raise NotPerfect("chain-map spaces are computed between free-fiber complexes")
         q, r = x.quiver, x.ring
         self.source, self.target, self.ring = x, y, r
         degrees = sorted(set(x.degrees) | set(y.degrees))
+        xt, yt = {d: x.term(d) for d in degrees}, {d: y.term(d) for d in degrees}
         shapes, offsets = {}, {}
         n = 0
         for d in degrees:
             for v in q.vertices:
-                shapes[(d, v)] = (y.term(d).gens(v), x.term(d).gens(v))
+                shapes[(d, v)] = (yt[d].gens(v), xt[d].gens(v))
                 offsets[(d, v)] = n
                 n += shapes[(d, v)][0] * shapes[(d, v)][1]
         rows = []
-
-        def var(d, v, rr, cc):
-            return offsets[(d, v)] + rr * shapes[(d, v)][1] + cc
-
         for d in degrees:
-            # naturality at each arrow in degree d
             for name, s, t in q.arrows:
-                a_mat = x.term(d).arrows[name]
-                b_mat = y.term(d).arrows[name]
-                for rr in range(y.term(d).gens(t)):
-                    for cc in range(x.term(d).gens(s)):
-                        row = [r.zero()] * n
-                        for k in range(x.term(d).gens(t)):
-                            val = a_mat.entries[k][cc]
-                            if not r.is_zero(val):
-                                c = var(d, t, rr, k)
-                                row[c] = r.add(row[c], val)
-                        for k in range(y.term(d).gens(s)):
-                            val = b_mat.entries[rr][k]
-                            if not r.is_zero(val):
-                                c = var(d, s, k, cc)
-                                row[c] = r.sub(row[c], val)
-                        rows.append(tuple(row))
-            # commutation with the differentials
-            if d + 1 not in degrees:
-                continue
-            for v in q.vertices:
-                dx = x.diff(d).mats[v]
-                dy = y.diff(d).mats[v]
-                for rr in range(y.term(d + 1).gens(v)):
-                    for cc in range(x.term(d).gens(v)):
-                        row = [r.zero()] * n
-                        for k in range(x.term(d + 1).gens(v)):
-                            val = dx.entries[k][cc]
-                            if not r.is_zero(val):
-                                c = var(d + 1, v, rr, k)
-                                row[c] = r.add(row[c], val)
-                        for k in range(y.term(d).gens(v)):
-                            val = dy.entries[rr][k]
-                            if not r.is_zero(val):
-                                c = var(d, v, k, cc)
-                                row[c] = r.sub(row[c], val)
-                        rows.append(tuple(row))
+                rows += _naturality_rows(r, n, xt[d].arrows[name], yt[d].arrows[name],
+                                         offsets[(d, t)], offsets[(d, s)])
+            if d + 1 in degrees:
+                dx, dy = x.diff(d), y.diff(d)
+                for v in q.vertices:
+                    rows += _naturality_rows(r, n, dx.mats[v], dy.mats[v], offsets[(d + 1, v)], offsets[(d, v)])
         c_mat = Matrix(r, len(rows), n, tuple(rows))
         self.kmat = kernel_basis(c_mat)
         self.shapes = shapes

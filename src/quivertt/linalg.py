@@ -8,14 +8,15 @@ ring map and the transforms have determinant +-1.
 
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
-nonzero a and the nonzero b of the matching right row, the Smith form's row
-and column operations skip zero source entries, and field elimination updates
-a row only where the pivot row is nonzero.  Skipping is exact, since
-x + c*0 = x and zero is the only falsy canonical element.  Integer rings skip
-the dispatch: when `ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n)
-the product runs on plain ints and reduces once at the end for a nonzero
-modulus, and the Smith form's operations over Z call no ring method.  F_2
-products pack rows into ints and xor them.  An empty matrix (no rows or no
+nonzero a and the nonzero b of the matching right row, and the Smith form's
+row and column operations skip zero source entries.  Every field, F_2
+included, shares one row reduction, which updates a row only where the pivot
+row is nonzero.  Skipping is exact, since x + c*0 = x and zero is the only
+falsy canonical element.  Integer rings skip the dispatch: when
+`ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n) the product runs on
+plain ints and reduces once at the end for a nonzero modulus, and the Smith
+form's operations over Z call no ring method.  F_2 products (not elimination)
+still pack rows into ints and xor them.  An empty matrix (no rows or no
 columns) is already in Smith form with identity transforms, and its cokernel
 is free on its rows; neither runs elimination.
 
@@ -360,41 +361,12 @@ def diagonal_of(d: Matrix) -> list:
 
 
 # ---------------------------------------------------------------------------
-# fast elimination over fields
+# elimination over fields
 #
 # Smith normal form with its pivot scans is overkill when the ring is a
-# field: kernel, solve, and rank only need row reduction.  F_2 rows pack
-# into ints so the inner loop is a single xor.
-
-
-def _f2_pack(m: Matrix) -> list:
-    out = []
-    for i in range(m.rows):
-        acc = 0
-        row = m.entries[i]
-        for j in range(m.cols):
-            if row[j]:
-                acc |= 1 << j
-        out.append(acc)
-    return out
-
-
-def _f2_rref(rows: list, ncols: int) -> list:
-    piv = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        sel = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pr = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= pr
-        piv.append(c)
-        r += 1
-    return piv
+# field: kernel, solve, and rank only need row reduction.  Every field, F_2
+# included, runs this one reduction, which updates a row only where the pivot
+# row is nonzero; only F_2 products (`Matrix.mul`) still pack rows into ints.
 
 
 def _rref_field(m: Matrix):
@@ -424,9 +396,6 @@ def _rref_field(m: Matrix):
 def rank(m: Matrix) -> int:
     r = m.ring
     if r.is_field:
-        if getattr(r, "modulus_int", None) == 2:
-            rows = _f2_pack(m)
-            return len(_f2_rref(rows, m.cols))
         return len(_rref_field(m)[1])
     d, _, _ = smith_normal_form(m)
     return sum(1 for e in diagonal_of(d) if not r.is_zero(e))
@@ -434,19 +403,6 @@ def rank(m: Matrix) -> int:
 
 def _kernel_field(m: Matrix) -> Matrix:
     r = m.ring
-    if getattr(r, "modulus_int", None) == 2:
-        rows = _f2_pack(m)
-        piv = _f2_rref(rows, m.cols)
-        free = [c for c in range(m.cols) if c not in set(piv)]
-        cols = []
-        for f in free:
-            vec = [0] * m.cols
-            vec[f] = 1
-            for i, p in enumerate(piv):
-                if rows[i] & (1 << f):
-                    vec[p] = 1
-            cols.append(vec)
-        return Matrix(r, m.cols, len(cols), tuple(tuple(c[i] for c in cols) for i in range(m.cols)))
     rows, piv = _rref_field(m)
     free = [c for c in range(m.cols) if c not in set(piv)]
     cols = []
@@ -462,17 +418,6 @@ def _kernel_field(m: Matrix) -> Matrix:
 def _solve_field(a: Matrix, b: Matrix):
     r = a.ring
     aug = a.hstack(b)
-    if getattr(r, "modulus_int", None) == 2:
-        rows = _f2_pack(aug)
-        piv = _f2_rref(rows, aug.cols)
-        if piv and piv[-1] >= a.cols:
-            return None
-        out = [[0] * b.cols for _ in range(a.cols)]
-        for i, p in enumerate(piv):
-            for j in range(b.cols):
-                if rows[i] & (1 << (a.cols + j)):
-                    out[p][j] = 1
-        return Matrix(r, a.cols, b.cols, tuple(tuple(row) for row in out))
     rows, piv = _rref_field(aug)
     if piv and piv[-1] >= a.cols:
         return None

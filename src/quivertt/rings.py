@@ -772,6 +772,8 @@ def parse_ring(text: str) -> Ring:
         return Integers() if kind == "Z" else Rationals()
     if arg is None:
         raise UnsupportedRing(f"{kind} needs a parameter, e.g. {kind}(5)")
+    if len(arg.lstrip("0")) > 10 or int(arg) > 10**9:
+        raise UnsupportedRing(f"{kind} parameter above the cap 10^9")
     n = int(arg)
     if kind == "Fp":
         return PrimeField(n)

@@ -659,7 +659,7 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
     if not universe:
         raise BadElement("empty universe")
     ring = universe[0].ring
-    if not ring.is_field or getattr(ring, "modulus_int", None) is None:
+    if not ring.is_field or ring.modulus_int is None:
         raise UnsupportedRing("the closure sweep enumerates maps; it needs a finite field")
     st = _ClosureState(universe, ring, within, max_maps, cache)
 

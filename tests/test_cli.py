@@ -177,6 +177,14 @@ def test_unreadable_inputs_exit_1(capsys, tmp_path):
     assert code == 1 and "unknown vertices" in err
 
 
+def test_oversized_ring_parameter_exits_1(capsys, tmp_path):
+    big = tmp_path / "big.yaml"
+    big.write_text(Path(F2_A2).read_text().replace("ring: Fp(2)", "ring: Fp(1000000000000000003)"))
+    code, out, err = run(capsys, "spectrum", str(big))
+    assert code == 1 and out == ""
+    assert err == f"ERR 1: {big}/ring: Fp parameter above the cap 10^9\n"
+
+
 def test_precondition_violations_exit_2(capsys):
     code, _, err = run(capsys, "support", Z_A3, "NOPE")
     assert code == 2

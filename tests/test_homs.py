@@ -6,12 +6,15 @@ import pytest
 
 from quivertt import (
     ChainMapSpace,
+    FGModule,
     Integers,
+    Matrix,
     NotPerfect,
     PrimeField,
     box_tensor,
     build_quiver,
     chom_rep,
+    complex_r,
     cone,
     ensure_perfect,
     evaluation_map,
@@ -22,19 +25,22 @@ from quivertt import (
     internal_hom,
     is_acyclic,
     is_rigid,
+    kernel_basis,
     projective_rep,
     rep_box,
     rigidity_report,
+    shift_complex,
     stalk_complex,
     unit_complex,
     unit_restriction,
 )
-from quivertt.samples import random_free_rep
+from quivertt.samples import random_acyclic_quiver, random_free_rep, random_perfect_complex
 
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
 A3 = build_quiver([1, 2, 3], ["a: 1 -> 2", "b: 2 -> 3"])
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+Z = Integers()
 
 
 def vertex_unit(q, ring, i):
@@ -43,6 +49,34 @@ def vertex_unit(q, ring, i):
 
 def fp(x):
     return homology_fingerprint(x)
+
+
+def reference_kernel(ring, blocks, equations):
+    """kernel_basis of a naturality constraint matrix built with plain loops.
+
+    blocks lists (key, rows, cols) of the unknown matrices in storage order,
+    each stored row-major.  equations lists (a_mat, b_mat, key_t, key_s) for
+    f_t * a_mat - b_mat * f_s = 0; each gives one row per entry (rr, cc),
+    row-major, and the equations are stacked in the order given.
+    """
+    off, shape, n = {}, {}, 0
+    for key, rows, cols in blocks:
+        off[key], shape[key] = n, (rows, cols)
+        n += rows * cols
+    out = []
+    for a_mat, b_mat, kt, ks in equations:
+        (t_rows, t_cols), (s_rows, s_cols) = shape[kt], shape[ks]
+        for rr in range(t_rows):
+            for cc in range(s_cols):
+                row = [ring.zero()] * n
+                for k in range(t_cols):
+                    c = off[kt] + rr * t_cols + k
+                    row[c] = ring.add(row[c], a_mat[k, cc])
+                for k in range(s_rows):
+                    c = off[ks] + k * s_cols + cc
+                    row[c] = ring.sub(row[c], b_mat[rr, k])
+                out.append(tuple(row))
+    return kernel_basis(Matrix(ring, len(out), n, tuple(out)))
 
 
 # --- hom spaces on representations ---------------------------------------------
@@ -76,6 +110,16 @@ def test_hom_respects_naturality_constraint():
     u = unit_restriction(A2, F2, A2.vertices)
     assert hom_space(u1, u).gens == 0
     assert hom_space(u, u1).gens == 1
+
+
+def test_hom_space_kernel_follows_the_documented_row_order():
+    rng = random.Random(5)
+    for _ in range(8):
+        q = random_acyclic_quiver(rng, 4)
+        a, b = random_free_rep(q, Z, rng), random_free_rep(q, Z, rng)
+        blocks = [(v, b.gens(v), a.gens(v)) for v in q.vertices]
+        eqs = [(a.arrows[name], b.arrows[name], t, s) for name, s, t in q.arrows]
+        assert hom_space(a, b).kmat == reference_kernel(Z, blocks, eqs)
 
 
 # --- the representation-level internal hom ---------------------------------------
@@ -197,7 +241,7 @@ def test_chain_map_space_identity():
 
 
 def test_chain_map_space_shifted_targets():
-    from quivertt import direct_sum_complexes, shift_complex
+    from quivertt import direct_sum_complexes
 
     u = ensure_perfect(unit_complex(A2, F2))
     space = ChainMapSpace(u, shift_complex(u, 1))
@@ -206,3 +250,33 @@ def test_chain_map_space_shifted_targets():
     for k in range(space.dim):
         coeffs = [F2.one() if j == k else F2.zero() for j in range(space.dim)]
         assert fp(cone(space.build(coeffs))) == want
+
+
+def test_chain_map_space_kernel_follows_the_documented_row_order():
+    # over Z the Smith kernel depends on row order: per degree, the arrow
+    # rows, then the differential rows
+    rng = random.Random(11)
+    for _ in range(20):
+        q = A2 if rng.random() < 0.5 else A3
+        x, y0 = random_perfect_complex(q, Z, rng), random_perfect_complex(q, Z, rng)
+        for k in range(-2, 3):
+            y = shift_complex(y0, k)
+            degrees = sorted(set(x.degrees) | set(y.degrees))
+            blocks = [((d, v), y.term(d).gens(v), x.term(d).gens(v)) for d in degrees for v in q.vertices]
+            eqs = []
+            for d in degrees:
+                eqs += [(x.term(d).arrows[name], y.term(d).arrows[name], (d, t), (d, s))
+                        for name, s, t in q.arrows]
+                if d + 1 in degrees:
+                    eqs += [(x.diff(d).mats[v], y.diff(d).mats[v], (d + 1, v), (d, v)) for v in q.vertices]
+            assert ChainMapSpace(x, y).kmat == reference_kernel(Z, blocks, eqs)
+
+
+def test_chain_map_space_needs_free_fibers():
+    # Hom(Z/2, Z) = 0, but the constraint system ignores relations
+    x = complex_r(Z, {0: FGModule(Z, Matrix.from_rows(Z, [[2]]))}, {})
+    y = complex_r(Z, {0: FGModule.free(Z, 1)}, {})
+    with pytest.raises(NotPerfect):
+        ChainMapSpace(x, y)
+    with pytest.raises(NotPerfect):
+        ChainMapSpace(y, x)

@@ -330,7 +330,7 @@ def dense_rref(m):
     return rows, piv
 
 
-@pytest.mark.parametrize("ring", (Rationals(), PrimeField(5)), ids=str)
+@pytest.mark.parametrize("ring", (Rationals(), PrimeField(5), PrimeField(2), IntegersMod(7)), ids=str)
 def test_field_elimination_matches_dense_reference(ring):
     rng = random.Random(13)
     elems = [e for e in sample_elements(ring, rng) if e]

@@ -103,6 +103,14 @@ def test_missing_ring_and_bad_ring():
         build_workspace(_doc({"ring": "GL(2)"}))
 
 
+@pytest.mark.parametrize("param", ["1000000000000000003", "7" * 5000], ids=["19 digits", "5000 digits"])
+def test_oversized_ring_parameter_is_refused(param):
+    # trial division would hang on the first; int() refuses the second
+    with pytest.raises(WorkspaceError, match=r"ring: Fp parameter above the cap 10\^9"):
+        build_workspace(_doc({"ring": f"Fp({param})"}))
+    assert parse_ring("Fp(999999937)").label == "Fp(999999937)"  # the largest prime under the cap
+
+
 def test_bad_quiver_nodes():
     with pytest.raises(WorkspaceError, match="quiver"):
         build_workspace(_doc({"quiver": [1, 2]}))
