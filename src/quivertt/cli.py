@@ -13,7 +13,7 @@ import json
 import sys
 
 from .checks import run_suite
-from .complexes import box_tensor, ensure_perfect, homology, homology_range, unit_complex
+from .complexes import box_tensor, ensure_perfect, homology_fibers, homology_range, unit_complex
 from .errors import QuiverTTError, UnknownName, WorkspaceError
 from .homs import internal_hom, is_rigid
 from .spectrum import (
@@ -75,8 +75,7 @@ def _filtration_lines(f) -> list:
 def _homology_table(x) -> dict:
     out = {}
     for n in homology_range(x):
-        h = homology(x, n)
-        row = {v: str(h.fibers[v]) for v in x.quiver.vertices if not h.fibers[v].is_zero_module}
+        row = {v: str(fib) for v, fib in homology_fibers(x, n).items() if not fib.is_zero_module}
         if row:
             out[n] = row
     return out

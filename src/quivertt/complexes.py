@@ -149,7 +149,7 @@ class RepMorphism:
     def validate(self):
         if self.source.quiver != self.target.quiver:
             raise ShapeMismatch("morphism between representations of different quivers")
-        q, r = self.source.quiver, self.source.ring
+        q = self.source.quiver
         for v in q.vertices:
             m = self.mats[v]
             if (m.rows, m.cols) != (self.target.gens(v), self.source.gens(v)):
@@ -194,12 +194,12 @@ class ComplexRQ:
 
     Complexes are immutable: no code assigns into `terms`, `diffs` or the
     fibers, arrows and matrices below them once `_setup` has run.  So two
-    invariants are memoized on the object: `perfect` and, per vertex, the
-    support of the fiber's homology (`_supports`, filled by the spectrum
-    module's support tests).
+    invariants are memoized on the object: `perfect` and the support of its
+    homology (`_support`, one `QSupport` filled by the spectrum module's
+    `compact_support`).
     """
 
-    __slots__ = ("quiver", "ring", "terms", "diffs", "_perfect", "_supports")
+    __slots__ = ("quiver", "ring", "terms", "diffs", "_perfect", "_support")
 
     def __init__(self, quiver: Quiver, ring: Ring, terms: dict, diffs: dict):
         self._setup(quiver, ring, terms, diffs)
@@ -212,7 +212,7 @@ class ComplexRQ:
         self.diffs = {n: d for n, d in sorted(diffs.items())
                       if n in self.terms and n + 1 in self.terms and not d.is_zero()}
         self._perfect = None
-        self._supports = {}
+        self._support = None
 
     def validate(self):
         for d in self.diffs.values():
@@ -672,24 +672,14 @@ def _assemble(ring, grid, row_dims, col_dims) -> Matrix:
 # homology
 
 
-def homology(x: ComplexRQ, n: int) -> Representation:
-    """H^n as a representation: ker/im vertexwise, with induced arrow maps.
-
-    Per vertex, generators are the part of ker([d | relations]) living in the
-    generator block; relations are boundaries, incoming relations, and the
-    internal relations among those generators.
-    """
-    q, r = x.quiver, x.ring
-    cur = x.term(n)
-    if cur.is_zero_gens():
-        return rep_zero(q, r)
-    nxt = x.term(n + 1)
-    dn = x.diff(n)
-    dp = x.diff(n - 1)
-    prev = x.term(n - 1)
-    gens_mats = {}
-    fibers = {}
-    for v in q.vertices:
+def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
+    """{v: (K, H^n at v)} for n in x.terms.  The columns of K generate the
+    cycles: the generator block of ker([d | next relations]); relations are
+    boundaries, incoming relations and the relations among the generators."""
+    r, cur, nxt = x.ring, x.terms[n], x.term(n + 1)
+    dn, dp = x.diff(n), x.diff(n - 1)
+    out = {}
+    for v in vertices:
         g = cur.gens(v)
         block = dn.mats[v]
         nxt_pres = nxt.fibers[v].presentation
@@ -704,17 +694,39 @@ def homology(x: ComplexRQ, n: int) -> Representation:
         w = solve(K, rel_cols)
         if w is None:
             raise ShapeMismatch("boundaries escaped the cycle module; invalid complex")
-        w = w.hstack(kernel_basis(K))
-        gens_mats[v] = K
-        fibers[v] = FGModule(r, w)
+        out[v] = (K, FGModule(r, w.hstack(kernel_basis(K))))
+    return out
+
+
+def homology_fibers(x: ComplexRQ, n: int) -> dict:
+    """{v: H^n(x) at v}: the fibers of `homology`, without its arrow maps.
+
+    A vertex with no generators in degree n gets the zero module without
+    eliminating.  `homology` cannot skip it: when the next fiber has
+    relations, K there can be 0 x j with j > 0, and arrow shapes depend on j.
+    """
+    vertices = x.quiver.vertices
+    live = [v for v in vertices if n in x.terms and x.terms[n].gens(v)]
+    parts = _homology_parts(x, n, live) if live else {}
+    zero = FGModule.free(x.ring, 0) if len(live) < len(vertices) else None
+    return {v: parts[v][1] if v in parts else zero for v in vertices}
+
+
+def homology(x: ComplexRQ, n: int) -> Representation:
+    """H^n as a representation: the fibers of `_homology_parts`, with the
+    arrow maps they induce on cycle generators."""
+    q, r = x.quiver, x.ring
+    if n not in x.terms:
+        return rep_zero(q, r)
+    parts = _homology_parts(x, n, q.vertices)
     arrows = {}
     for name, s, t in q.arrows:
-        img = cur.arrows[name].mul(gens_mats[s])
-        m = solve(gens_mats[t], img)
+        img = x.terms[n].arrows[name].mul(parts[s][0])
+        m = solve(parts[t][0], img)
         if m is None:
             raise ShapeMismatch(f"arrow {name} does not preserve cycles")
         arrows[name] = m
-    return _trusted(Representation, q, r, fibers, arrows)
+    return _trusted(Representation, q, r, {v: parts[v][1] for v in q.vertices}, arrows)
 
 
 def homology_range(x: ComplexRQ):
@@ -748,11 +760,7 @@ def homology_fingerprint(x: ComplexRQ):
 
 
 def is_acyclic(x: ComplexRQ) -> bool:
-    for n in homology_range(x):
-        h = homology(x, n)
-        if any(not h.fibers[v].is_zero_module for v in x.quiver.vertices):
-            return False
-    return True
+    return all(fib.is_zero_module for n in homology_range(x) for fib in homology_fibers(x, n).values())
 
 
 # ---------------------------------------------------------------------------

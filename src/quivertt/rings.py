@@ -48,6 +48,13 @@ def primes_upto(bound: int) -> list[int]:
     return [k for k in range(2, bound + 1) if is_prime_int(k)]
 
 
+def _check_window(ring, bound: int, examined: int):
+    """The stated cap: one maximal prime window examines at most 10^4 candidates."""
+    if examined > 10**4:
+        raise BadElement(f"{ring.label} prime window at bound {bound} would examine "
+                         f"more than 10^4 candidate generators")
+
+
 def int_prime_factors(k: int) -> list[int]:
     """Distinct prime divisors of |k|, ascending."""
     k = abs(k)
@@ -488,6 +495,7 @@ class Integers(Ring):
         return int_prime_factors(a)
 
     def maximal_prime_window(self, bound):
+        _check_window(self, bound, bound)
         return primes_upto(bound)
 
     def parse_elem(self, s):
@@ -743,6 +751,8 @@ class PolyOverPrimeField(Ring):
         return _poly_factor(self.canonical_associate(a)[1], self.p)
 
     def maximal_prime_window(self, bound):
+        # p + p^2 + ... + p^bound monic candidates; 14 terms already pass the cap
+        _check_window(self, bound, sum(self.p ** d for d in range(1, min(bound, 14) + 1)))
         return monic_irreducibles(self.p, bound)
 
     def format_elem(self, a):

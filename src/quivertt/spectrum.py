@@ -25,9 +25,8 @@ from .complexes import (
     cone,
     direct_sum_complexes,
     ensure_perfect,
-    eval_vertex,
     complex_r,
-    homology,
+    homology_fibers,
     homology_fingerprint,
     homology_range,
     i_times,
@@ -142,20 +141,6 @@ def q_support_subset(a: QSupport, b: QSupport) -> bool:
 # membership tests and supports
 
 
-def _vertex_support(x: ComplexRQ, i) -> SpClosedSet:
-    # union of homology supports of the fiber complex at one vertex; it does
-    # not depend on the prime, so it is computed once per complex and vertex
-    s = x._supports.get(i)
-    if s is None:
-        xi = eval_vertex(x, i)
-        s = sp_empty(x.ring)
-        for n in homology_range(xi):
-            h = homology(xi, n)
-            s = sp_closed_union(s, module_support(h.fibers["pt"]))
-        x._supports[i] = s
-    return s
-
-
 def xi_zero_test(x: ComplexRQ, p: PrimeIdeal, i) -> bool:
     """Whether x dies under "restrict to vertex i, localize at p".
 
@@ -165,15 +150,21 @@ def xi_zero_test(x: ComplexRQ, p: PrimeIdeal, i) -> bool:
     """
     check_same_ring(x.ring, p.ring)
     i = x.quiver.check_vertex(i)
-    return not sp_closed_contains(_vertex_support(x, i), p)
+    return not sp_closed_contains(compact_support(x).at(i), p)
 
 
 def compact_support(x: ComplexRQ) -> QSupport:
-    """Per-vertex union of homology supports; the points where x survives."""
-    comps = []
-    for v in x.quiver.vertices:
-        comps.append(_vertex_support(x, v))
-    return QSupport(x.quiver, x.ring, tuple(comps))
+    """Per-vertex union of homology supports; the points where x survives.
+
+    No prime enters it, so it is memoized on the complex (`x._support`).
+    """
+    if x._support is None:
+        comps = {v: sp_empty(x.ring) for v in x.quiver.vertices}
+        for n in homology_range(x):
+            for v, fib in homology_fibers(x, n).items():
+                comps[v] = sp_closed_union(comps[v], module_support(fib))
+        x._support = QSupport(x.quiver, x.ring, tuple(comps.values()))
+    return x._support
 
 
 def big_support_compact(x: ComplexRQ) -> QSupport:
@@ -252,17 +243,11 @@ class SpectrumWindow:
         return a.vertex == b.vertex and prime_contains(b.prime, a.prime)
 
     def covers(self) -> list:
-        out = []
-        for a in self.points:
-            for b in self.points:
-                if a == b or not self.leq(a, b):
-                    continue
-                between = any(
-                    c not in (a, b) and self.leq(a, c) and self.leq(c, b) for c in self.points
-                )
-                if not between:
-                    out.append((a, b))
-        return out
+        """(closed point, generic point of its vertex) pairs, in point order:
+        spectra have height at most one, so every strict relation is a cover."""
+        generic = {pt.vertex: pt for pt in self.points if pt.prime.is_zero_ideal}
+        return [(a, generic[a.vertex]) for a in self.points
+                if not a.prime.is_zero_ideal and a.vertex in generic]
 
     def member(self, x: ComplexRQ, pt: BalmerPoint) -> bool:
         """Whether x lies in the prime ideal at pt (i.e. dies there)."""

@@ -21,7 +21,7 @@ from .complexes import (
     Representation,
     _complex,
     _trusted,
-    homology,
+    homology_fibers,
     homology_range,
 )
 from .errors import BadElement, IndexOutOfRange, NotAField
@@ -116,11 +116,9 @@ def aisle_membership(x: ComplexRQ, f: Filtration) -> bool:
         raise BadElement("object and filtration live over different quivers")
     check_same_ring(x.ring, f.ring)
     for n in homology_range(x):
-        h = homology(x, n)
         level = f.at(n)
-        for v in x.quiver.vertices:
-            supp = module_support(h.fibers[v])
-            if not sp_closed_subset(supp, level.at(v)):
+        for v, fib in homology_fibers(x, n).items():
+            if not sp_closed_subset(module_support(fib), level.at(v)):
                 return False
     return True
 
@@ -141,8 +139,7 @@ def filtration_from_objects(xs) -> Filtration:
             raise BadElement("objects over different quivers")
         check_same_ring(r, x.ring)
         for n in homology_range(x):
-            h = homology(x, n)
-            s = QSupport(q, r, tuple(module_support(h.fibers[v]) for v in q.vertices))
+            s = QSupport(q, r, tuple(module_support(fib) for fib in homology_fibers(x, n).values()))
             if not s.is_empty:
                 by_degree[n] = q_support_union(by_degree.get(n, empty), s)
     degrees = sorted(by_degree)

@@ -185,6 +185,26 @@ def test_oversized_ring_parameter_exits_1(capsys, tmp_path):
     assert err == f"ERR 1: {big}/ring: Fp parameter above the cap 10^9\n"
 
 
+def test_oversized_prime_window_exits_2(capsys, tmp_path):
+    # FpX(101) at the default bound 7 would enumerate 101 + ... + 101^7 monic
+    # candidates; the window refuses past 10^4 instead of hanging
+    big = tmp_path / "fpx101.yaml"
+    big.write_text(Path(F2_A2).read_text().replace("ring: Fp(2)", "ring: FpX(101)"))
+    code, out, err = run(capsys, "spectrum", str(big))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("ERR 2: ") and "Traceback" not in err
+    assert err == "ERR 2: FpX(101) prime window at bound 7 would examine more than 10^4 candidate generators\n"
+
+
+def test_spectrum_bound_cap(capsys):
+    code, out, err = run(capsys, "spectrum", Z_A3, "--bound", "10000")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "3690 points over Z with bound 10000"
+    code, out, err = run(capsys, "spectrum", Z_A3, "--bound", "10001")
+    assert code == 2 and out == ""
+    assert err == "ERR 2: Z prime window at bound 10001 would examine more than 10^4 candidate generators\n"
+
+
 def test_precondition_violations_exit_2(capsys):
     code, _, err = run(capsys, "support", Z_A3, "NOPE")
     assert code == 2

@@ -1,6 +1,7 @@
 """Complexes of representations: homology, tensor, Kan extensions, resolutions."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,12 +25,15 @@ from quivertt import (
     ensure_perfect,
     eval_vertex,
     homology,
+    homology_fibers,
     homology_fingerprint,
     homology_range,
     i_times,
     is_acyclic,
     kan_extend,
     koszul_complex,
+    load_workspace,
+    parse_ring,
     projective_rep,
     projective_resolution,
     shift_complex,
@@ -38,12 +42,13 @@ from quivertt import (
     unit_restriction,
     zero_complex,
 )
-from quivertt.complexes import ComplexMorphism, RepMorphism
-from quivertt.samples import random_perfect_complex
+from quivertt.complexes import ComplexMorphism, Representation, RepMorphism
+from quivertt.samples import random_acyclic_quiver, random_perfect_complex, random_point_complex
 
 Z = Integers()
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
 A3 = build_quiver([1, 2, 3], ["a: 1 -> 2", "b: 2 -> 3"])
+WS = Path(__file__).resolve().parent.parent / "workspaces"
 
 
 def fibers_of(h):
@@ -161,6 +166,59 @@ def test_homology_range_brackets_support():
     x = shift_complex(koszul_complex(Z, [2]), 3)
     ns = homology_range(x)
     assert all(n in ns for n in (-4, -3))
+
+
+def _one_path_samples():
+    """Seeded complexes over all six rings, as (label, complex)."""
+    out = []
+    for text in ("Z", "Q", "Fp(5)", "Zloc(3)", "FpX(3)"):
+        ring = parse_ring(text)
+        for k in range(6):
+            rng = random.Random(f"fibers:{text}:{k}")
+            out.append((text, random_perfect_complex(random_acyclic_quiver(rng, 3), ring, rng)))
+    zmod = parse_ring("Zmod(12)")
+    for k in range(6):
+        # Z/12 is not regular: free point complexes parked at every vertex
+        rng = random.Random(f"fibers:Zmod(12):{k}")
+        q = random_acyclic_quiver(rng, 3)
+        out.append(("Zmod(12)", direct_sum_complexes([i_times(random_point_complex(zmod, rng), q, v)
+                                                      for v in q.vertices])))
+    out.append(("T6", load_workspace(WS / "z_a3.yaml").objects["T6"]))
+    return out
+
+
+def test_homology_fibers_are_the_fibers_of_homology():
+    torsion = nonzero = 0
+    for label, x in _one_path_samples():
+        ns = homology_range(x)
+        outside = [ns.start - 1, ns.stop] if ns else [0]
+        for n in list(ns) + outside:
+            fibers = homology_fibers(x, n)
+            h = homology(x, n)
+            assert list(fibers) == list(x.quiver.vertices), label
+            assert ({v: m.iso_key() for v, m in fibers.items()}
+                    == {v: h.fibers[v].iso_key() for v in x.quiver.vertices}), (label, n)
+            nonzero += sum(not m.is_zero_module for m in fibers.values())
+            torsion += sum(bool(m.divisors.divisors) for m in fibers.values())
+    assert nonzero and torsion
+
+
+def test_homology_keeps_cycle_generators_at_vertices_without_generators():
+    # at vertex 2, degree 0 has no generators but the next fiber, Z/6
+    # presented by [6 0], has a zero relation, so the cycle matrix there is
+    # 0 x 1: `homology` builds arrow maps on it, `homology_fibers` skips it
+    r = Z
+    x0 = Representation(A2, r, {"1": FGModule.free(r, 1), "2": FGModule.free(r, 0)},
+                        {"a": Matrix.zeros(r, 0, 1)})
+    x1 = Representation(A2, r, {"1": FGModule.free(r, 0), "2": FGModule(r, Matrix(r, 1, 2, ((6, 0),)))},
+                        {"a": Matrix.zeros(r, 1, 0)})
+    x = ComplexRQ(A2, r, {0: x0, 1: x1}, {})
+    h = homology(x, 0)
+    assert (h.arrows["a"].rows, h.arrows["a"].cols) == (1, 1)
+    assert h.fibers["2"].gens == 1 and h.fibers["2"].is_zero_module
+    fibers = homology_fibers(x, 0)
+    assert fibers["2"].gens == 0 and str(fibers["1"]) == "R"
+    assert str(homology_fibers(x, 1)["2"]) == "R/(6)"
 
 
 # --- vertex functors ----------------------------------------------------------

@@ -5,6 +5,9 @@ A stdlib `ast` pass, like tests/test_imports.py: a definition under
 constant in `src/`, `tests/` or `bench/` spells its name.  Its own `def` or
 `class` line does not count, since that binds the name rather than using it.
 Dunder names are exempt: the language calls them.
+
+A second pass flags unused locals: a name that a function (nested functions
+included) stores but never loads.  Names starting with `_` are exempt.
 """
 
 import ast
@@ -44,6 +47,33 @@ def dead_definitions(modules, others):
             if name not in used and not (name.startswith("__") and name.endswith("__"))]
 
 
+def outermost_functions(node):
+    """Functions and methods not nested inside another function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFS[:2]):
+            yield child
+        else:
+            yield from outermost_functions(child)
+
+
+def unused_locals(modules):
+    """'file:line function: name' for each name a function stores but never loads."""
+    found = []
+    for path in modules:
+        for func in outermost_functions(ast.parse(path.read_text(encoding="utf-8"))):
+            stored, loaded = {}, set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Store):
+                        stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+                    else:
+                        loaded.add(node.id)
+            found += [f"{path.name}:{line} {func.name}: {name}"
+                      for name, line in sorted(stored.items(), key=lambda item: item[1])
+                      if name not in loaded and not name.startswith("_")]
+    return found
+
+
 def test_every_definition_is_used():
     modules = sorted(SRC.glob("*.py"))
     others = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py") if p not in modules)
@@ -58,3 +88,16 @@ def test_the_guard_sees_a_dead_definition(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from lib import A\nA().used()\nnames = ['by_string']\n")
     assert dead_definitions([lib], [user]) == ["lib.py:5 spare"]
+
+
+def test_no_unused_locals():
+    unused = unused_locals(sorted(SRC.glob("*.py")))
+    assert not unused, "stored but never read: " + ", ".join(unused)
+
+
+def test_the_guard_sees_an_unused_local(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def f(xs):\n    q, r = divmod(7, 2)\n    total = 0\n    for x, _ in xs:\n        total += x\n"
+                   "    def inner():\n        return q\n    spare = [y for y in xs]\n    return inner\n\n\n"
+                   "class A:\n    def m(self):\n        kept = 1\n        return kept\n")
+    assert unused_locals([lib]) == ["lib.py:2 f: r", "lib.py:3 f: total", "lib.py:8 f: spare"]

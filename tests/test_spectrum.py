@@ -16,6 +16,7 @@ from quivertt import (
     PrimeField,
     Rationals,
     UniverseNotClosed,
+    UnknownVertex,
     UnsupportedRing,
     big_support_compact,
     box_tensor,
@@ -33,6 +34,7 @@ from quivertt import (
     ideal_membership,
     is_acyclic,
     koszul_complex,
+    parse_ring,
     prime_ideal,
     projective_rep,
     q_support,
@@ -104,22 +106,19 @@ def _torsion_mix():
 
 
 def test_vertex_support_is_computed_once_per_complex(monkeypatch):
-    # the support at a vertex does not depend on the prime: a whole window
-    # of xi tests takes one homology per (vertex, degree)
+    # the support does not depend on the prime: a whole window of xi tests
+    # takes at most one homology fiber per (vertex, degree)
     x = _torsion_mix()
-    calls, vertex = Counter(), []
-    real_eval, real_homology = spectrum.eval_vertex, spectrum.homology
+    calls = Counter()
+    real_fibers = spectrum.homology_fibers
 
-    def eval_vertex(c, i):
-        vertex.append(i)
-        return real_eval(c, i)
+    def homology_fibers(c, n):
+        fibers = real_fibers(c, n)
+        for v in fibers:
+            calls[v, n] += 1
+        return fibers
 
-    def homology(c, n):
-        calls[vertex[-1], n] += 1
-        return real_homology(c, n)
-
-    monkeypatch.setattr(spectrum, "eval_vertex", eval_vertex)
-    monkeypatch.setattr(spectrum, "homology", homology)
+    monkeypatch.setattr(spectrum, "homology_fibers", homology_fibers)
     win = spc_enumerate(Z, A3, 7)
     answers = [xi_zero_test(x, pt.prime, pt.vertex) for pt in win.points]
     assert calls and max(calls.values()) == 1
@@ -132,6 +131,15 @@ def test_vertex_support_is_computed_once_per_complex(monkeypatch):
     assert answers == [xi_zero_test(fresh, pt.prime, pt.vertex) for pt in win.points]
     assert support == compact_support(_torsion_mix())
     assert not all(answers) and any(answers)
+
+
+def test_xi_checks_the_vertex_before_computing(monkeypatch):
+    def homology_fibers(c, n):
+        raise AssertionError("homology computed before the vertex was checked")
+
+    monkeypatch.setattr(spectrum, "homology_fibers", homology_fibers)
+    with pytest.raises(UnknownVertex):
+        xi_zero_test(_torsion_mix(), prime_ideal(Z, 2), "9")
 
 
 def test_support_intersects_under_box():
@@ -264,6 +272,18 @@ def test_window_counts_over_integers():
     win = spc_enumerate(Z, A3, 6)
     assert len(win.points) == 12
     assert len(win.covers()) == 9
+
+
+@pytest.mark.parametrize("text,bound", [("Z", 0), ("Z", 7), ("Z", 40), ("Q", 7), ("Fp(5)", 7),
+                                        ("Zmod(12)", 7), ("Zloc(3)", 7), ("FpX(3)", 3), ("FpX(2)", 4)])
+def test_covers_match_the_definition(text, bound):
+    # a < b is a cover when nothing lies strictly between; scanned over all points
+    win = spc_enumerate(parse_ring(text), A3, bound)
+    pts = win.points
+    want = [(a, b) for a in pts for b in pts
+            if a != b and win.leq(a, b)
+            and not any(c not in (a, b) and win.leq(a, c) and win.leq(c, b) for c in pts)]
+    assert win.covers() == want
 
 
 def test_window_dot_export():
