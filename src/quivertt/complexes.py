@@ -31,7 +31,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .linalg import Matrix, diagonal_of, is_split_mono, kernel_basis, rank, smith_normal_form, solve
+from .linalg import Matrix, diagonal_of, is_split_mono, kernel_basis, rank, smith_normal_form, solve, solve_kernel
 from .quivers import Quiver, paths, point_quiver, vertex_set
 from .rings import FGModule, IntegersMod, Ring, check_same_ring, int_prime_factors
 
@@ -691,10 +691,10 @@ def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
         cur_pres = cur.fibers[v].presentation
         if cur_pres.cols:
             rel_cols = rel_cols.hstack(cur_pres)
-        w = solve(K, rel_cols)
+        w, rels = solve_kernel(K, rel_cols)
         if w is None:
             raise ShapeMismatch("boundaries escaped the cycle module; invalid complex")
-        out[v] = (K, FGModule(r, w.hstack(kernel_basis(K))))
+        out[v] = (K, FGModule(r, w.hstack(rels)))
     return out
 
 
@@ -775,7 +775,7 @@ def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:
     """
     r = x.ring
     q = x.quiver
-    # per (degree, vertex): (u, keep-indices, new presentation)
+    # per (degree, vertex): (u, u^-1, keep-indices, new presentation)
     coord = {}
     for n, rep in x.terms.items():
         for v in q.vertices:
@@ -795,17 +795,16 @@ def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:
                     cols.append(col)
             pres = Matrix(r, len(keep), len(cols),
                           tuple(tuple(col[i] for col in cols) for i in range(len(keep))))
-            coord[(n, v)] = (u, keep, pres)
+            coord[(n, v)] = (u, solve(u, Matrix.identity(r, u.rows)), keep, pres)
 
     def convert(mat: Matrix, src_key, tgt_key) -> Matrix:
         m = mat
         if coord[src_key] is not None:
-            u_s, keep_s, _ = coord[src_key]
-            inv = solve(u_s, Matrix.identity(r, u_s.rows))
-            m = m.mul(inv)
+            _, u_inv, keep_s, _ = coord[src_key]
+            m = m.mul(u_inv)
             m = m.select_columns(keep_s)
         if coord[tgt_key] is not None:
-            u_t, keep_t, _ = coord[tgt_key]
+            u_t, _, keep_t, _ = coord[tgt_key]
             m = u_t.mul(m)
             m = Matrix(r, len(keep_t), m.cols, tuple(m.entries[i] for i in keep_t))
         return m
@@ -815,7 +814,7 @@ def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:
         fibers = {}
         for v in q.vertices:
             c = coord[(n, v)]
-            fibers[v] = rep.fibers[v] if c is None else FGModule(r, c[2])
+            fibers[v] = rep.fibers[v] if c is None else FGModule(r, c[3])
         arrows = {name: convert(rep.arrows[name], (n, s), (n, t)) for name, s, t in q.arrows}
         terms[n] = Representation(q, r, fibers, arrows)
     diffs = {n: {v: convert(d.mats[v], (n, v), (n + 1, v)) for v in q.vertices} for n, d in x.diffs.items()}

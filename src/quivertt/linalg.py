@@ -6,6 +6,16 @@ F_p[x].  Z/n never enters the Euclidean loop: its Smith form is computed on an
 integer lift and reduced, which stays a certificate because reduction is a
 ring map and the transforms have determinant +-1.
 
+Each of the two questions asked here is answered by one elimination, picked
+once by the ring kind.  Invariant factors (`rank`, `cokernel_presentation`,
+`is_split_mono`) read the Smith diagonal: over a field it is one 1 per pivot
+of the row reduction and needs no transforms; otherwise it is the diagonal of
+the Smith form.  Solutions and kernels (`solve`, `kernel_basis`) read
+`solve_kernel`, which eliminates a once for both: over a field one row
+reduction of [a | b], whose pivots among a's columns are a's own; otherwise
+one Smith form u*a*v = d, whose v gives the kernel and whose u and v give the
+solution.
+
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
 nonzero a and the nonzero b of the matching right row, and the Smith form's
@@ -200,16 +210,14 @@ class ElementaryDivisors:
 class _Worker:
     """Mutable elimination state: a with accumulated row (u) and col (v) ops."""
 
-    def __init__(self, m: Matrix):
+    def __init__(self, m: Matrix, u: Matrix, v: Matrix):
         self.ring = m.ring
         plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
         self.add, self.mul = (operator.add, operator.mul) if plain else (m.ring.add, m.ring.mul)
         self.a = [list(row) for row in m.entries]
         self.rows, self.cols = m.rows, m.cols
-        eye_r = Matrix.identity(m.ring, m.rows)
-        eye_c = Matrix.identity(m.ring, m.cols)
-        self.u = [list(row) for row in eye_r.entries]
-        self.v = [list(row) for row in eye_c.entries]
+        self.u = [list(row) for row in u.entries]
+        self.v = [list(row) for row in v.entries]
 
     def swap_rows(self, i, j):
         if i != j:
@@ -274,7 +282,7 @@ def smith_normal_form(m: Matrix):
         return m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols)
     if r.needs_lift:
         return _smith_via_lift(m)
-    w = _Worker(m)
+    w = _Worker(m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols))
     t = 0
     while True:
         best = _pivot(w, t)
@@ -326,33 +334,29 @@ def smith_normal_form(m: Matrix):
         t += 1
         if t >= min(w.rows, w.cols):
             break
-    for k in range(min(w.rows, w.cols)):
-        unit, canon = r.canonical_associate(w.a[k][k])
-        if not r.is_zero(w.a[k][k]) and canon != w.a[k][k]:
-            w.scale_row(k, unit)
-    d = Matrix(r, w.rows, w.cols, tuple(tuple(row) for row in w.a))
-    u = Matrix(r, w.rows, w.rows, tuple(tuple(row) for row in w.u))
-    v = Matrix(r, w.cols, w.cols, tuple(tuple(row) for row in w.v))
-    return d, u, v
+    return _canonical_diagonal(w)
 
 
 def _smith_via_lift(m: Matrix):
     r = m.ring
     lifted = m.map_entries(r.lift_elem, r.lift_ring())
-    d0, u0, v0 = smith_normal_form(lifted)
-    d = d0.map_entries(r.reduce_elem, r)
-    u = u0.map_entries(r.reduce_elem, r)
-    v = v0.map_entries(r.reduce_elem, r)
-    # reduction keeps u*m*v = d and unit determinants; rescale the diagonal
-    # to canonical associates mod n
-    w = _Worker(d)
-    w.u = [list(row) for row in u.entries]
-    for k in range(min(d.rows, d.cols)):
+    d, u, v = (x.map_entries(r.reduce_elem, r) for x in smith_normal_form(lifted))
+    # reduction keeps u*m*v = d and unit determinants; only the diagonal
+    # needs rescaling to canonical associates mod n
+    return _canonical_diagonal(_Worker(d, u, v))
+
+
+def _canonical_diagonal(w: _Worker):
+    """(d, u, v) of a diagonalized worker, each diagonal entry scaled to its
+    canonical associate; zero is its own on every ring."""
+    r = w.ring
+    for k in range(min(w.rows, w.cols)):
         unit, canon = r.canonical_associate(w.a[k][k])
         if canon != w.a[k][k]:
             w.scale_row(k, unit)
-    d = Matrix(r, d.rows, d.cols, tuple(tuple(row) for row in w.a))
-    u = Matrix(r, d.rows, d.rows, tuple(tuple(row) for row in w.u))
+    d = Matrix(r, w.rows, w.cols, tuple(tuple(row) for row in w.a))
+    u = Matrix(r, w.rows, w.rows, tuple(tuple(row) for row in w.u))
+    v = Matrix(r, w.cols, w.cols, tuple(tuple(row) for row in w.v))
     return d, u, v
 
 
@@ -393,39 +397,18 @@ def _rref_field(m: Matrix):
     return rows, piv
 
 
-def rank(m: Matrix) -> int:
+def _diagonal(m: Matrix) -> list:
+    """The Smith diagonal of m.  A field's is one 1 per pivot of its row
+    reduction, so it needs no transforms."""
     r = m.ring
     if r.is_field:
-        return len(_rref_field(m)[1])
-    d, _, _ = smith_normal_form(m)
-    return sum(1 for e in diagonal_of(d) if not r.is_zero(e))
+        return [r.one()] * len(_rref_field(m)[1])
+    return diagonal_of(smith_normal_form(m)[0])
 
 
-def _kernel_field(m: Matrix) -> Matrix:
+def rank(m: Matrix) -> int:
     r = m.ring
-    rows, piv = _rref_field(m)
-    free = [c for c in range(m.cols) if c not in set(piv)]
-    cols = []
-    for f in free:
-        vec = [r.zero()] * m.cols
-        vec[f] = r.one()
-        for i, p in enumerate(piv):
-            vec[p] = r.neg(rows[i][f])
-        cols.append(vec)
-    return Matrix(r, m.cols, len(cols), tuple(tuple(c[i] for c in cols) for i in range(m.cols)))
-
-
-def _solve_field(a: Matrix, b: Matrix):
-    r = a.ring
-    aug = a.hstack(b)
-    rows, piv = _rref_field(aug)
-    if piv and piv[-1] >= a.cols:
-        return None
-    out = [[r.zero()] * b.cols for _ in range(a.cols)]
-    for i, p in enumerate(piv):
-        for j in range(b.cols):
-            out[p][j] = rows[i][a.cols + j]
-    return Matrix(r, a.cols, b.cols, tuple(tuple(row) for row in out))
+    return sum(1 for e in _diagonal(m) if not r.is_zero(e))
 
 
 def cokernel_presentation(m: Matrix) -> ElementaryDivisors:
@@ -438,46 +421,71 @@ def cokernel_presentation(m: Matrix) -> ElementaryDivisors:
     r = m.ring
     if not m.rows or not m.cols:
         return ElementaryDivisors((), m.rows)
+    nonzero = [e for e in _diagonal(m) if not r.is_zero(e)]
+    return ElementaryDivisors(tuple(e for e in nonzero if not r.is_unit(e)), m.rows - len(nonzero))
+
+
+def solve_kernel(a: Matrix, b: Matrix):
+    """(x, k) from one elimination of a: some x with a x = b, or None, and
+    columns k generating {y : a y = 0}, as `solve` and `kernel_basis` give."""
+    if a.rows != b.rows:
+        raise ShapeMismatch("solve shape mismatch")
+    r = a.ring
+    zero = r.zero()
     if r.is_field:
-        return ElementaryDivisors((), m.rows - rank(m))
-    d, _, _ = smith_normal_form(m)
-    divisors = []
-    nonzero = 0
-    for e in diagonal_of(d):
-        if r.is_zero(e):
-            continue
-        nonzero += 1
-        if not r.is_unit(e):
-            divisors.append(e)
-    return ElementaryDivisors(tuple(divisors), m.rows - nonzero)
+        # columns reduce left to right, so the pivots among a's columns are
+        # a's own and b only rides along
+        rows, piv = _rref_field(a.hstack(b))
+        own = [p for p in piv if p < a.cols]
+        kept = set(own)
+        free = [c for c in range(a.cols) if c not in kept]
+        kernel = [[zero] * len(free) for _ in range(a.cols)]
+        for j, f in enumerate(free):
+            kernel[f][j] = r.one()
+            for i, p in enumerate(own):
+                kernel[p][j] = r.neg(rows[i][f])
+        kernel = Matrix(r, a.cols, len(free), tuple(map(tuple, kernel)))
+        if len(own) < len(piv):
+            return None, kernel
+        x = [[zero] * b.cols for _ in range(a.cols)]
+        for i, p in enumerate(piv):
+            x[p] = rows[i][a.cols:]
+        return Matrix(r, a.cols, b.cols, tuple(map(tuple, x))), kernel
+    d, u, v = smith_normal_form(a)
+    diag = diagonal_of(d)
+    # kernel: v's columns over a zero or missing diagonal entry; over Z/n a
+    # nonzero entry adds its annihilator multiple, so only a generating set
+    one = r.one()
+    gens = [(j, annihilator_gen(r, diag[j]) if j < len(diag) else one) for j in range(a.cols)]
+    gens = [(j, c) for j, c in gens if c]
+    kernel = Matrix(r, a.cols, len(gens), tuple(
+        tuple(row[j] if c == one else r.mul(c, row[j]) for j, c in gens) for row in v.entries))
+    if not b.cols:
+        return Matrix.zeros(r, a.cols, 0), kernel
+    rhs = u.mul(b)
+    y = [[zero] * b.cols for _ in range(a.cols)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            target = rhs.entries[i][j]
+            if i < len(diag) and not r.is_zero(diag[i]):
+                q = r.divide(target, diag[i])
+                if q is None:
+                    return None, kernel
+                y[i][j] = q
+            elif not r.is_zero(target):
+                return None, kernel
+    return v.mul(Matrix(r, a.cols, b.cols, tuple(map(tuple, y)))), kernel
 
 
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns generating {x : m x = 0}.
 
-    Over a domain this is a basis (columns of the invertible v); over Z/n the
-    diagonal entries contribute annihilator multiples and the columns are only
-    a generating set.
+    Over a domain this is a basis (columns of the invertible v, or the free
+    columns of the row reduction over a field); over Z/n the diagonal
+    entries contribute annihilator multiples and the columns are only a
+    generating set.
     """
-    r = m.ring
-    if r.is_field:
-        return _kernel_field(m)
-    d, _, v = smith_normal_form(m)
-    diag = diagonal_of(d)
-    gens = []
-    for j in range(m.cols):
-        if j >= len(diag) or r.is_zero(diag[j]):
-            gens.append(v.column(j))
-        else:
-            ann = annihilator_gen(r, diag[j])
-            if not r.is_zero(ann):
-                gens.append(v.column(j).scale(ann))
-    if not gens:
-        return Matrix.zeros(r, m.cols, 0)
-    out = gens[0]
-    for g in gens[1:]:
-        out = out.hstack(g)
-    return out
+    return solve_kernel(m, Matrix.zeros(m.ring, m.rows, 0))[1]
 
 
 def annihilator_gen(ring, a):
@@ -492,33 +500,10 @@ def annihilator_gen(ring, a):
 
 def solve(a: Matrix, b: Matrix):
     """Some x with a x = b, or None.  b may have several columns."""
-    if a.rows != b.rows:
-        raise ShapeMismatch("solve shape mismatch")
-    r = a.ring
-    if r.is_field:
-        return _solve_field(a, b)
-    d, u, v = smith_normal_form(a)
-    rhs = u.mul(b)
-    diag = diagonal_of(d)
-    y = [[r.zero()] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        for j in range(b.cols):
-            target = rhs.entries[i][j]
-            if i < len(diag) and not r.is_zero(diag[i]):
-                q = r.divide(target, diag[i])
-                if q is None:
-                    return None
-                y[i][j] = q
-            elif not r.is_zero(target):
-                return None
-    return v.mul(Matrix(r, a.cols, b.cols, tuple(tuple(row) for row in y)))
+    return solve_kernel(a, b)[0]
 
 
 def is_split_mono(m: Matrix) -> bool:
     """Whether m: R^cols -> R^rows admits a left inverse."""
-    r = m.ring
-    if r.is_field:
-        return rank(m) == m.cols
-    d, _, _ = smith_normal_form(m)
-    diag = diagonal_of(d)
-    return len(diag) >= m.cols and all(r.is_unit(e) for e in diag[:m.cols])
+    diag = _diagonal(m)
+    return len(diag) >= m.cols and all(m.ring.is_unit(e) for e in diag[:m.cols])

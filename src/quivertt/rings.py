@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import BadElement, RingMismatch, UnsupportedRing
@@ -161,11 +162,19 @@ def monic_irreducibles(p: int, max_deg: int) -> list[tuple]:
 
 
 def _poly_factor(a, p):
-    """Distinct monic irreducible factors of a nonzero polynomial."""
+    """Distinct monic irreducible factors of a nonzero monic polynomial, in
+    `monic_irreducibles` order, by trial division up to half the degree of
+    what is left: a cofactor with no such divisor is irreducible.  Refuses
+    past 10^4 candidate divisors (p + p^2 + ... + p^(deg/2))."""
+    half = (len(a) - 1) // 2
+    # 14 terms already pass the cap for every p >= 2
+    if sum(p ** d for d in range(1, min(half, 14) + 1)) > 10**4:
+        raise BadElement(f"FpX({p}): factoring {_poly_format(a)} would trial-divide by "
+                         f"more than 10^4 candidate divisors")
     out = []
     work = a
-    for f in monic_irreducibles(p, len(a) - 1):
-        if len(work) == 1:
+    for f in monic_irreducibles(p, half):
+        if 2 * (len(f) - 1) > len(work) - 1:
             break
         q, r = _poly_divmod(work, f, p)
         if not r:
@@ -173,6 +182,8 @@ def _poly_factor(a, p):
             while not r:
                 work = q
                 q, r = _poly_divmod(work, f, p)
+    if len(work) > 1:
+        out.append(work)
     return out
 
 
@@ -605,13 +616,14 @@ class IntegersMod(Ring):
     def label(self):
         return f"Zmod({self.n})"
 
-    @property
+    @cached_property
     def is_field(self):
+        # decided once per ring object; linalg reads it on every call
         return is_prime_int(self.n)
 
     @property
     def is_domain(self):
-        return is_prime_int(self.n)
+        return self.is_field
 
     def from_int(self, k):
         return k % self.n
@@ -743,9 +755,7 @@ class PolyOverPrimeField(Ring):
         return u, _poly_mul(u, a, self.p)
 
     def is_prime_elem(self, a):
-        if len(a) < 2 or a[-1] != 1:
-            return False
-        return a in monic_irreducibles(self.p, len(a) - 1)
+        return len(a) >= 2 and a[-1] == 1 and _poly_factor(a, self.p) == [a]
 
     def prime_factors(self, a):
         return _poly_factor(self.canonical_associate(a)[1], self.p)

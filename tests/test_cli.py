@@ -196,6 +196,38 @@ def test_oversized_prime_window_exits_2(capsys, tmp_path):
     assert err == "ERR 2: FpX(101) prime window at bound 7 would examine more than 10^4 candidate generators\n"
 
 
+FPX_TORSION = """ring: FpX({p})
+
+quiver:
+  vertices: [1, 2]
+  arrows: ["a: 1 -> 2"]
+
+objects:
+  T:
+    degrees:
+      0:
+        1: [["{poly}"]]
+"""
+
+
+def test_poly_support_factors_by_trial_division(capsys, tmp_path):
+    ws = tmp_path / "fpx2.yaml"
+    ws.write_text(FPX_TORSION.format(p=2, poly="x^21+x+1"))
+    code, out, err = run(capsys, "support", str(ws), "T")
+    assert code == 0 and err == ""
+    assert out == "support of T\n  1: {(x^7+x^5+x^3+x+1), (x^14+x^12+x^7+x^6+x^4+x^3+1)}\n  2: {}\n"
+
+
+def test_oversized_poly_factoring_exits_2(capsys, tmp_path):
+    # x^4+1 over F_101 would trial-divide by 101 + 101^2 candidates
+    ws = tmp_path / "fpx101.yaml"
+    ws.write_text(FPX_TORSION.format(p=101, poly="x^4+1"))
+    code, out, err = run(capsys, "support", str(ws), "T")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == "ERR 2: FpX(101): factoring x^4+1 would trial-divide by more than 10^4 candidate divisors\n"
+
+
 def test_spectrum_bound_cap(capsys):
     code, out, err = run(capsys, "spectrum", Z_A3, "--bound", "10000")
     assert code == 0 and err == ""

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import quivertt.complexes as complexes
 from quivertt import (
     ComplexRQ,
     FGModule,
@@ -201,6 +202,37 @@ def test_homology_fibers_are_the_fibers_of_homology():
             nonzero += sum(not m.is_zero_module for m in fibers.values())
             torsion += sum(bool(m.divisors.divisors) for m in fibers.values())
     assert nonzero and torsion
+
+
+def test_homology_fibers_eliminate_each_cycle_matrix_once(monkeypatch):
+    # one elimination of K gives both the boundary coordinates and the
+    # relations among them: no `solve` against K, one kernel per live vertex
+    samples = []
+    for text in ("Z", "Fp(5)"):
+        ring = parse_ring(text)
+        for k in range(4):
+            samples.append(random_perfect_complex(A3, ring, random.Random(f"once:{text}:{k}")))
+    calls = []
+    real = complexes.kernel_basis
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    def refuse(a, b):
+        raise AssertionError("homology eliminated a cycle matrix a second time")
+
+    monkeypatch.setattr(complexes, "kernel_basis", counted)
+    monkeypatch.setattr(complexes, "solve", refuse)
+    live_total = 0
+    for x in samples:
+        for n in homology_range(x):
+            calls.clear()
+            homology_fibers(x, n)
+            live = [v for v in A3.vertices if n in x.terms and x.terms[n].gens(v)]
+            assert len(calls) == len(live)
+            live_total += len(live)
+    assert live_total
 
 
 def test_homology_keeps_cycle_generators_at_vertices_without_generators():

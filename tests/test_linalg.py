@@ -19,7 +19,7 @@ from quivertt import (
     smith_normal_form,
     solve,
 )
-from quivertt.linalg import ElementaryDivisors
+from quivertt.linalg import ElementaryDivisors, solve_kernel
 
 Z = Integers()
 
@@ -360,3 +360,22 @@ def test_field_elimination_matches_dense_reference(ring):
             for i, p in enumerate(piv):
                 want[p] = ref[i][cols:]
             assert x.entries == tuple(map(tuple, want))
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_solve_kernel_reads_one_elimination(ring):
+    rng = random.Random(17)
+    elems = [e for e in sample_elements(ring, rng) if e]
+    shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(37)]
+    for k, (rows, cols) in enumerate(shapes):
+        a = (sparse_matrix(ring, rng, rows, cols, elems, density=0.3) if k % 2
+             else random_matrix(ring, rng, rows, cols))
+        b = a.mul(random_matrix(ring, rng, cols, rng.randint(0, 3)))
+        x, kernel = solve_kernel(a, b)
+        assert a.mul(x).entries == b.entries
+        assert kernel.rows == a.cols
+        assert a.mul(kernel).is_zero()
+        if ring.is_domain:
+            assert kernel.cols == a.cols - rank(a)
+        assert x.entries == solve(a, b).entries
+        assert kernel.entries == kernel_basis(a).entries

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import quivertt.rings as rings
 from quivertt import (
     BadElement,
     FGModule,
@@ -226,3 +227,57 @@ def test_prime_field_inverse():
     f = PrimeField(7)
     for a in range(1, 7):
         assert f.mul(f.from_int(a), f.inv(f.from_int(a))) == f.one()
+
+
+def monic_polys(p, deg):
+    """Every monic polynomial over F_p of exactly this degree, low degree first."""
+    out = []
+    for lower in range(p ** deg):
+        cs = []
+        for _ in range(deg):
+            cs.append(lower % p)
+            lower //= p
+        out.append(tuple(cs) + (1,))
+    return out
+
+
+@pytest.mark.parametrize("p,top", ((2, 9), (3, 6), (5, 4), (7, 3)))
+def test_poly_factors_match_full_enumeration(p, top):
+    # the definition: a monic polynomial of positive degree is irreducible
+    # when it is no product of two of positive degree
+    r = PolyOverPrimeField(p)
+    reducible = {r.mul(f, g) for d in range(1, top // 2 + 1) for e in range(d, top - d + 1)
+                 for f in monic_polys(p, d) for g in monic_polys(p, e)}
+    irreducible = [f for d in range(1, top + 1) for f in monic_polys(p, d) if f not in reducible]
+    for d in range(1, top + 1):
+        for a in monic_polys(p, d):
+            want = [f for f in irreducible if len(f) <= len(a) and not r.divmod_(a, f)[1]]
+            assert r.prime_factors(a) == want, r.format_elem(a)
+            assert r.is_prime_elem(a) == (want == [a]), r.format_elem(a)
+
+
+def test_poly_factoring_is_capped():
+    # x^21+x+1 over F_2 splits into degrees 7 and 14 by trial division up to
+    # degree 10; x^4+1 over F_101 would need 101 + 101^2 candidates
+    r = PolyOverPrimeField(2)
+    factors = r.prime_factors(r.parse_elem("x^21+x+1"))
+    assert [r.format_elem(f) for f in factors] == ["x^7+x^5+x^3+x+1", "x^14+x^12+x^7+x^6+x^4+x^3+1"]
+    big = PolyOverPrimeField(101)
+    assert big.is_prime_elem(big.parse_elem("x^2+2"))
+    with pytest.raises(BadElement, match=r"^FpX\(101\): factoring x\^4\+1 would trial-divide by more than 10\^4"):
+        big.prime_factors(big.parse_elem("x^4+1"))
+    with pytest.raises(BadElement):
+        prime_ideal(big, big.parse_elem("x^4+1"))
+
+
+def test_zmod_decides_primality_once(monkeypatch):
+    calls = []
+    real = rings.is_prime_int
+    monkeypatch.setattr(rings, "is_prime_int", lambda k: calls.append(k) or real(k))
+    r = IntegersMod(999999937)
+    for _ in range(1000):
+        assert r.is_field and r.is_domain
+    assert len(calls) <= 1
+    a, b = IntegersMod(12), IntegersMod(12)
+    assert not a.is_field and not a.is_domain
+    assert a == b and hash(a) == hash(b)
