@@ -31,7 +31,8 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .linalg import Matrix, diagonal_of, is_split_mono, kernel_basis, rank, smith_normal_form, solve, solve_kernel
+from .linalg import (Matrix, cokernel_presentation, diagonal_of, is_split_mono, kernel_basis, rank,
+                     smith_normal_form, solve, solve_kernel)
 from .quivers import Quiver, paths, point_quiver, vertex_set
 from .rings import FGModule, IntegersMod, Ring, check_same_ring, int_prime_factors
 
@@ -701,15 +702,41 @@ def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
 def homology_fibers(x: ComplexRQ, n: int) -> dict:
     """{v: H^n(x) at v}: the fibers of `homology`, without its arrow maps.
 
+    Over a domain (each one here is a PID), a vertex whose fibers in degrees n
+    and n + 1 are literally free reads H^n off the Smith diagonals of d^n and
+    d^(n-1) there, with no kernel and no transforms: H^n = R^f plus R/(e) for
+    each non-unit nonzero diagonal entry e of d^(n-1), where f = rank C^n -
+    rank d^n - rank d^(n-1).  This is exact because ker d^n is saturated in
+    C^n, so it holds the saturation S of im d^(n-1): S / im d^(n-1) is that
+    torsion, and ker d^n / S is free of rank f.  The check that d^n d^(n-1)
+    vanishes stays.  Every other vertex with generators (Z/n, fibers with
+    relations) takes the cycle-matrix path of `homology`.
+
     A vertex with no generators in degree n gets the zero module without
     eliminating.  `homology` cannot skip it: when the next fiber has
     relations, K there can be 0 x j with j > 0, and arrow shapes depend on j.
     """
-    vertices = x.quiver.vertices
-    live = [v for v in vertices if n in x.terms and x.terms[n].gens(v)]
-    parts = _homology_parts(x, n, live) if live else {}
-    zero = FGModule.free(x.ring, 0) if len(live) < len(vertices) else None
-    return {v: parts[v][1] if v in parts else zero for v in vertices}
+    r, vertices = x.ring, x.quiver.vertices
+    cur, nxt, dn, dp = x.terms.get(n), x.terms.get(n + 1), x.diffs.get(n), x.diffs.get(n - 1)
+    live = [v for v in vertices if cur is not None and cur.gens(v)]
+    out = {}
+    for v in live:
+        if not (r.is_domain and cur.fibers[v].is_literally_free
+                and (nxt is None or nxt.fibers[v].is_literally_free)):
+            continue
+        into = dp.mats[v] if dp else Matrix.zeros(r, cur.gens(v), 0)
+        if dn and into.cols and not dn.mats[v].mul(into).is_zero():
+            raise ShapeMismatch("boundaries escaped the cycle module; invalid complex")
+        coker = cokernel_presentation(into)
+        divs, z = coker.divisors, r.zero()
+        f = coker.free_rank - (rank(dn.mats[v]) if dn else 0)
+        rows = tuple(tuple(d if i == j else z for j in range(len(divs))) for i, d in enumerate(divs))
+        out[v] = FGModule(r, Matrix(r, len(divs) + f, len(divs), rows + ((z,) * len(divs),) * f))
+    rest = [v for v in live if v not in out]
+    if rest:
+        out.update((v, h) for v, (_, h) in _homology_parts(x, n, rest).items())
+    zero = FGModule.free(r, 0) if len(live) < len(vertices) else None
+    return {v: out.get(v, zero) for v in vertices}
 
 
 def homology(x: ComplexRQ, n: int) -> Representation:

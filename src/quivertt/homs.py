@@ -155,14 +155,11 @@ def chom_rep(y: Representation, z: Representation) -> Representation:
     for name, i, j in q.arrows:
         iota = proj_precompose(q, r, name)
         src_hd, tgt_hd = hds[i], hds[j]
+        pre = {v: Matrix.identity(r, y.gens(v)).kron(iota.mats[v]) for v in q.vertices}
         glist = []
         for l in range(src_hd.gens):
             f = src_hd.lift(l)
-            g = {}
-            for v in q.vertices:
-                pre = Matrix.identity(r, y.gens(v)).kron(iota.mats[v])
-                g[v] = f[v].mul(pre)
-            glist.append(g)
+            glist.append({v: f[v].mul(pre[v]) for v in q.vertices})
         arrows[name] = tgt_hd.express_cols(glist)
     return Representation(q, r, fibers, arrows)
 
@@ -223,14 +220,11 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
                 if m not in ms_j:
                     continue
                 src_hd, tgt_hd = hd[(i, a, m)], hd[(j, a, m)]
+                pre = {v: Matrix.identity(r, x.terms[m].gens(v)).kron(iota.mats[v]) for v in q.vertices}
                 glist = []
                 for l in range(src_hd.gens):
                     f = src_hd.lift(l)
-                    g = {}
-                    for v in q.vertices:
-                        pre = Matrix.identity(r, x.terms[m].gens(v)).kron(iota.mats[v])
-                        g[v] = f[v].mul(pre)
-                    glist.append(g)
+                    glist.append({v: f[v].mul(pre[v]) for v in q.vertices})
                 grid[ms_j.index(m)][ci] = tgt_hd.express_cols(glist)
             rdims = [hd[(j, a, m)].gens for m in ms_j]
             cdims = [hd[(i, a, m)].gens for m in ms]
@@ -260,15 +254,13 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
                 if m - 1 in ms_t:
                     tgt_hd = hd[(i, a + 1, m - 1)]
                     dx = x.diff(m - 1)
+                    pre = {v: dx.mats[v].kron(Matrix.identity(r, len(paths(q, i, v)))) for v in q.vertices}
+                    if a % 2 == 0:
+                        pre = {v: p.neg() for v, p in pre.items()}
                     glist = []
                     for l in range(src_hd.gens):
                         f = src_hd.lift(l)
-                        g = {}
-                        for v in q.vertices:
-                            pre = dx.mats[v].kron(Matrix.identity(r, len(paths(q, i, v))))
-                            comp = f[v].mul(pre)
-                            g[v] = comp if a % 2 == 1 else comp.neg()
-                        glist.append(g)
+                        glist.append({v: f[v].mul(pre[v]) for v in q.vertices})
                     grid[ms_t.index(m - 1)][ci] = tgt_hd.express_cols(glist)
             rdims = [hd[(i, a + 1, m)].gens for m in ms_t]
             cdims = [hd[(i, a, m)].gens for m in ms]

@@ -8,13 +8,16 @@ ring map and the transforms have determinant +-1.
 
 Each of the two questions asked here is answered by one elimination, picked
 once by the ring kind.  Invariant factors (`rank`, `cokernel_presentation`,
-`is_split_mono`) read the Smith diagonal: over a field it is one 1 per pivot
-of the row reduction and needs no transforms; otherwise it is the diagonal of
-the Smith form.  Solutions and kernels (`solve`, `kernel_basis`) read
-`solve_kernel`, which eliminates a once for both: over a field one row
-reduction of [a | b], whose pivots among a's columns are a's own; otherwise
-one Smith form u*a*v = d, whose v gives the kernel and whose u and v give the
-solution.
+`is_split_mono`) read the Smith diagonal, which needs no transforms: over a
+field it is one 1 per pivot of the row reduction; otherwise the one Smith
+worker runs diagonal-only, with no u and no v, so its row and column
+operations touch only a (Z/n runs it on the integer lift, then reduces each
+entry to its canonical associate).  The loop and the pinned pivot rule are
+those of `smith_normal_form`.  Solutions and kernels (`solve`,
+`kernel_basis`) read `solve_kernel`, which eliminates a once for both: over a
+field one row reduction of [a | b], whose pivots among a's columns are a's
+own; otherwise one Smith form u*a*v = d, whose v gives the kernel and whose u
+and v give the solution.
 
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
@@ -208,35 +211,39 @@ class ElementaryDivisors:
 
 
 class _Worker:
-    """Mutable elimination state: a with accumulated row (u) and col (v) ops."""
+    """Mutable elimination state: a with accumulated row (u) and col (v) ops.
 
-    def __init__(self, m: Matrix, u: Matrix, v: Matrix):
+    Given no u and v the worker runs diagonal-only: each operation touches
+    only a."""
+
+    def __init__(self, m: Matrix, u: Matrix = None, v: Matrix = None):
         self.ring = m.ring
         plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
         self.add, self.mul = (operator.add, operator.mul) if plain else (m.ring.add, m.ring.mul)
         self.a = [list(row) for row in m.entries]
         self.rows, self.cols = m.rows, m.cols
-        self.u = [list(row) for row in u.entries]
-        self.v = [list(row) for row in v.entries]
+        self.u = [list(row) for row in u.entries] if u is not None else None
+        self.v = [list(row) for row in v.entries] if v is not None else None
+        self.by_row = (self.a,) if u is None else (self.a, self.u)
+        self.by_col = (self.a,) if v is None else (self.a, self.v)
 
     def swap_rows(self, i, j):
         if i != j:
-            self.a[i], self.a[j] = self.a[j], self.a[i]
-            self.u[i], self.u[j] = self.u[j], self.u[i]
+            for m in self.by_row:
+                m[i], m[j] = m[j], m[i]
 
     def swap_cols(self, i, j):
         if i != j:
-            for row in self.a:
-                row[i], row[j] = row[j], row[i]
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
+            for rows in self.by_col:
+                for row in rows:
+                    row[i], row[j] = row[j], row[i]
 
     def addmul_row(self, i, j, c):
         """row_i += c * row_j"""
         if not c:
             return
         add, mul = self.add, self.mul
-        for m in (self.a, self.u):
+        for m in self.by_row:
             m[i] = [add(x, mul(c, y)) if y else x for x, y in zip(m[i], m[j])]
 
     def addmul_col(self, i, j, c):
@@ -244,7 +251,7 @@ class _Worker:
         if not c:
             return
         add, mul = self.add, self.mul
-        for rows in (self.a, self.v):
+        for rows in self.by_col:
             for row in rows:
                 y = row[j]
                 if y:
@@ -252,8 +259,8 @@ class _Worker:
 
     def scale_row(self, i, w):
         r = self.ring
-        self.a[i] = [r.mul(w, x) for x in self.a[i]]
-        self.u[i] = [r.mul(w, x) for x in self.u[i]]
+        for m in self.by_row:
+            m[i] = [r.mul(w, x) for x in m[i]]
 
 
 def _pivot(w: _Worker, t: int):
@@ -283,6 +290,13 @@ def smith_normal_form(m: Matrix):
     if r.needs_lift:
         return _smith_via_lift(m)
     w = _Worker(m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols))
+    _eliminate(w)
+    return _canonical_diagonal(w)
+
+
+def _eliminate(w: _Worker):
+    """Diagonalize w.a in place into a divisor chain, up to associates."""
+    r = w.ring
     t = 0
     while True:
         best = _pivot(w, t)
@@ -334,7 +348,6 @@ def smith_normal_form(m: Matrix):
         t += 1
         if t >= min(w.rows, w.cols):
             break
-    return _canonical_diagonal(w)
 
 
 def _smith_via_lift(m: Matrix):
@@ -398,12 +411,19 @@ def _rref_field(m: Matrix):
 
 
 def _diagonal(m: Matrix) -> list:
-    """The Smith diagonal of m.  A field's is one 1 per pivot of its row
-    reduction, so it needs no transforms."""
+    """The Smith diagonal of m, with no transforms.  A field's is one 1 per
+    pivot of its row reduction, then zeros; any other ring runs the Smith
+    worker diagonal-only, Z/n on its integer lift, each entry then reduced."""
     r = m.ring
     if r.is_field:
-        return [r.one()] * len(_rref_field(m)[1])
-    return diagonal_of(smith_normal_form(m)[0])
+        k = len(_rref_field(m)[1])
+        return [r.one()] * k + [r.zero()] * (min(m.rows, m.cols) - k)
+    w = _Worker(m.map_entries(r.lift_elem, r.lift_ring()) if r.needs_lift else m)
+    _eliminate(w)
+    diag = (w.a[k][k] for k in range(min(m.rows, m.cols)))
+    if r.needs_lift:
+        diag = map(r.reduce_elem, diag)
+    return [r.canonical_associate(e)[1] for e in diag]
 
 
 def rank(m: Matrix) -> int:

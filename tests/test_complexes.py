@@ -35,9 +35,12 @@ from quivertt import (
     koszul_complex,
     load_workspace,
     parse_ring,
+    point_quiver,
     projective_rep,
     projective_resolution,
+    rep_free,
     shift_complex,
+    solve,
     stalk_complex,
     unit_complex,
     unit_restriction,
@@ -169,14 +172,27 @@ def test_homology_range_brackets_support():
     assert all(n in ns for n in (-4, -3))
 
 
-def _one_path_samples():
-    """Seeded complexes over all six rings, as (label, complex)."""
+def _mixed_diagonal_complex(ring, diag, c):
+    """Point complex R^4 -> R^5 -> R whose d^-1 has Smith diagonal `diag`
+    behind unimodular transforms, and d^0 is c times a row of U^-1 that
+    kills im d^-1.  With r = rank d^-1: H^-1 = R^(4 - r), H^0 = R^(4 - r)
+    plus torsion, H^1 = R/(c)."""
+    def ints(rows):
+        return Matrix.from_rows(ring, [[ring.from_int(e) for e in row] for row in rows])
+
+    u = ints([[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [1, -1, 1, 0, 0], [0, 3, 1, 1, 0], [1, 0, -2, 1, 1]])
+    v = ints([[1, 1, 0, 2], [0, 1, -1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    es = [ring.parse_elem(t) for t in diag]
+    d = Matrix.from_rows(ring, [[es[i] if i == j else 0 for j in range(4)] for i in range(5)])
+    row = solve(u, Matrix.identity(ring, 5)).entries[4]
+    d0 = Matrix.from_rows(ring, [[ring.mul(ring.parse_elem(c), e) for e in row]])
+    free = {n: FGModule.free(ring, k) for n, k in ((-1, 4), (0, 5), (1, 1))}
+    return complex_r(ring, free, {-1: u.mul(d).mul(v), 0: d0})
+
+
+def _relation_samples():
+    """Complexes the diagonal path must leave alone, as (label, complex)."""
     out = []
-    for text in ("Z", "Q", "Fp(5)", "Zloc(3)", "FpX(3)"):
-        ring = parse_ring(text)
-        for k in range(6):
-            rng = random.Random(f"fibers:{text}:{k}")
-            out.append((text, random_perfect_complex(random_acyclic_quiver(rng, 3), ring, rng)))
     zmod = parse_ring("Zmod(12)")
     for k in range(6):
         # Z/12 is not regular: free point complexes parked at every vertex
@@ -185,33 +201,98 @@ def _one_path_samples():
         out.append(("Zmod(12)", direct_sum_complexes([i_times(random_point_complex(zmod, rng), q, v)
                                                       for v in q.vertices])))
     out.append(("T6", load_workspace(WS / "z_a3.yaml").objects["T6"]))
+    # a free fiber onto Z/2: the cycles are 2Z, not ker d = 0, so H^0 = Z
+    onto = {0: FGModule.free(Z, 1), 1: FGModule(Z, Matrix.from_rows(Z, [[2]]))}
+    out.append(("onto Z/2", complex_r(Z, onto, {0: Matrix.from_rows(Z, [[1]])})))
     return out
 
 
-def test_homology_fibers_are_the_fibers_of_homology():
-    torsion = nonzero = 0
+def _one_path_samples():
+    """Seeded complexes over all six rings, and hand-built ones, as (label, complex)."""
+    out = []
+    for text in ("Z", "Q", "Fp(5)", "Zloc(3)", "FpX(3)"):
+        ring = parse_ring(text)
+        for k in range(6):
+            rng = random.Random(f"fibers:{text}:{k}")
+            out.append((text, random_perfect_complex(random_acyclic_quiver(rng, 3), ring, rng)))
+    # Smith diagonals of d^-1 mixing units, non-units and zeros
+    for text, diag, c in (("Z", ("1", "2", "6", "0"), "3"), ("Zloc(3)", ("2", "3", "18", "0"), "6"),
+                          ("FpX(3)", ("1", "x", "x^2+x", "0"), "x+1"), ("Q", ("1", "2", "0", "0"), "3")):
+        out.append((text, _mixed_diagonal_complex(parse_ring(text), diag, c)))
+    # zero differentials in and out: none at all on the point, all-zero
+    # matrices at vertex 2 of A2; and a stalk, missing degrees n - 1 and n + 1
+    free = {n: FGModule.free(Z, k) for n, k in ((-1, 2), (0, 3), (1, 1))}
+    flat = complex_r(Z, free, {-1: Matrix.zeros(Z, 3, 2), 0: Matrix.zeros(Z, 1, 3)})
+    mixed = _mixed_diagonal_complex(Z, ("1", "2", "6", "0"), "3")
+    out.append(("Z", flat))
+    out.append(("Z", direct_sum_complexes([i_times(mixed, A2, 1), i_times(flat, A2, 2)])))
+    out.append(("Z", stalk_complex(rep_free(A2, Z, {"1": 2, "2": 1}, {"a": Matrix.from_rows(Z, [[1, 3]])}))))
+    return out + _relation_samples()
+
+
+def test_homology_fibers_are_the_fibers_of_homology(monkeypatch):
+    # a live vertex takes the cycle-matrix path iff `_homology_parts` sees it;
+    # the others read the Smith diagonals
+    seen = []
+    real = complexes._homology_parts
+
+    def recorded(x, n, vertices):
+        seen.extend(vertices)
+        return real(x, n, vertices)
+
+    monkeypatch.setattr(complexes, "_homology_parts", recorded)
+    took = {}  # (label, path) -> [nonzero fibers, fibers with torsion]
     for label, x in _one_path_samples():
         ns = homology_range(x)
         outside = [ns.start - 1, ns.stop] if ns else [0]
         for n in list(ns) + outside:
+            seen.clear()
             fibers = homology_fibers(x, n)
+            cycle_path = set(seen)
             h = homology(x, n)
             assert list(fibers) == list(x.quiver.vertices), label
             assert ({v: m.iso_key() for v, m in fibers.items()}
                     == {v: h.fibers[v].iso_key() for v in x.quiver.vertices}), (label, n)
-            nonzero += sum(not m.is_zero_module for m in fibers.values())
-            torsion += sum(bool(m.divisors.divisors) for m in fibers.values())
-    assert nonzero and torsion
+            for v, m in fibers.items():
+                if n in x.terms and x.terms[n].gens(v):
+                    count = took.setdefault((label, v in cycle_path), [0, 0])
+                    count[0] += not m.is_zero_module
+                    count[1] += bool(m.divisors.divisors)
+    for label in ("Z", "Q", "Fp(5)", "Zloc(3)", "FpX(3)"):
+        assert (label, True) not in took and took[(label, False)][0], label
+    for label in ("Z", "Zloc(3)", "FpX(3)"):
+        assert took[(label, False)][1], label
+    for label in ("Zmod(12)", "T6", "onto Z/2"):
+        assert (label, False) not in took and took[(label, True)][0], label
+    assert took[("T6", True)][1]
+
+
+def test_homology_fibers_of_a_mixed_smith_diagonal():
+    x = _mixed_diagonal_complex(Z, ("1", "2", "6", "0"), "3")
+    assert [str(homology_fibers(x, n)["pt"]) for n in (-1, 0, 1)] == ["R", "R + R/(2) + R/(6)", "R/(3)"]
+
+
+def test_homology_fibers_keep_the_invalid_complex_check(monkeypatch):
+    # a trusted free complex with d^0 d^-1 = [1] != 0, on the diagonal path
+    def refuse(x, n, vertices):
+        raise AssertionError("free fibers took the cycle-matrix path")
+
+    monkeypatch.setattr(complexes, "_homology_parts", refuse)
+    pt = point_quiver()
+    one = Matrix.from_rows(Z, [[1]])
+    terms = {n: complexes._trusted(Representation, pt, Z, {"pt": FGModule.free(Z, 1)}, {}) for n in (-1, 0, 1)}
+    x = complexes._complex(pt, Z, terms, {-1: {"pt": one}, 0: {"pt": one}})
+    with pytest.raises(ShapeMismatch, match="boundaries escaped the cycle module"):
+        homology_fibers(x, 0)
 
 
 def test_homology_fibers_eliminate_each_cycle_matrix_once(monkeypatch):
-    # one elimination of K gives both the boundary coordinates and the
-    # relations among them: no `solve` against K, one kernel per live vertex
-    samples = []
-    for text in ("Z", "Fp(5)"):
-        ring = parse_ring(text)
-        for k in range(4):
-            samples.append(random_perfect_complex(A3, ring, random.Random(f"once:{text}:{k}")))
+    # literally free fibers over a domain read two Smith diagonals: no kernel
+    # and no solve.  Fibers with relations, and Z/n, eliminate one cycle
+    # matrix per live vertex: one kernel, and no `solve` against it
+    free = [random_perfect_complex(A3, ring, random.Random(f"once:{ring}:{k}"))
+            for ring in (Z, IntegersLocalized(3), PolyOverPrimeField(3)) for k in range(4)]
+    relations = _relation_samples()
     calls = []
     real = complexes.kernel_basis
 
@@ -219,17 +300,23 @@ def test_homology_fibers_eliminate_each_cycle_matrix_once(monkeypatch):
         calls.append(m)
         return real(m)
 
-    def refuse(a, b):
-        raise AssertionError("homology eliminated a cycle matrix a second time")
+    def refuse(*args):
+        raise AssertionError("homology eliminated a cycle matrix it did not need")
 
-    monkeypatch.setattr(complexes, "kernel_basis", counted)
     monkeypatch.setattr(complexes, "solve", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "kernel_basis", refuse)
+        m.setattr(complexes, "solve_kernel", refuse)
+        for x in free:
+            for n in homology_range(x):
+                homology_fibers(x, n)
+    monkeypatch.setattr(complexes, "kernel_basis", counted)
     live_total = 0
-    for x in samples:
+    for _, x in relations:
         for n in homology_range(x):
             calls.clear()
             homology_fibers(x, n)
-            live = [v for v in A3.vertices if n in x.terms and x.terms[n].gens(v)]
+            live = [v for v in x.quiver.vertices if n in x.terms and x.terms[n].gens(v)]
             assert len(calls) == len(live)
             live_total += len(live)
     assert live_total

@@ -19,7 +19,7 @@ from quivertt import (
     smith_normal_form,
     solve,
 )
-from quivertt.linalg import ElementaryDivisors, solve_kernel
+from quivertt.linalg import ElementaryDivisors, _diagonal, diagonal_of, solve_kernel
 
 Z = Integers()
 
@@ -379,3 +379,44 @@ def test_solve_kernel_reads_one_elimination(ring):
             assert kernel.cols == a.cols - rank(a)
         assert x.entries == solve(a, b).entries
         assert kernel.entries == kernel_basis(a).entries
+
+
+def unitriangular(ring, rng, n, lower):
+    """Determinant one on every ring, so a product of two is unimodular."""
+    elems = sample_elements(ring, rng, 6)
+    return Matrix(ring, n, n, tuple(
+        tuple(ring.one() if i == j else rng.choice(elems) if (i > j) == lower else ring.zero() for j in range(n))
+        for i in range(n)))
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_diagonal_only_mode_matches_smith_diagonal(ring):
+    rng = random.Random(19)
+    elems = [e for e in sample_elements(ring, rng) if e]
+    cases = [Matrix.zeros(ring, rows, cols) for rows, cols in ((0, 0), (0, 5), (5, 0), (3, 4), (4, 4))]
+    for n in (1, 3, 5):  # all units on the diagonal
+        cases.append(unitriangular(ring, rng, n, True).mul(unitriangular(ring, rng, n, False)))
+    for k in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append(sparse_matrix(ring, rng, rows, cols, elems, density=0.3) if k % 2
+                     else random_matrix(ring, rng, rows, cols))
+    units = 0
+    for m in cases:
+        d = _diagonal(m)
+        assert d == diagonal_of(smith_normal_form(m)[0])
+        units += bool(d) and all(ring.is_unit(e) for e in d)
+    assert units >= 3
+
+
+@pytest.mark.parametrize("ring", (Z, PolyOverPrimeField(3)), ids=str)
+def test_diagonal_only_mode_builds_no_transform(ring, monkeypatch):
+    rng = random.Random(23)
+    cases = [random_matrix(ring, rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(10)]
+    want = [diagonal_of(smith_normal_form(m)[0]) for m in cases]
+
+    def refuse(ring, n):
+        raise AssertionError("the diagonal-only mode built a transform")
+
+    monkeypatch.setattr(Matrix, "identity", staticmethod(refuse))
+    assert [_diagonal(m) for m in cases] == want
+    assert [rank(m) for m in cases] == [sum(not ring.is_zero(e) for e in d) for d in want]
