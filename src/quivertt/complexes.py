@@ -6,13 +6,14 @@ arrow acting on chosen generators.  Validation is structural and exact:
 arrow maps must respect relations, morphisms must be natural modulo the
 target relations, differentials must square to zero.
 
-The validation boundary: the public constructors, `rep_free`, `complex_r`
-and workspace loading always validate.  `_trusted` (one object) and
-`_complex` (a whole complex) are the only way to skip `validate()`, for
-objects valid by construction; `cone`, `box_tensor` and the resolution
-steps call `.validate()` on what `_complex` returns.  Workspace loading
-validates each differential once, as it builds it, and then checks only
-d^2 = 0 on the assembled complex.
+One validation rule: the public constructors, `rep_free`, `complex_r`,
+workspace loading and the evaluation map validate; everything the package
+builds internally goes through `_trusted` (one object) or `_complex` (a
+whole complex) and is not validated again.  That includes `cone`,
+`box_tensor`, the resolution steps and the internal hom: their outputs are
+valid by construction when their inputs are.  Workspace loading validates
+each differential once, as it builds it, and then checks only d^2 = 0 on
+the assembled complex.
 
 Complexes are cohomological, sparse dictionaries degree -> representation.
 The shift is (X[1])^n = X^{n+1} with differential negated per shift.  All
@@ -22,6 +23,7 @@ pinned so equal inputs give byte-equal outputs.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -99,7 +101,9 @@ class Representation:
         return all(f.is_literally_free for f in self.fibers.values())
 
 
+@lru_cache(maxsize=4096)
 def rep_zero(quiver: Quiver, ring: Ring) -> Representation:
+    """The zero representation, one shared object per (quiver, ring)."""
     zero = FGModule.free(ring, 0)
     fibers = {v: zero for v in quiver.vertices}
     arrows = {n: Matrix.zeros(ring, 0, 0) for n, _, _ in quiver.arrows}
@@ -383,9 +387,7 @@ def cone(f: ComplexMorphism) -> ComplexRQ:
             bot = fv.hstack(db)
             mats[v] = top.vstack(bot)
         diffs[n] = mats
-    out = _complex(q, r, terms, diffs)
-    out.validate()
-    return out
+    return _complex(q, r, terms, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +647,7 @@ def box_tensor(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
                     grid[ri][ci] = blk if p % 2 == 0 else blk.neg()
             mats[v] = _assemble(r, grid, tgt_dims, src_dims)
         diffs[n] = mats
-    out = _complex(q, r, terms, diffs)
-    out.validate()
-    return out
+    return _complex(q, r, terms, diffs)
 
 
 def _assemble(ring, grid, row_dims, col_dims) -> Matrix:
@@ -843,11 +843,9 @@ def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:
             c = coord[(n, v)]
             fibers[v] = rep.fibers[v] if c is None else FGModule(r, c[3])
         arrows = {name: convert(rep.arrows[name], (n, s), (n, t)) for name, s, t in q.arrows}
-        terms[n] = Representation(q, r, fibers, arrows)
+        terms[n] = _trusted(Representation, q, r, fibers, arrows)
     diffs = {n: {v: convert(d.mats[v], (n, v), (n + 1, v)) for v in q.vertices} for n, d in x.diffs.items()}
-    out = _complex(q, r, terms, diffs)
-    out.validate()
-    return out
+    return _complex(q, r, terms, diffs)
 
 
 def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
@@ -900,7 +898,7 @@ def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
                                      [x.term(m).gens(t), pres(m + 1, t).cols],
                                      [x.term(m).gens(s), pres(m + 1, s).cols])
         if any(f.gens for f in fibers.values()):
-            terms[m] = Representation(q, r, fibers, arrows)
+            terms[m] = _trusted(Representation, q, r, fibers, arrows)
     for m in span:
         if m not in terms or m + 1 not in terms:
             continue
@@ -916,9 +914,7 @@ def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
                                 [x.term(m + 1).gens(v), pres(m + 2, v).cols],
                                 [x.term(m).gens(v), p_next.cols])
         diffs[m] = mats
-    out = _complex(q, r, terms, diffs)
-    out.validate()
-    return out
+    return _complex(q, r, terms, diffs)
 
 
 def projective_resolution(x: ComplexRQ) -> ComplexRQ:
@@ -930,12 +926,10 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
         0 -> sum_a P(t(a)) x X_{s(a)} -> sum_i P(i) x X_i -> X -> 0
 
     is applied termwise and totalized.  Refused over Z/n with square factors.
+    The result is built through `_complex` and not validated again, like
+    every internal builder.  Only the complex is built: the augmentation
+    back to x has one reader, the unit's in `homs`, which builds it there.
     """
-    resolved, _ = _resolution_with_counit(x)
-    return resolved
-
-
-def _resolution_with_counit(x: ComplexRQ):
     q, r = x.quiver, x.ring
     if isinstance(r, IntegersMod):
         square_free = all(r.n % (p * p) != 0 for p in int_prime_factors(r.n))
@@ -943,7 +937,7 @@ def _resolution_with_counit(x: ComplexRQ):
             raise NonRegularRing(f"cannot resolve over {r.label}; input must already be perfect")
     x = _free_fiber_replacement(x)
     if x.is_zero:
-        return x, _trusted(ComplexMorphism, x, x, {})
+        return x
 
     vorder = list(q.vertices)
     aorder = list(q.arrows)
@@ -1005,26 +999,10 @@ def _resolution_with_counit(x: ComplexRQ):
             out[v] = Matrix(r, sum(rdims), sum(cdims), tuple(tuple(row) for row in m))
         return out
 
-    def counit(term: Representation) -> dict:
-        """B0 -> X: p x z maps to the path action of p applied to z."""
-        out = {}
-        for v in q.vertices:
-            cols = []
-            for i in vorder:
-                for p in paths(q, i, v):
-                    act = term.path_action(i, p)
-                    for z in range(term.gens(i)):
-                        cols.append(act.column(z))
-            m = Matrix.zeros(r, term.gens(v), 0)
-            for c in cols:
-                m = m.hstack(c)
-            out[v] = m
-        return out
-
     degrees = x.degrees
     b0 = {n: b0_of(x.terms[n]) for n in degrees}
     b1 = {n: b1_of(x.terms[n]) for n in degrees}
-    terms, diffs, aug_parts = {}, {}, {}
+    terms, diffs = {}, {}
     span = sorted(set(degrees) | {n - 1 for n in degrees})
     for m in span:
         t = rep_direct_sum([b0[m] if m in degrees else rep_zero(q, r),
@@ -1048,19 +1026,7 @@ def _resolution_with_counit(x: ComplexRQ):
                     [None, bot_d[v].neg() if bot_d else None]]
             mats[v] = _assemble(r, grid, [r00, r10], [c00, c10])
         diffs[m] = mats
-    resolved = _complex(q, r, terms, diffs)
-    resolved.validate()
-    for m in degrees:
-        if m not in terms:
-            continue
-        eps = counit(x.terms[m])
-        mats = {}
-        for v in q.vertices:
-            pad = Matrix.zeros(r, x.term(m).gens(v), terms[m].gens(v) - eps[v].cols)
-            mats[v] = eps[v].hstack(pad)
-        aug_parts[m] = _trusted(RepMorphism, terms[m], x.terms[m], mats)
-    aug = ComplexMorphism(resolved, x, aug_parts)
-    return resolved, aug
+    return _complex(q, r, terms, diffs)
 
 
 def _proj_tensor(p: Representation, n: int) -> Representation:

@@ -5,13 +5,13 @@ naturality constraint system, one matrix variable per vertex.  The internal
 hom against a vertex i evaluates Hom(X tensor P(i), Y); arrows act by
 precomposition with the path-prefixing inclusions P(j) -> P(i).
 
-Everything here is assembled from explicit generator lifts.  `chom_rep`,
-`chom_complex` and the evaluation map validate what they build (arrow maps,
-naturality, d^2 = 0, the chain-map equations), so a sign error there refuses
-to build rather than return garbage; the `chom_complex` differentials are
-validated once, as part of the complex.  `ChainMapSpace.build` does not
-validate: its maps are kernel vectors of the chain-map equations, valid by
-construction.
+Everything here is assembled from explicit generator lifts.  The package's
+one validation rule holds here too: `chom_rep`, `chom_complex` and
+`ChainMapSpace.build` build through `_trusted` and `_complex` without
+validating again (hom fibers are kernels, arrows are expressed lifts, chain
+maps are kernel vectors of the chain-map equations).  The evaluation map is
+the exception: it promises a validated map, so it and the unit's
+augmentation it reads are checked (naturality, the chain-map equations).
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from .complexes import (
     RepMorphism,
     _assemble,
     _complex,
-    _resolution_with_counit,
     _trusted,
     box_tensor,
     cone,
     ensure_perfect,
     is_acyclic,
     projective_rep,
+    projective_resolution,
     proj_precompose,
     rep_box,
     rep_mor_identity,
@@ -161,7 +161,7 @@ def chom_rep(y: Representation, z: Representation) -> Representation:
             f = src_hd.lift(l)
             glist.append({v: f[v].mul(pre[v]) for v in q.vertices})
         arrows[name] = tgt_hd.express_cols(glist)
-    return Representation(q, r, fibers, arrows)
+    return _trusted(Representation, q, r, fibers, arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
             rdims = [hd[(j, a, m)].gens for m in ms_j]
             cdims = [hd[(i, a, m)].gens for m in ms]
             arrows[name] = _assemble(r, grid, rdims, cdims)
-        terms[a] = Representation(q, r, fibers, arrows)
+        terms[a] = _trusted(Representation, q, r, fibers, arrows)
 
     diffs = {}
     for a in a_values:
@@ -266,9 +266,7 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
             cdims = [hd[(i, a, m)].gens for m in ms]
             mats[i] = _assemble(r, grid, rdims, cdims)
         diffs[a] = mats
-    cx = _complex(q, r, terms, diffs)
-    cx.validate()
-    return ChomData(cx, summands, hd, offsets, x, y)
+    return ChomData(_complex(q, r, terms, diffs), summands, hd, offsets, x, y)
 
 
 def internal_hom(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
@@ -280,10 +278,25 @@ def internal_hom(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
 
 
 def _unit_with_counit(q, ring):
+    """A perfect replacement w of the unit u with its augmentation w -> u.
+
+    u sits in degree 0 with free fibers, so w^0 is the B0 block of
+    `projective_resolution`, the sum of the P(i) x u_i in vertex order (its
+    B1 block comes from u^1 = 0).  The augmentation sends p x z there to the
+    path action of p on z.  It is validated here, once per call.
+    """
     u = unit_complex(q, ring)
     if u.perfect:
         return u, _trusted(ComplexMorphism, u, u, {0: rep_mor_identity(u.terms[0])})
-    return _resolution_with_counit(u)
+    w = projective_resolution(u)
+    unit = u.terms[0]
+    mats = {}
+    for v in q.vertices:
+        cols = [tuple(row[z] for row in unit.path_action(i, p).entries)
+                for i in q.vertices for p in paths(q, i, v) for z in range(unit.gens(i))]
+        mats[v] = Matrix(ring, unit.gens(v), len(cols),
+                         tuple(tuple(c[k] for c in cols) for k in range(unit.gens(v))))
+    return w, ComplexMorphism(w, u, {0: _trusted(RepMorphism, w.terms[0], unit, mats)})
 
 
 def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) -> ComplexMorphism:

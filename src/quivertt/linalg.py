@@ -175,9 +175,6 @@ class Matrix:
                         out[i * other.rows + s][j * other.cols + t] = r.mul(a, other.entries[s][t])
         return Matrix(r, rows, cols, tuple(tuple(row) for row in out))
 
-    def column(self, j: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, 1, tuple((row[j],) for row in self.entries))
-
     def select_columns(self, idxs) -> "Matrix":
         return Matrix(self.ring, self.rows, len(idxs), tuple(tuple(row[j] for j in idxs) for row in self.entries))
 

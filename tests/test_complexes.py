@@ -415,7 +415,8 @@ def test_box_needs_a_usable_side():
 
 
 def test_box_koszul_signs_square():
-    # totalization signs: d^2 = 0 on a 2x2 grid, checked by box_tensor and again here
+    # totalization signs: box_tensor does not validate its output, so d^2 = 0
+    # on the 2x2 grid is checked here
     a = koszul_complex(Z, [2])
     b = koszul_complex(Z, [3])
     prod = box_tensor(a, b)

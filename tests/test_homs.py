@@ -26,6 +26,7 @@ from quivertt import (
     is_acyclic,
     is_rigid,
     kernel_basis,
+    parse_ring,
     projective_rep,
     rep_box,
     rigidity_report,
@@ -34,6 +35,7 @@ from quivertt import (
     unit_complex,
     unit_restriction,
 )
+from quivertt.homs import _unit_with_counit
 from quivertt.samples import random_acyclic_quiver, random_free_rep, random_perfect_complex
 
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
@@ -218,6 +220,20 @@ def test_evaluation_map_validates_and_cones():
     assert is_acyclic(cone(ev))
     u1 = ensure_perfect(vertex_unit(A2, F2, 1))
     assert not is_acyclic(cone(evaluation_map(u1, u1)))
+
+
+@pytest.mark.parametrize("text", ["Z", "Q", "Fp(5)", "Zloc(3)", "FpX(3)"])
+def test_unit_augmentation_is_a_quasi_isomorphism(text):
+    ring = parse_ring(text)
+    rng = random.Random(f"augmentation:{text}")
+    q = random_acyclic_quiver(rng, 3)
+    # a 3-vertex quiver whose unit is not projective, so the augmentation is built
+    while len(q.vertices) < 3 or unit_complex(q, ring).perfect:
+        q = random_acyclic_quiver(rng, 3)
+    for quiver in (A2, q):
+        w, aug = _unit_with_counit(quiver, ring)
+        assert w.perfect and aug.source is w
+        assert is_acyclic(cone(aug))
 
 
 def test_parked_torsion_is_rigid_over_point():

@@ -1,12 +1,13 @@
 """Builders that skip validation produce valid objects on every ring.
 
 Shifts, sums, vertex evaluation, Kan extensions, parking, component
-restriction and embedding, base change and chain-map assembly all build
-their output without `validate()`, because it is valid by construction.
-This file re-validates those outputs (every term, every differential,
-d^2 = 0) on samples over Z, Q, Fp(5), Zmod(12), Zloc(3) and FpX(3), drawn
-the way the `rings` benchmark draws them.  Cones, tensor products and
-homology ride along: they are the places where a sign slip would show.
+restriction and embedding, base change, chain-map assembly, cones, tensor
+products, perfect replacements and the internal hom all build their output
+without `validate()`, because it is valid by construction.  This file
+re-validates those outputs (every term, every differential, d^2 = 0) on
+samples over Z, Q, Fp(5), Zmod(12), Zloc(3) and FpX(3), drawn the way the
+`rings` benchmark draws them, and counts that the builders themselves make
+no `validate()` call.
 """
 
 import random
@@ -16,18 +17,34 @@ import pytest
 from quivertt import (
     ComplexMorphism,
     ComplexRQ,
+    FGModule,
+    Matrix,
+    NonRegularRing,
+    NotPerfect,
+    Representation,
+    RepMorphism,
+    UnsupportedRing,
     box_tensor,
+    build_quiver,
     change_ring,
+    chom_rep,
     cone,
     direct_sum_complexes,
+    ensure_perfect,
     eval_vertex,
+    evaluation_map,
     filtration_system,
     homology,
+    homology_fingerprint,
     homology_range,
     i_times,
+    internal_hom,
     kan_extend,
     parse_ring,
+    projective_rep,
     shift_complex,
+    stalk_complex,
+    unit_complex,
 )
 from quivertt.homs import ChainMapSpace
 from quivertt.samples import random_acyclic_quiver, random_perfect_complex, random_point_complex
@@ -106,3 +123,103 @@ def test_change_ring_from_integers_is_valid(target):
     ring = parse_ring(target)
     for z in (x, box_tensor(x, y)):
         assert_valid(change_ring(z, ring))
+
+
+# two sources into a sink: the unit is not projective, so it gets resolved
+V = build_quiver([1, 2, 3], ["a: 1 -> 3", "b: 2 -> 3"])
+NON_UNITS = {"Z": "2", "Q": "2", "Fp(5)": "2", "Zmod(12)": "2", "Zloc(3)": "3", "FpX(3)": "x"}
+
+
+def times(x, c):
+    """Multiplication by the ring element c on every term of x."""
+    parts = {n: RepMorphism(rep, rep, {v: Matrix.identity(x.ring, rep.gens(v)).scale(c) for v in x.quiver.vertices})
+             for n, rep in x.terms.items()}
+    return ComplexMorphism(x, x, parts)
+
+
+def torsion_sample(text):
+    """A complex over V that is not perfect and has fibers with relations.
+
+    The cone of c on the unit (free fibers, not projective) plus t -> t -> t,
+    where t has fibers R/(c^2) + R and each differential multiplies the
+    torsion generator by c.  At the sink the first one multiplies it by
+    c + c^2, so that it is natural, and d^2 vanishes, only modulo the
+    relations: both lifts in `_free_fiber_replacement` are nonzero.  Over Z,
+    Zloc(3) and FpX(3) c is a non-unit and the fibers have torsion; over the
+    fields c^2 is a unit, and the fiber steps drop the generator it kills.
+    """
+    ring = parse_ring(text)
+    c = ring.parse_elem(NON_UNITS[text])
+    cc, z = ring.mul(c, c), ring.zero()
+    t = Representation(V, ring, {v: FGModule(ring, Matrix(ring, 2, 1, ((cc,), (z,)))) for v in V.vertices},
+                       {a: Matrix.identity(ring, 2) for a in ("a", "b")})
+
+    def on_torsion(e):
+        return Matrix(ring, 2, 2, ((e, z), (z, z)))
+
+    d0 = RepMorphism(t, t, {"1": on_torsion(c), "2": on_torsion(c), "3": on_torsion(ring.add(c, cc))})
+    d1 = RepMorphism(t, t, {v: on_torsion(c) for v in V.vertices})
+    s = ComplexRQ(V, ring, {0: t, 1: t, 2: t}, {0: d0, 1: d1})
+    return direct_sum_complexes([cone(times(unit_complex(V, ring), c)), s])
+
+
+@pytest.mark.parametrize("text", RINGS)
+def test_resolutions_of_torsion_fibers_are_valid(text):
+    x = torsion_sample(text)
+    assert not x.perfect
+    assert not all(rep.all_free() for rep in x.terms.values())
+    if text == "Zmod(12)":
+        # Z/12 is not regular: only inputs that are already perfect are accepted
+        with pytest.raises(NonRegularRing):
+            ensure_perfect(x)
+        return
+    r = ensure_perfect(x)
+    assert r.perfect
+    assert_valid(r)
+    assert homology_fingerprint(r) == homology_fingerprint(x)
+
+
+@pytest.mark.parametrize("text", RINGS)
+def test_internal_homs_are_valid(text):
+    q, x, y = sample_pair(text)
+    if text == "Zmod(12)":
+        # the parked samples are not perfect and Z/12 cannot resolve them,
+        # so the internal hom runs on sums of projectives; hom fibers need
+        # not be free over a non-domain, so chom_rep refuses Z/12 outright
+        with pytest.raises(NotPerfect):
+            internal_hom(x, y)
+        with pytest.raises(UnsupportedRing):
+            chom_rep(projective_rep(q, x.ring, q.vertices[0]), projective_rep(q, x.ring, q.vertices[0]))
+        projs = [stalk_complex(projective_rep(q, x.ring, v)) for v in q.vertices]
+        x, y = direct_sum_complexes([projs[0], shift_complex(projs[-1], 1)]), direct_sum_complexes(projs)
+    else:
+        for a in x.terms.values():
+            for b in y.terms.values():
+                assert_valid(chom_rep(a, b))
+    assert_valid(internal_hom(x, y))
+    assert_valid(internal_hom(y, x))
+
+
+def test_builders_make_no_validate_calls(monkeypatch):
+    calls = {}
+    for cls in (Representation, RepMorphism, ComplexRQ, ComplexMorphism):
+        def counted(self, _validate=cls.validate, _name=cls.__name__):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _validate(self)
+        monkeypatch.setattr(cls, "validate", counted)
+
+    def count(build):
+        calls.clear()
+        build()
+        return dict(calls)
+
+    x = torsion_sample("Z")
+    _, a, b = sample_pair("Z")
+    space = ChainMapSpace(a, a)
+    assert count(lambda: ensure_perfect(x)) == {}
+    assert count(lambda: box_tensor(a, b)) == {}
+    assert count(lambda: cone(space.build([1] * space.dim))) == {}
+    assert count(lambda: internal_hom(a, b)) == {}
+    # the evaluation map promises a validated map
+    u = ensure_perfect(unit_complex(V, a.ring))
+    assert count(lambda: evaluation_map(u, u)).get("ComplexMorphism", 0) >= 1
