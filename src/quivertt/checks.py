@@ -17,9 +17,8 @@ from .complexes import (
     direct_sum_complexes,
     ensure_perfect,
     eval_vertex,
-    homology_fibers,
     homology_fingerprint,
-    homology_range,
+    homology_sweep,
     i_times,
     is_acyclic,
     kan_extend,
@@ -120,9 +119,9 @@ def check_aisle_standard(rng):
     f = standard_filtration(q, ring)
     direct = all(
         fib.is_zero_module
-        for n in homology_range(x)
+        for n, fibers in homology_sweep(x)
         if n >= 1
-        for fib in homology_fibers(x, n).values()
+        for fib in fibers.values()
     )
     got = aisle_membership(x, f)
     return got == direct, f"membership {got}, homology says {direct}"

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .checks import run_suite
-from .complexes import box_tensor, ensure_perfect, homology_fibers, homology_range, unit_complex
+from .complexes import box_tensor, ensure_perfect, homology_sweep, unit_complex
 from .errors import QuiverTTError, UnknownName, WorkspaceError
 from .homs import internal_hom, is_rigid
 from .spectrum import (
@@ -74,8 +74,8 @@ def _filtration_lines(f) -> list:
 
 def _homology_table(x) -> dict:
     out = {}
-    for n in homology_range(x):
-        row = {v: str(fib) for v, fib in homology_fibers(x, n).items() if not fib.is_zero_module}
+    for n, fibers in homology_sweep(x):
+        row = {v: str(fib) for v, fib in fibers.items() if not fib.is_zero_module}
         if row:
             out[n] = row
     return out

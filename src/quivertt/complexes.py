@@ -33,8 +33,8 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .linalg import (Matrix, cokernel_presentation, diagonal_of, is_split_mono, kernel_basis, rank,
-                     smith_normal_form, solve, solve_kernel)
+from .linalg import (Matrix, _diagonal, diagonal_of, is_split_mono, kernel_basis, rank, smith_normal_form,
+                     solve, solve_kernel)
 from .quivers import Quiver, paths, point_quiver, vertex_set
 from .rings import FGModule, IntegersMod, Ring, check_same_ring, int_prime_factors
 
@@ -699,6 +699,47 @@ def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
     return out
 
 
+def _smith_diagonals(x: ComplexRQ):
+    """A lookup (k, v) -> Smith diagonal of d^k at v (empty where x has no
+    d^k) that eliminates each matrix once, for the lookup's lifetime."""
+    seen = {}
+
+    def diag(k, v):
+        if (k, v) not in seen:
+            d = x.diffs.get(k)
+            seen[k, v] = _diagonal(d.mats[v]) if d else []
+        return seen[k, v]
+    return diag
+
+
+def _rank_of(diag) -> int:
+    return sum(1 for e in diag if e)
+
+
+def _fibers(x: ComplexRQ, n: int, diag) -> dict:
+    """`homology_fibers`, reading Smith diagonals through the lookup diag."""
+    r, vertices = x.ring, x.quiver.vertices
+    cur, nxt, dn, dp = x.terms.get(n), x.terms.get(n + 1), x.diffs.get(n), x.diffs.get(n - 1)
+    live = [v for v in vertices if cur is not None and cur.gens(v)]
+    out = {}
+    for v in live:
+        if not (r.is_domain and cur.fibers[v].is_literally_free
+                and (nxt is None or nxt.fibers[v].is_literally_free)):
+            continue
+        if dn and dp and dp.mats[v].cols and not dn.mats[v].mul(dp.mats[v]).is_zero():
+            raise ShapeMismatch("boundaries escaped the cycle module; invalid complex")
+        into, z = diag(n - 1, v), r.zero()
+        divs = tuple(e for e in into if e and not r.is_unit(e))
+        f = cur.gens(v) - _rank_of(into) - _rank_of(diag(n, v))
+        rows = tuple(tuple(d if i == j else z for j in range(len(divs))) for i, d in enumerate(divs))
+        out[v] = FGModule(r, Matrix(r, len(divs) + f, len(divs), rows + ((z,) * len(divs),) * f))
+    rest = [v for v in live if v not in out]
+    if rest:
+        out.update((v, h) for v, (_, h) in _homology_parts(x, n, rest).items())
+    zero = FGModule.free(r, 0) if len(live) < len(vertices) else None
+    return {v: out.get(v, zero) for v in vertices}
+
+
 def homology_fibers(x: ComplexRQ, n: int) -> dict:
     """{v: H^n(x) at v}: the fibers of `homology`, without its arrow maps.
 
@@ -716,27 +757,16 @@ def homology_fibers(x: ComplexRQ, n: int) -> dict:
     eliminating.  `homology` cannot skip it: when the next fiber has
     relations, K there can be 0 x j with j > 0, and arrow shapes depend on j.
     """
-    r, vertices = x.ring, x.quiver.vertices
-    cur, nxt, dn, dp = x.terms.get(n), x.terms.get(n + 1), x.diffs.get(n), x.diffs.get(n - 1)
-    live = [v for v in vertices if cur is not None and cur.gens(v)]
-    out = {}
-    for v in live:
-        if not (r.is_domain and cur.fibers[v].is_literally_free
-                and (nxt is None or nxt.fibers[v].is_literally_free)):
-            continue
-        into = dp.mats[v] if dp else Matrix.zeros(r, cur.gens(v), 0)
-        if dn and into.cols and not dn.mats[v].mul(into).is_zero():
-            raise ShapeMismatch("boundaries escaped the cycle module; invalid complex")
-        coker = cokernel_presentation(into)
-        divs, z = coker.divisors, r.zero()
-        f = coker.free_rank - (rank(dn.mats[v]) if dn else 0)
-        rows = tuple(tuple(d if i == j else z for j in range(len(divs))) for i, d in enumerate(divs))
-        out[v] = FGModule(r, Matrix(r, len(divs) + f, len(divs), rows + ((z,) * len(divs),) * f))
-    rest = [v for v in live if v not in out]
-    if rest:
-        out.update((v, h) for v, (_, h) in _homology_parts(x, n, rest).items())
-    zero = FGModule.free(r, 0) if len(live) < len(vertices) else None
-    return {v: out.get(v, zero) for v in vertices}
+    return _fibers(x, n, _smith_diagonals(x))
+
+
+def homology_sweep(x: ComplexRQ):
+    """(n, `homology_fibers(x, n)`) for n in `homology_range(x)`, reading each
+    d^k_v's Smith diagonal once: d^k serves as d^n at degree k and as
+    d^(n-1) at degree k + 1."""
+    diag = _smith_diagonals(x)
+    for n in homology_range(x):
+        yield n, _fibers(x, n, diag)
 
 
 def homology(x: ComplexRQ, n: int) -> Representation:
@@ -767,27 +797,44 @@ def homology_fingerprint(x: ComplexRQ):
     Over a field the ranks of the induced arrow maps are appended, making the
     fingerprint a complete derived invariant for the quivers we test over;
     over Z and friends it is the documented necessary-condition check.
+
+    The fibers are those of `homology_sweep`, and the arrow ranks share its
+    Smith diagonals.  At a field degree n where every fiber in degrees n and
+    n + 1 is literally free, the rank of arrow a: s -> t on H^n is
+    rank M - rank d_s^n - rank d_t^(n-1), with M = [[a, d_t^(n-1)], [d_s^n, 0]].
+    Proof: (x, y) -> a x + d_t y on Z_s + C_t^(n-1) has kernel ker M and
+    image a(Z_s) + B_t, so that image has dimension rank M - rank d_s^n, and
+    B_t has dimension rank d_t^(n-1).  Other field degrees read the arrow
+    maps of `homology`.
     """
+    r, q = x.ring, x.quiver
+    fmt = r.format_elem
+    diag = _smith_diagonals(x)
     out = []
     for n in homology_range(x):
-        h = homology(x, n)
-        for v in x.quiver.vertices:
-            fib = h.fibers[v]
+        for v, fib in _fibers(x, n, diag).items():
             if not fib.is_zero_module:
-                f = x.ring.format_elem
-                out.append((n, v, fib.free_rank, tuple(f(d) for d in fib.divisors.divisors)))
-        if x.ring.is_field:
-            for name, _, t in x.quiver.arrows:
-                a = h.arrows[name]
+                out.append((n, v, fib.free_rank, tuple(fmt(d) for d in fib.divisors.divisors)))
+        if not (r.is_field and n in x.terms):
+            continue
+        ranks = {}
+        if x.terms[n].all_free() and x.term(n + 1).all_free():
+            dn, dp = x.diff(n), x.diff(n - 1)
+            for name, s, t in q.arrows:
+                a, ds, dt = x.terms[n].arrows[name], dn.mats[s], dp.mats[t]
+                m = a.hstack(dt).vstack(ds.hstack(Matrix.zeros(r, ds.rows, dt.cols)))
+                ranks[name] = rank(m) - _rank_of(diag(n, s)) - _rank_of(diag(n - 1, t))
+        else:
+            h = homology(x, n)
+            for name, _, t in q.arrows:
                 pres = h.fibers[t].presentation
-                arrow_rank = rank(a.hstack(pres)) - rank(pres)
-                if arrow_rank:
-                    out.append((n, "->" + name, arrow_rank, ()))
+                ranks[name] = rank(h.arrows[name].hstack(pres)) - rank(pres)
+        out.extend((n, "->" + name, k, ()) for name, k in ranks.items() if k)
     return tuple(sorted(out, key=lambda t: (t[0], str(t[1]))))
 
 
 def is_acyclic(x: ComplexRQ) -> bool:
-    return all(fib.is_zero_module for n in homology_range(x) for fib in homology_fibers(x, n).values())
+    return all(fib.is_zero_module for _, fibers in homology_sweep(x) for fib in fibers.values())
 
 
 # ---------------------------------------------------------------------------

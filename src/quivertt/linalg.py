@@ -9,15 +9,19 @@ ring map and the transforms have determinant +-1.
 Each of the two questions asked here is answered by one elimination, picked
 once by the ring kind.  Invariant factors (`rank`, `cokernel_presentation`,
 `is_split_mono`) read the Smith diagonal, which needs no transforms: over a
-field it is one 1 per pivot of the row reduction; otherwise the one Smith
-worker runs diagonal-only, with no u and no v, so its row and column
-operations touch only a (Z/n runs it on the integer lift, then reduces each
-entry to its canonical associate).  The loop and the pinned pivot rule are
-those of `smith_normal_form`.  Solutions and kernels (`solve`,
-`kernel_basis`) read `solve_kernel`, which eliminates a once for both: over a
-field one row reduction of [a | b], whose pivots among a's columns are a's
-own; otherwise one Smith form u*a*v = d, whose v gives the kernel and whose u
-and v give the solution.
+field it is one 1 per pivot of the row reduction.  Otherwise unit pivots go
+first, on sparse rows: each is a unit entry of least Markowitz cost, (row
+nonzeros - 1) * (column nonzeros - 1), and splits off a 1, since SNF(1 + S)
+is 1 followed by SNF(S).  What is left has no unit entry; the one Smith
+worker runs on it diagonal-only, with no u and no v, so its row and column
+operations touch only a.  Z/n does both on the integer lift, then reduces
+each entry to its canonical associate.  Invariant factors do not depend on
+the order of elimination, so the diagonal is that of `smith_normal_form`,
+whose loop and pinned pivot rule the worker shares.  Solutions and kernels
+(`solve`, `kernel_basis`) read `solve_kernel`, which eliminates a once for
+both: over a field one row reduction of [a | b], whose pivots among a's
+columns are a's own; otherwise one Smith form u*a*v = d, whose v gives the
+kernel and whose u and v give the solution.
 
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
@@ -36,6 +40,9 @@ is free on its rows; neither runs elimination.
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x],
 valuation over the p-locals), ties broken by lowest row then lowest column.
+It governs `smith_normal_form` and `solve_kernel`, whose u and v reach kernel
+bases and reports, and the diagonal-only worker; only the unit pass before
+that worker picks by cost.
 """
 
 from __future__ import annotations
@@ -407,17 +414,90 @@ def _rref_field(m: Matrix):
     return rows, piv
 
 
+def _unit_pivots(m: Matrix):
+    """(k, rest) with SNF(m) = 1^k followed by SNF(rest), by sparse unit pivots.
+
+    Rows are {column: value} dicts with a column index.  Each step takes a
+    unit entry of least Markowitz cost, (row nonzeros - 1) * (column nonzeros
+    - 1), clears its column with row operations on nonzeros only, and drops
+    its row and column: with the column clear, the column operations that
+    would clear the row touch nothing else, so the pivot splits off a 1.
+    rest holds what is left, which has no unit entry, without its zero rows
+    and columns; it is None when nothing is left, and m itself when m has no
+    unit entry, so such an m pays for one scan only."""
+    r = m.ring
+    is_unit = r.is_unit
+    if not any(is_unit(e) for row in m.entries for e in row if e):
+        return 0, m
+    add, mul = (operator.add, operator.mul) if r.modulus_int == 0 else (r.add, r.mul)
+    z = r.zero()
+    rows, cols = {}, {}
+    for i, row in enumerate(m.entries):
+        nz = {j: e for j, e in enumerate(row) if e}
+        if nz:
+            rows[i] = nz
+            for j in nz:
+                cols.setdefault(j, set()).add(i)
+    k = 0
+    while True:
+        best = None
+        for i, row in rows.items():
+            rc = len(row) - 1
+            for j, e in row.items():
+                if is_unit(e):
+                    cost = rc * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+                        if not cost:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        prow = rows.pop(pi)
+        pinv = r.inv(prow.pop(pj))
+        for j in prow:
+            cols[j].discard(pi)
+        for i in cols.pop(pj) - {pi}:
+            row = rows[i]
+            f = r.neg(mul(row.pop(pj), pinv))
+            for j, x in prow.items():
+                y = add(row.get(j, z), mul(f, x))
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                else:
+                    row.pop(j, None)
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        k += 1
+    if not rows:
+        return k, None
+    live = sorted(j for j, s in cols.items() if s)
+    return k, Matrix(r, len(rows), len(live), tuple(tuple(row.get(j, z) for j in live) for row in rows.values()))
+
+
 def _diagonal(m: Matrix) -> list:
     """The Smith diagonal of m, with no transforms.  A field's is one 1 per
-    pivot of its row reduction, then zeros; any other ring runs the Smith
-    worker diagonal-only, Z/n on its integer lift, each entry then reduced."""
+    pivot of its row reduction, then zeros.  Any other ring takes unit pivots
+    first (`_unit_pivots`), then runs the Smith worker diagonal-only on what
+    is left; Z/n does both on its integer lift, each entry then reduced.
+    Invariant factors do not depend on the order of elimination, so this is
+    the diagonal of `smith_normal_form`."""
     r = m.ring
     if r.is_field:
         k = len(_rref_field(m)[1])
         return [r.one()] * k + [r.zero()] * (min(m.rows, m.cols) - k)
-    w = _Worker(m.map_entries(r.lift_elem, r.lift_ring()) if r.needs_lift else m)
-    _eliminate(w)
-    diag = (w.a[k][k] for k in range(min(m.rows, m.cols)))
+    lifted = m.map_entries(r.lift_elem, r.lift_ring()) if r.needs_lift else m
+    k, rest = _unit_pivots(lifted)
+    diag = [lifted.ring.one()] * k
+    if rest is not None:
+        w = _Worker(rest)
+        _eliminate(w)
+        diag += (w.a[t][t] for t in range(min(rest.rows, rest.cols)))
+    diag += [lifted.ring.zero()] * (min(m.rows, m.cols) - len(diag))
     if r.needs_lift:
         diag = map(r.reduce_elem, diag)
     return [r.canonical_associate(e)[1] for e in diag]

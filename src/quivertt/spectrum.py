@@ -26,9 +26,8 @@ from .complexes import (
     direct_sum_complexes,
     ensure_perfect,
     complex_r,
-    homology_fibers,
     homology_fingerprint,
-    homology_range,
+    homology_sweep,
     i_times,
     koszul_complex,
     shift_complex,
@@ -160,8 +159,8 @@ def compact_support(x: ComplexRQ) -> QSupport:
     """
     if x._support is None:
         comps = {v: sp_empty(x.ring) for v in x.quiver.vertices}
-        for n in homology_range(x):
-            for v, fib in homology_fibers(x, n).items():
+        for _, fibers in homology_sweep(x):
+            for v, fib in fibers.items():
                 comps[v] = sp_closed_union(comps[v], module_support(fib))
         x._support = QSupport(x.quiver, x.ring, tuple(comps.values()))
     return x._support

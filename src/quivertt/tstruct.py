@@ -21,8 +21,7 @@ from .complexes import (
     Representation,
     _complex,
     _trusted,
-    homology_fibers,
-    homology_range,
+    homology_sweep,
 )
 from .errors import BadElement, IndexOutOfRange, NotAField
 from .linalg import Matrix
@@ -115,9 +114,9 @@ def aisle_membership(x: ComplexRQ, f: Filtration) -> bool:
     if x.quiver != f.quiver:
         raise BadElement("object and filtration live over different quivers")
     check_same_ring(x.ring, f.ring)
-    for n in homology_range(x):
+    for n, fibers in homology_sweep(x):
         level = f.at(n)
-        for v, fib in homology_fibers(x, n).items():
+        for v, fib in fibers.items():
             if not sp_closed_subset(module_support(fib), level.at(v)):
                 return False
     return True
@@ -138,8 +137,8 @@ def filtration_from_objects(xs) -> Filtration:
         if x.quiver != q:
             raise BadElement("objects over different quivers")
         check_same_ring(r, x.ring)
-        for n in homology_range(x):
-            s = QSupport(q, r, tuple(module_support(fib) for fib in homology_fibers(x, n).values()))
+        for n, fibers in homology_sweep(x):
+            s = QSupport(q, r, tuple(module_support(fib) for fib in fibers.values()))
             if not s.is_empty:
                 by_degree[n] = q_support_union(by_degree.get(n, empty), s)
     degrees = sorted(by_degree)

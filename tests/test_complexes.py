@@ -38,6 +38,7 @@ from quivertt import (
     point_quiver,
     projective_rep,
     projective_resolution,
+    rank,
     rep_free,
     shift_complex,
     solve,
@@ -322,6 +323,91 @@ def test_homology_fibers_eliminate_each_cycle_matrix_once(monkeypatch):
     assert live_total
 
 
+def _fingerprint_from_homology(x):
+    """The fingerprint read off `homology` in every degree: its fibers, and
+    over a field the ranks of its arrow maps modulo the target relations."""
+    out = []
+    for n in homology_range(x):
+        h = homology(x, n)
+        for v in x.quiver.vertices:
+            fib = h.fibers[v]
+            if not fib.is_zero_module:
+                f = x.ring.format_elem
+                out.append((n, v, fib.free_rank, tuple(f(d) for d in fib.divisors.divisors)))
+        if x.ring.is_field:
+            for name, _, t in x.quiver.arrows:
+                a = h.arrows[name]
+                pres = h.fibers[t].presentation
+                arrow_rank = rank(a.hstack(pres)) - rank(pres)
+                if arrow_rank:
+                    out.append((n, "->" + name, arrow_rank, ()))
+    return tuple(sorted(out, key=lambda t: (t[0], str(t[1]))))
+
+
+def _with_killed_generator(x, degree, rng):
+    """x with one more generator at every vertex in one degree, killed by a
+    relation.  The arrows and the differential into that degree hit it with
+    random coefficients, so the complex is isomorphic to x, but no fiber in
+    that degree is literally free."""
+    r, q = x.ring, x.quiver
+    z, one = r.zero(), r.one()
+    elems = [r.from_int(k) for k in range(-2, 3)]
+
+    def ghost_row(m):
+        return Matrix(r, m.rows + 1, m.cols, m.entries + (tuple(rng.choice(elems) for _ in range(m.cols)),))
+
+    def ghost_col(m, e):
+        return Matrix(r, m.rows, m.cols + 1, tuple(row + (e if i == m.rows - 1 else z,) for i, row in enumerate(m.entries)))
+
+    terms = dict(x.terms)
+    rep = terms[degree]
+    fibers = {v: FGModule(r, Matrix(r, rep.gens(v) + 1, 1, ((z,),) * rep.gens(v) + ((one,),))) for v in q.vertices}
+    arrows = {name: ghost_col(ghost_row(m), one) for name, m in rep.arrows.items()}
+    terms[degree] = Representation(q, r, fibers, arrows)
+    diffs = {}
+    for n, d in x.diffs.items():
+        mats = d.mats
+        if n == degree - 1:
+            mats = {v: ghost_row(m) for v, m in mats.items()}
+        elif n == degree:
+            mats = {v: Matrix(r, m.rows, m.cols + 1, tuple(row + (z,) for row in m.entries)) for v, m in mats.items()}
+        diffs[n] = RepMorphism(terms[n], terms[n + 1], mats)
+    return ComplexRQ(q, r, terms, diffs)
+
+
+def test_fingerprint_arrow_ranks_match_the_homology_fingerprint(monkeypatch):
+    # all six rings; over a field, a degree whose fibers in degrees n and
+    # n + 1 are literally free takes the rank formula, any other the arrow
+    # maps of `homology`
+    samples = [x for _, x in _one_path_samples()]
+    killed = []
+    for text in ("Q", "Fp(5)", "Fp(2)"):
+        ring = parse_ring(text)
+        for k in range(4):
+            rng = random.Random(f"fingerprint:{text}:{k}")
+            x = random_perfect_complex(random_acyclic_quiver(rng, 3), ring, rng)
+            killed.append((x, _with_killed_generator(x, rng.choice(x.degrees), rng)))
+    samples += [y for _, y in killed]
+    assert {str(x.ring) for x in samples} >= {"Z", "Q", "Fp(5)", "Zmod(12)", "Zloc(3)", "FpX(3)"}
+    want = [_fingerprint_from_homology(x) for x in samples]
+    fallback = []
+    real = complexes.homology
+
+    def counted(x, n):
+        fallback.append(n)
+        return real(x, n)
+
+    monkeypatch.setattr(complexes, "homology", counted)
+    field_degrees = 0
+    for x, fp in zip(samples, want):
+        assert homology_fingerprint(x) == fp
+        field_degrees += len(x.terms) if x.ring.is_field else 0
+    assert 0 < len(fallback) < field_degrees
+    assert any(name.startswith("->") for fp in want for _, name, _, _ in fp)
+    for x, y in killed:
+        assert homology_fingerprint(y) == homology_fingerprint(x)
+
+
 def test_homology_keeps_cycle_generators_at_vertices_without_generators():
     # at vertex 2, degree 0 has no generators but the next fiber, Z/6
     # presented by [6 0], has a zero relation, so the cycle matrix there is
@@ -445,7 +531,10 @@ def test_resolution_of_source_simple():
 
 
 def test_resolution_of_torsion_fibers():
-    x = cone(scale_map(unit_complex(A2, Z), 4))
+    # Z/4 at both vertices, the arrow the identity
+    z4 = FGModule(Z, Matrix.from_rows(Z, [[4]]))
+    x = stalk_complex(Representation(A2, Z, {"1": z4, "2": z4}, {"a": Matrix.identity(Z, 1)}))
+    assert not x.perfect
     r = ensure_perfect(x)
     assert r.perfect
     assert homology_fingerprint(r) == homology_fingerprint(x)

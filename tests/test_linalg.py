@@ -19,6 +19,7 @@ from quivertt import (
     smith_normal_form,
     solve,
 )
+import quivertt.linalg as linalg
 from quivertt.linalg import ElementaryDivisors, _diagonal, diagonal_of, solve_kernel
 
 Z = Integers()
@@ -389,8 +390,21 @@ def unitriangular(ring, rng, n, lower):
         for i in range(n)))
 
 
+# (units, non-units) per ring.  No entry of a matrix over the non-units is a
+# unit, on Z/12's integer lift either.  Z/12 lists only the unit 1: its other
+# units lift to non-units of Z, where the unit-pivot pass runs.
+UNITS_AND_NON_UNITS = {
+    "Z": ([1, -1], [2, -4, 6]),
+    "Q": ([1, -1, Fraction(2, 3), 5], []),
+    "Fp(5)": ([1, 2, 3, 4], []),
+    "Zmod(12)": ([1], [2, 3, 4, 6]),
+    "Zloc(3)": ([1, -1, 2, Fraction(1, 2)], [3, -6, Fraction(9, 2)]),
+    "FpX(3)": ([(1,), (2,)], [(0, 1), (1, 1), (0, 2)]),
+}
+
+
 @pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
-def test_diagonal_only_mode_matches_smith_diagonal(ring):
+def test_diagonal_only_mode_matches_smith_diagonal(ring, monkeypatch):
     rng = random.Random(19)
     elems = [e for e in sample_elements(ring, rng) if e]
     cases = [Matrix.zeros(ring, rows, cols) for rows, cols in ((0, 0), (0, 5), (5, 0), (3, 4), (4, 4))]
@@ -400,12 +414,84 @@ def test_diagonal_only_mode_matches_smith_diagonal(ring):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         cases.append(sparse_matrix(ring, rng, rows, cols, elems, density=0.3) if k % 2
                      else random_matrix(ring, rng, rows, cols))
+    # unit-heavy inputs, inputs with no unit entry, and sparse 100 x 100 ones
+    # at 2 % density
+    units, non_units = ([ring.canon(e) for e in es] for es in UNITS_AND_NON_UNITS[str(ring)])
+    unit_heavy = [sparse_matrix(ring, rng, rng.randint(2, 8), rng.randint(2, 8), units * 3 + non_units,
+                                density=0.6) for _ in range(10)]
+    no_unit = [sparse_matrix(ring, rng, rng.randint(1, 6), rng.randint(1, 6), non_units, density=0.6)
+               for _ in range(10) if non_units]
+    cases += unit_heavy + no_unit
+    cases += [sparse_matrix(ring, rng, 100, 100, units * 3 + non_units, density=0.02) for _ in range(2)]
+    pivots = {}  # id of an input -> unit pivots the sparse pass took on it
+    real = linalg._unit_pivots
+
+    def counted(m):
+        k, rest = real(m)
+        pivots[current] = k
+        return k, rest
+
+    monkeypatch.setattr(linalg, "_unit_pivots", counted)
     units = 0
     for m in cases:
+        current = id(m)
         d = _diagonal(m)
         assert d == diagonal_of(smith_normal_form(m)[0])
         units += bool(d) and all(ring.is_unit(e) for e in d)
     assert units >= 3
+    if ring.is_field:
+        assert not pivots  # fields keep the row reduction
+    else:
+        assert all(pivots[id(m)] for m in unit_heavy[:3] + cases[-2:])
+        assert no_unit and not any(pivots[id(m)] for m in no_unit)
+
+
+def test_unit_pivots_leave_nothing_or_no_unit():
+    ones = Matrix.identity(Z, 4)
+    assert linalg._unit_pivots(ones) == (4, None)
+    evens = Matrix.from_rows(Z, [[2, 4], [6, 0]])
+    assert linalg._unit_pivots(evens) == (0, evens)
+    k, rest = linalg._unit_pivots(Matrix.from_rows(Z, [[1, 2, 0], [3, 4, 0], [0, 0, 0]]))
+    # clearing the unit's column leaves [4 - 6] = [-2]; zero rows and
+    # columns are dropped from the rest
+    assert (k, rest) == (1, Matrix.from_rows(Z, [[-2]]))
+
+
+@pytest.mark.parametrize("ring", (Z, PolyOverPrimeField(3)), ids=str)
+def test_diagonal_matches_sympy_invariant_factors(ring):
+    # an independent oracle: sympy's invariant factors over ZZ, and over
+    # GF(3)[x] made monic
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    if ring == Z:
+        dom = sympy.ZZ
+
+        def to_sympy(e):
+            return dom(e)
+
+        def from_sympy(f):
+            return abs(int(f))
+    else:
+        dom = sympy.GF(ring.p)[sympy.Symbol("x")]
+        x = dom.gens[0]
+
+        def to_sympy(e):
+            return sum((c * x ** k for k, c in enumerate(e)), dom.zero)
+
+        def from_sympy(f):
+            if not f:
+                return ()
+            terms = dict(f.monic().terms())
+            return tuple(int(terms.get((k,), 0)) % ring.p for k in range(f.degree() + 1))
+
+    rng = random.Random(31)
+    elems = [e for e in sample_elements(ring, rng) if e]
+    for _ in range(30):
+        m = sparse_matrix(ring, rng, rng.randint(1, 8), rng.randint(1, 8), elems, density=rng.choice((0.2, 0.4)))
+        dm = DomainMatrix([[to_sympy(e) for e in row] for row in m.entries], (m.rows, m.cols), dom)
+        assert _diagonal(m) == [from_sympy(f) for f in invariant_factors(dm)]
 
 
 @pytest.mark.parametrize("ring", (Z, PolyOverPrimeField(3)), ids=str)

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import quivertt.complexes as complexes
 import quivertt.spectrum as spectrum
 from quivertt import (
     BadElement,
@@ -13,6 +14,7 @@ from quivertt import (
     Integers,
     IntegersLocalized,
     MonotonicityViolation,
+    PolyOverPrimeField,
     PrimeField,
     Rationals,
     UniverseNotClosed,
@@ -110,15 +112,15 @@ def test_vertex_support_is_computed_once_per_complex(monkeypatch):
     # takes at most one homology fiber per (vertex, degree)
     x = _torsion_mix()
     calls = Counter()
-    real_fibers = spectrum.homology_fibers
+    real_sweep = spectrum.homology_sweep
 
-    def homology_fibers(c, n):
-        fibers = real_fibers(c, n)
-        for v in fibers:
-            calls[v, n] += 1
-        return fibers
+    def homology_sweep(c):
+        for n, fibers in real_sweep(c):
+            for v in fibers:
+                calls[v, n] += 1
+            yield n, fibers
 
-    monkeypatch.setattr(spectrum, "homology_fibers", homology_fibers)
+    monkeypatch.setattr(spectrum, "homology_sweep", homology_sweep)
     win = spc_enumerate(Z, A3, 7)
     answers = [xi_zero_test(x, pt.prime, pt.vertex) for pt in win.points]
     assert calls and max(calls.values()) == 1
@@ -133,11 +135,35 @@ def test_vertex_support_is_computed_once_per_complex(monkeypatch):
     assert not all(answers) and any(answers)
 
 
+def test_compact_support_reads_each_smith_diagonal_once(monkeypatch):
+    # d^k at v serves as d^n at degree k (its rank) and as d^(n-1) at degree
+    # k + 1 (its torsion); one sweep over the degrees eliminates it once
+    calls = Counter()
+    real = complexes._diagonal
+
+    def counted(m):
+        calls[id(m)] += 1
+        return real(m)
+
+    monkeypatch.setattr(complexes, "_diagonal", counted)
+    both = 0
+    for ring in (Z, Rationals(), IntegersLocalized(3), PolyOverPrimeField(3)):
+        for k in range(3):
+            x = random_perfect_complex(A3, ring, random.Random(f"sweep:{ring}:{k}"))
+            calls.clear()
+            compact_support(x)
+            assert calls and max(calls.values()) == 1
+            assert is_acyclic(x) == compact_support(x).is_empty
+            both += sum(1 for n, d in x.diffs.items() for v, m in d.mats.items()
+                        if x.terms[n].gens(v) and x.terms[n + 1].gens(v) and calls[id(m)])
+    assert both
+
+
 def test_xi_checks_the_vertex_before_computing(monkeypatch):
-    def homology_fibers(c, n):
+    def homology_sweep(c):
         raise AssertionError("homology computed before the vertex was checked")
 
-    monkeypatch.setattr(spectrum, "homology_fibers", homology_fibers)
+    monkeypatch.setattr(spectrum, "homology_sweep", homology_sweep)
     with pytest.raises(UnknownVertex):
         xi_zero_test(_torsion_mix(), prime_ideal(Z, 2), "9")
 
