@@ -416,13 +416,14 @@ def test_diagonal_only_mode_matches_smith_diagonal(ring, monkeypatch):
                      else random_matrix(ring, rng, rows, cols))
     # unit-heavy inputs, inputs with no unit entry, and sparse 100 x 100 ones
     # at 2 % density
-    units, non_units = ([ring.canon(e) for e in es] for es in UNITS_AND_NON_UNITS[str(ring)])
-    unit_heavy = [sparse_matrix(ring, rng, rng.randint(2, 8), rng.randint(2, 8), units * 3 + non_units,
-                                density=0.6) for _ in range(10)]
-    no_unit = [sparse_matrix(ring, rng, rng.randint(1, 6), rng.randint(1, 6), non_units, density=0.6)
-               for _ in range(10) if non_units]
+    unit_elems, non_unit_elems = ([ring.canon(e) for e in es] for es in UNITS_AND_NON_UNITS[str(ring)])
+    mixed = unit_elems * 3 + non_unit_elems
+    unit_heavy = [sparse_matrix(ring, rng, rng.randint(2, 8), rng.randint(2, 8), mixed, density=0.6)
+                  for _ in range(10)]
+    no_unit = [sparse_matrix(ring, rng, rng.randint(1, 6), rng.randint(1, 6), non_unit_elems, density=0.6)
+               for _ in range(10) if non_unit_elems]
     cases += unit_heavy + no_unit
-    cases += [sparse_matrix(ring, rng, 100, 100, units * 3 + non_units, density=0.02) for _ in range(2)]
+    cases += [sparse_matrix(ring, rng, 100, 100, mixed, density=0.02) for _ in range(2)]
     pivots = {}  # id of an input -> unit pivots the sparse pass took on it
     real = linalg._unit_pivots
 
