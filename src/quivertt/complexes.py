@@ -33,8 +33,8 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
 )
-from .linalg import (Matrix, _diagonal, diagonal_of, is_split_mono, kernel_basis, rank, smith_normal_form,
-                     solve, solve_kernel)
+from .linalg import (Matrix, cokernel_presentation, diagonal_of, is_split_mono, kernel_basis, rank,
+                     smith_normal_form, solve, solve_kernel)
 from .quivers import Quiver, paths, point_quiver, vertex_set
 from .rings import FGModule, IntegersMod, Ring, check_same_ring, int_prime_factors
 
@@ -699,25 +699,26 @@ def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
     return out
 
 
-def _smith_diagonals(x: ComplexRQ):
-    """A lookup (k, v) -> Smith diagonal of d^k at v (empty where x has no
-    d^k) that eliminates each matrix once, for the lookup's lifetime."""
+def _smith_lookup(x: ComplexRQ):
+    """A lookup (k, v) -> (rank, non-unit invariant factors) of d^k at v,
+    (0, ()) where x has no d^k, that reads each matrix's Smith diagonal once
+    (through `cokernel_presentation`) for the lookup's lifetime."""
     seen = {}
 
-    def diag(k, v):
+    def smith(k, v):
         if (k, v) not in seen:
             d = x.diffs.get(k)
-            seen[k, v] = _diagonal(d.mats[v]) if d else []
+            if d is None:
+                seen[k, v] = 0, ()
+            else:
+                coker = cokernel_presentation(d.mats[v])
+                seen[k, v] = d.mats[v].rows - coker.free_rank, coker.divisors
         return seen[k, v]
-    return diag
+    return smith
 
 
-def _rank_of(diag) -> int:
-    return sum(1 for e in diag if e)
-
-
-def _fibers(x: ComplexRQ, n: int, diag) -> dict:
-    """`homology_fibers`, reading Smith diagonals through the lookup diag."""
+def _fibers(x: ComplexRQ, n: int, smith) -> dict:
+    """`homology_fibers`, reading Smith diagonals through the lookup smith."""
     r, vertices = x.ring, x.quiver.vertices
     cur, nxt, dn, dp = x.terms.get(n), x.terms.get(n + 1), x.diffs.get(n), x.diffs.get(n - 1)
     live = [v for v in vertices if cur is not None and cur.gens(v)]
@@ -728,9 +729,9 @@ def _fibers(x: ComplexRQ, n: int, diag) -> dict:
             continue
         if dn and dp and dp.mats[v].cols and not dn.mats[v].mul(dp.mats[v]).is_zero():
             raise ShapeMismatch("boundaries escaped the cycle module; invalid complex")
-        into, z = diag(n - 1, v), r.zero()
-        divs = tuple(e for e in into if e and not r.is_unit(e))
-        f = cur.gens(v) - _rank_of(into) - _rank_of(diag(n, v))
+        rank_in, divs = smith(n - 1, v)
+        f = cur.gens(v) - rank_in - smith(n, v)[0]
+        z = r.zero()
         rows = tuple(tuple(d if i == j else z for j in range(len(divs))) for i, d in enumerate(divs))
         out[v] = FGModule(r, Matrix(r, len(divs) + f, len(divs), rows + ((z,) * len(divs),) * f))
     rest = [v for v in live if v not in out]
@@ -757,16 +758,16 @@ def homology_fibers(x: ComplexRQ, n: int) -> dict:
     eliminating.  `homology` cannot skip it: when the next fiber has
     relations, K there can be 0 x j with j > 0, and arrow shapes depend on j.
     """
-    return _fibers(x, n, _smith_diagonals(x))
+    return _fibers(x, n, _smith_lookup(x))
 
 
 def homology_sweep(x: ComplexRQ):
     """(n, `homology_fibers(x, n)`) for n in `homology_range(x)`, reading each
     d^k_v's Smith diagonal once: d^k serves as d^n at degree k and as
     d^(n-1) at degree k + 1."""
-    diag = _smith_diagonals(x)
+    smith = _smith_lookup(x)
     for n in homology_range(x):
-        yield n, _fibers(x, n, diag)
+        yield n, _fibers(x, n, smith)
 
 
 def homology(x: ComplexRQ, n: int) -> Representation:
@@ -809,10 +810,10 @@ def homology_fingerprint(x: ComplexRQ):
     """
     r, q = x.ring, x.quiver
     fmt = r.format_elem
-    diag = _smith_diagonals(x)
+    smith = _smith_lookup(x)
     out = []
     for n in homology_range(x):
-        for v, fib in _fibers(x, n, diag).items():
+        for v, fib in _fibers(x, n, smith).items():
             if not fib.is_zero_module:
                 out.append((n, v, fib.free_rank, tuple(fmt(d) for d in fib.divisors.divisors)))
         if not (r.is_field and n in x.terms):
@@ -823,7 +824,7 @@ def homology_fingerprint(x: ComplexRQ):
             for name, s, t in q.arrows:
                 a, ds, dt = x.terms[n].arrows[name], dn.mats[s], dp.mats[t]
                 m = a.hstack(dt).vstack(ds.hstack(Matrix.zeros(r, ds.rows, dt.cols)))
-                ranks[name] = rank(m) - _rank_of(diag(n, s)) - _rank_of(diag(n - 1, t))
+                ranks[name] = rank(m) - smith(n, s)[0] - smith(n - 1, t)[0]
         else:
             h = homology(x, n)
             for name, _, t in q.arrows:

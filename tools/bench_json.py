@@ -1,17 +1,19 @@
-"""Collect end-to-end benchmark runs into one JSON file.
+"""Collect end-to-end benchmark runs into one JSON file per checkout.
 
-    python3 tools/bench_json.py --out BENCH_1.json
-    python3 tools/bench_json.py --out BENCH_2.json --workloads verify rings --seeds 1 2 3
-    python3 tools/bench_json.py --out BENCH_1.json --root ../parent-checkout
+    python3 tools/bench_json.py --run . BENCH_2.json
+    python3 tools/bench_json.py --run ../parent BENCH_1.json --run . BENCH_2.json
+    python3 tools/bench_json.py --run . out.json --workloads verify rings --seeds 1 2 3
 
-For each workload and seed this runs, one after another in the checkout at
-`--root` (default: this one),
+For each workload and seed this runs, in every checkout given by `--run`,
 
     python3 bench/run.py --workload <w> --seed <s> --seconds <t> --trace 0
 
-and reads the JSON object on its last stdout line.  The output holds the
-commit, the host, every run's end-to-end metrics, and per workload and
-metric the median and the quartiles over the seeds.  Standard library only.
+and reads the JSON object on its last stdout line.  With several checkouts
+the runs alternate between them, and the one that goes first changes from
+seed to seed, so that a drift of host speed falls on all of them alike.
+Each output file holds the checkout's commit, the host, every run's
+end-to-end metrics, and per workload and metric the median and the
+quartiles over the seeds.  Standard library only.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def commit_of(root: Path) -> str:
@@ -41,8 +41,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+        raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
+    res = json.loads(proc.stdout.splitlines()[-1])
+    return {"seed": seed, "correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
+            "metrics": {k: m["value"] for k, m in res["metrics"].items()}}
 
 
 def summary(values: list) -> dict:
@@ -54,34 +56,37 @@ def summary(values: list) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--root", default=str(REPO), help="source checkout to run (default: this one)")
+    ap.add_argument("--run", nargs=2, action="append", required=True, metavar=("ROOT", "OUT"),
+                    help="a source checkout to run and the JSON file to write for it; repeatable")
     ap.add_argument("--workloads", nargs="+", default=["verify", "closure", "rings"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
     ap.add_argument("--seconds", type=float, default=15.0)
     args = ap.parse_args(argv)
-    root = Path(args.root).resolve()
-    doc = {
-        "commit": commit_of(root),
-        "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0",
-        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
-        "workloads": {},
-    }
+    roots = [Path(root).resolve() for root, _ in args.run]
+    host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
+    runs = {(k, w): [] for k in range(len(roots)) for w in args.workloads}
     for w in args.workloads:
-        runs = []
-        for s in args.seeds:
-            res = run_once(root, w, s, args.seconds)
-            runs.append({"seed": s, "correct": res["correct"], "attempted": res["attempted"],
-                         "failed": res["failed"],
-                         "metrics": {k: m["value"] for k, m in res["metrics"].items()}})
-            print(f"{w} seed {s}: " + " ".join(f"{k}={v:.4g}" for k, v in runs[-1]["metrics"].items()),
-                  file=sys.stderr, flush=True)
-        names = list(runs[0]["metrics"])
-        doc["workloads"][w] = {
-            "runs": runs,
-            "summary": {k: summary([r["metrics"][k] for r in runs]) for k in names},
+        for i, s in enumerate(args.seeds):
+            order = list(range(len(roots)))
+            for k in order[i % len(order):] + order[:i % len(order)]:
+                runs[k, w].append(run_once(roots[k], w, s, args.seconds))
+                print(f"{roots[k]} {w} seed {s}: "
+                      + " ".join(f"{m}={v:.4g}" for m, v in runs[k, w][-1]["metrics"].items()),
+                      file=sys.stderr, flush=True)
+    for k, (root, (_, out)) in enumerate(zip(roots, args.run)):
+        doc = {
+            "commit": commit_of(root),
+            "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0",
+            "host": host,
+            "workloads": {},
         }
-    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        for w in args.workloads:
+            rs = sorted(runs[k, w], key=lambda r: r["seed"])
+            doc["workloads"][w] = {
+                "runs": rs,
+                "summary": {m: summary([r["metrics"][m] for r in rs]) for m in rs[0]["metrics"]},
+            }
+        Path(out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
 
