@@ -699,38 +699,36 @@ def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
     return out
 
 
-def _smith_lookup(x: ComplexRQ):
-    """A lookup (k, v) -> (rank, non-unit invariant factors) of d^k at v,
-    (0, ()) where x has no d^k, that reads each matrix's Smith diagonal once
-    (through `cokernel_presentation`) for the lookup's lifetime."""
-    seen = {}
-
-    def smith(k, v):
-        if (k, v) not in seen:
-            d = x.diffs.get(k)
-            if d is None:
-                seen[k, v] = 0, ()
-            else:
-                coker = cokernel_presentation(d.mats[v])
-                seen[k, v] = d.mats[v].rows - coker.free_rank, coker.divisors
-        return seen[k, v]
-    return smith
+def _smith(x: ComplexRQ, k: int, v) -> tuple:
+    """(rank, non-unit invariant factors) of d^k at v, read off its Smith
+    diagonal through `cokernel_presentation`; (0, ()) where x has no d^k."""
+    d = x.diffs.get(k)
+    if d is None:
+        return 0, ()
+    coker = cokernel_presentation(d.mats[v])
+    return d.mats[v].rows - coker.free_rank, coker.divisors
 
 
-def _fibers(x: ComplexRQ, n: int, smith) -> dict:
-    """`homology_fibers`, reading Smith diagonals through the lookup smith."""
+def _fibers(x: ComplexRQ, n: int, below: dict) -> tuple:
+    """(`homology_fibers(x, n)`, {v: `_smith(x, n, v)`} for the vertices read).
+
+    below holds `_smith(x, n - 1, v)` for the vertices the degree below read;
+    a vertex it lacks has its d^(n-1) read here, and added to below."""
     r, vertices = x.ring, x.quiver.vertices
     cur, nxt, dn, dp = x.terms.get(n), x.terms.get(n + 1), x.diffs.get(n), x.diffs.get(n - 1)
     live = [v for v in vertices if cur is not None and cur.gens(v)]
-    out = {}
+    out, here = {}, {}
     for v in live:
         if not (r.is_domain and cur.fibers[v].is_literally_free
                 and (nxt is None or nxt.fibers[v].is_literally_free)):
             continue
         if dn and dp and dp.mats[v].cols and not dn.mats[v].mul(dp.mats[v]).is_zero():
             raise ShapeMismatch("boundaries escaped the cycle module; invalid complex")
-        rank_in, divs = smith(n - 1, v)
-        f = cur.gens(v) - rank_in - smith(n, v)[0]
+        if v not in below:
+            below[v] = _smith(x, n - 1, v)
+        rank_in, divs = below[v]
+        here[v] = _smith(x, n, v)
+        f = cur.gens(v) - rank_in - here[v][0]
         z = r.zero()
         rows = tuple(tuple(d if i == j else z for j in range(len(divs))) for i, d in enumerate(divs))
         out[v] = FGModule(r, Matrix(r, len(divs) + f, len(divs), rows + ((z,) * len(divs),) * f))
@@ -738,7 +736,7 @@ def _fibers(x: ComplexRQ, n: int, smith) -> dict:
     if rest:
         out.update((v, h) for v, (_, h) in _homology_parts(x, n, rest).items())
     zero = FGModule.free(r, 0) if len(live) < len(vertices) else None
-    return {v: out.get(v, zero) for v in vertices}
+    return {v: out.get(v, zero) for v in vertices}, here
 
 
 def homology_fibers(x: ComplexRQ, n: int) -> dict:
@@ -758,16 +756,18 @@ def homology_fibers(x: ComplexRQ, n: int) -> dict:
     eliminating.  `homology` cannot skip it: when the next fiber has
     relations, K there can be 0 x j with j > 0, and arrow shapes depend on j.
     """
-    return _fibers(x, n, _smith_lookup(x))
+    return _fibers(x, n, {})[0]
 
 
 def homology_sweep(x: ComplexRQ):
     """(n, `homology_fibers(x, n)`) for n in `homology_range(x)`, reading each
     d^k_v's Smith diagonal once: d^k serves as d^n at degree k and as
-    d^(n-1) at degree k + 1."""
-    smith = _smith_lookup(x)
+    d^(n-1) at degree k + 1, so each degree hands what it read of d^n to the
+    next."""
+    below = {}
     for n in homology_range(x):
-        yield n, _fibers(x, n, smith)
+        fibers, below = _fibers(x, n, below)
+        yield n, fibers
 
 
 def homology(x: ComplexRQ, n: int) -> Representation:
@@ -799,37 +799,42 @@ def homology_fingerprint(x: ComplexRQ):
     fingerprint a complete derived invariant for the quivers we test over;
     over Z and friends it is the documented necessary-condition check.
 
-    The fibers are those of `homology_sweep`, and the arrow ranks share its
-    Smith diagonals.  At a field degree n where every fiber in degrees n and
-    n + 1 is literally free, the rank of arrow a: s -> t on H^n is
-    rank M - rank d_s^n - rank d_t^(n-1), with M = [[a, d_t^(n-1)], [d_s^n, 0]].
-    Proof: (x, y) -> a x + d_t y on Z_s + C_t^(n-1) has kernel ker M and
-    image a(Z_s) + B_t, so that image has dimension rank M - rank d_s^n, and
-    B_t has dimension rank d_t^(n-1).  Other field degrees read the arrow
-    maps of `homology`.
+    At a field degree n where every fiber in degrees n and n + 1 is literally
+    free, the fibers are those of `homology_sweep`, and the rank of arrow
+    a: s -> t on H^n is rank M - rank d_s^n - rank d_t^(n-1), with
+    M = [[a, d_t^(n-1)], [d_s^n, 0]], the ranks of d read off the sweep's
+    Smith diagonals.  Proof: (x, y) -> a x + d_t y on Z_s + C_t^(n-1) has
+    kernel ker M and image a(Z_s) + B_t, so that image has dimension
+    rank M - rank d_s^n, and B_t has dimension rank d_t^(n-1).  Any other
+    field degree reads both its fibers and its arrow maps off one
+    `homology` call.  Other rings read the fibers of the sweep.
     """
     r, q = x.ring, x.quiver
     fmt = r.format_elem
-    smith = _smith_lookup(x)
     out = []
+    below = {}
     for n in homology_range(x):
-        for v, fib in _fibers(x, n, smith).items():
-            if not fib.is_zero_module:
-                out.append((n, v, fib.free_rank, tuple(fmt(d) for d in fib.divisors.divisors)))
-        if not (r.is_field and n in x.terms):
-            continue
         ranks = {}
-        if x.terms[n].all_free() and x.term(n + 1).all_free():
-            dn, dp = x.diff(n), x.diff(n - 1)
-            for name, s, t in q.arrows:
-                a, ds, dt = x.terms[n].arrows[name], dn.mats[s], dp.mats[t]
-                m = a.hstack(dt).vstack(ds.hstack(Matrix.zeros(r, ds.rows, dt.cols)))
-                ranks[name] = rank(m) - smith(n, s)[0] - smith(n - 1, t)[0]
-        else:
+        if r.is_field and n in x.terms and not (x.terms[n].all_free() and x.term(n + 1).all_free()):
             h = homology(x, n)
+            fibers, below = h.fibers, {}
             for name, _, t in q.arrows:
                 pres = h.fibers[t].presentation
                 ranks[name] = rank(h.arrows[name].hstack(pres)) - rank(pres)
+        else:
+            fibers, here = _fibers(x, n, below)
+            if r.is_field and n in x.terms:
+                dn, dp = x.diff(n), x.diff(n - 1)
+                for name, s, t in q.arrows:
+                    a, ds, dt = x.terms[n].arrows[name], dn.mats[s], dp.mats[t]
+                    m = a.hstack(dt).vstack(ds.hstack(Matrix.zeros(r, ds.rows, dt.cols)))
+                    # a vertex _fibers did not read has no generators in
+                    # degree n, so d_s^n has no columns and d_t^(n-1) no rows
+                    ranks[name] = rank(m) - here.get(s, (0,))[0] - below.get(t, (0,))[0]
+            below = here
+        for v, fib in fibers.items():
+            if not fib.is_zero_module:
+                out.append((n, v, fib.free_rank, tuple(fmt(d) for d in fib.divisors.divisors)))
         out.extend((n, "->" + name, k, ()) for name, k in ranks.items() if k)
     return tuple(sorted(out, key=lambda t: (t[0], str(t[1]))))
 

@@ -397,12 +397,22 @@ def test_fingerprint_arrow_ranks_match_the_homology_fingerprint(monkeypatch):
         fallback.append(n)
         return real(x, n)
 
+    parts = []  # (complex, degree) of each cycle-matrix elimination
+    real_parts = complexes._homology_parts
+
+    def counted_parts(x, n, vertices):
+        parts.append((id(x), n))
+        return real_parts(x, n, vertices)
+
     monkeypatch.setattr(complexes, "homology", counted)
+    monkeypatch.setattr(complexes, "_homology_parts", counted_parts)
     field_degrees = 0
     for x, fp in zip(samples, want):
         assert homology_fingerprint(x) == fp
         field_degrees += len(x.terms) if x.ring.is_field else 0
     assert 0 < len(fallback) < field_degrees
+    # a fallback degree reads its fibers off the same `homology` call
+    assert len(parts) == len(set(parts))
     assert any(name.startswith("->") for fp in want for _, name, _, _ in fp)
     for x, y in killed:
         assert homology_fingerprint(y) == homology_fingerprint(x)

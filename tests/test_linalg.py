@@ -392,7 +392,8 @@ def unitriangular(ring, rng, n, lower):
 
 # (units, non-units) per ring.  No entry of a matrix over the non-units is a
 # unit, on Z/12's integer lift either.  Z/12 lists only the unit 1: its other
-# units lift to non-units of Z, where the unit-pivot pass runs.
+# units lift to non-units of Z, where the unit-pivot pass runs, and the lift's
+# entries grow, so they are drawn only at 8 x 8 (LIFTED_UNITS).
 UNITS_AND_NON_UNITS = {
     "Z": ([1, -1], [2, -4, 6]),
     "Q": ([1, -1, Fraction(2, 3), 5], []),
@@ -401,6 +402,7 @@ UNITS_AND_NON_UNITS = {
     "Zloc(3)": ([1, -1, 2, Fraction(1, 2)], [3, -6, Fraction(9, 2)]),
     "FpX(3)": ([(1,), (2,)], [(0, 1), (1, 1), (0, 2)]),
 }
+LIFTED_UNITS = {"Zmod(12)": [5, 7, 11]}
 
 
 @pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
@@ -423,7 +425,10 @@ def test_diagonal_only_mode_matches_smith_diagonal(ring, monkeypatch):
     no_unit = [sparse_matrix(ring, rng, rng.randint(1, 6), rng.randint(1, 6), non_unit_elems, density=0.6)
                for _ in range(10) if non_unit_elems]
     cases += unit_heavy + no_unit
-    cases += [sparse_matrix(ring, rng, 100, 100, mixed, density=0.02) for _ in range(2)]
+    big = [sparse_matrix(ring, rng, 100, 100, mixed, density=0.02) for _ in range(2)]
+    lifted = [ring.canon(e) for e in LIFTED_UNITS.get(str(ring), ())]
+    cases += big + [sparse_matrix(ring, rng, 8, 8, lifted + non_unit_elems, density=0.4)
+                    for _ in range(6) if lifted]
     pivots = {}  # id of an input -> unit pivots the sparse pass took on it
     real = linalg._unit_pivots
 
@@ -443,7 +448,7 @@ def test_diagonal_only_mode_matches_smith_diagonal(ring, monkeypatch):
     if ring.is_field:
         assert not pivots  # fields keep the row reduction
     else:
-        assert all(pivots[id(m)] for m in unit_heavy[:3] + cases[-2:])
+        assert all(pivots[id(m)] for m in unit_heavy[:3] + big)
         assert no_unit and not any(pivots[id(m)] for m in no_unit)
 
 

@@ -6,14 +6,15 @@
 
 For each workload and seed this runs, in every checkout given by `--run`,
 
-    python3 bench/run.py --workload <w> --seed <s> --seconds <t> --trace 0
+    python3 bench/run.py --workload <w> --seed <s> --seconds 15 --trace 0
 
 and reads the JSON object on its last stdout line.  With several checkouts
 the runs alternate between them, and the one that goes first changes from
 seed to seed, so that a drift of host speed falls on all of them alike.
 Each output file holds the checkout's commit, the host, every run's
 end-to-end metrics, and per workload and metric the median and the
-quartiles over the seeds.  Standard library only.
+quartiles over the seeds.  The run length is fixed, so that every file
+this writes is comparable with every other.  Standard library only.
 """
 
 from __future__ import annotations
@@ -36,9 +37,13 @@ def commit_of(root: Path) -> str:
     return head + ("+dirty" if dirty else "")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+SECONDS = 15
+COMMAND = f"python3 bench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0"
+
+
+def run_once(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
@@ -60,7 +65,6 @@ def main(argv=None) -> int:
                     help="a source checkout to run and the JSON file to write for it; repeatable")
     ap.add_argument("--workloads", nargs="+", default=["verify", "closure", "rings"])
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    ap.add_argument("--seconds", type=float, default=15.0)
     args = ap.parse_args(argv)
     roots = [Path(root).resolve() for root, _ in args.run]
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
@@ -69,14 +73,14 @@ def main(argv=None) -> int:
         for i, s in enumerate(args.seeds):
             order = list(range(len(roots)))
             for k in order[i % len(order):] + order[:i % len(order)]:
-                runs[k, w].append(run_once(roots[k], w, s, args.seconds))
+                runs[k, w].append(run_once(roots[k], w, s))
                 print(f"{roots[k]} {w} seed {s}: "
                       + " ".join(f"{m}={v:.4g}" for m, v in runs[k, w][-1]["metrics"].items()),
                       file=sys.stderr, flush=True)
     for k, (root, (_, out)) in enumerate(zip(roots, args.run)):
         doc = {
             "commit": commit_of(root),
-            "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0",
+            "command": COMMAND,
             "host": host,
             "workloads": {},
         }
