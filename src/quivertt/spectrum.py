@@ -406,15 +406,20 @@ def untranslate_classification(form) -> QSupport:
 # member is split into universe summands and tensored with the universe
 # once, and summed once with itself and each earlier member at every shift;
 # normalize(x + y[k]) = normalize(y + x[-k]), so unordered pairs suffice.
-# For the sums a fingerprint is packed into one int, a fixed-width rank
-# field per (degree, key), wide enough that adding two members never
-# carries: a shifted sum is one shift and one add, looked up among the
-# packed universe.  Cone sweeps, smallest pairs first, start only once the
-# worklist is empty, and any find goes back onto it.
+# A fingerprint is packed into one int, a fixed-width rank field per
+# (degree, key), wide enough that adding two members never carries: a
+# shifted sum is one shift and one add, looked up among the packed universe,
+# and a run tracks its members by their packed ints.  Cone sweeps, smallest
+# pairs first, start only once the worklist is empty, and any find goes
+# back onto it.
 #
 # Results outside the universe's stated bounds are skipped as out of scope;
 # a result inside the bounds but missing from the universe raises
-# UniverseNotClosed.
+# UniverseNotClosed.  The bounds are `within`, which must be a pure function
+# of the fingerprint: its verdicts on the shifted sums of each member pair
+# are memoized in the cache per `within` object, so calls sharing a cache
+# and one `within` sum each pair once, and a new lambda on every call gets
+# no reuse.
 
 
 def _fp_normalize(fp):
@@ -424,11 +429,13 @@ def _fp_normalize(fp):
 
 def _fp_box(a, b):
     """Normalized fingerprint of x box y from those of x and y (over a field)."""
+    by_key = {}
+    for m, key, s, _ in b:
+        by_key.setdefault(key, []).append((m, s))
     tally = {}
     for n, key, r, _ in a:
-        for m, other, s, _ in b:
-            if other == key:
-                tally[n + m, key] = tally.get((n + m, key), 0) + r * s
+        for m, s in by_key.get(key, ()):
+            tally[n + m, key] = tally.get((n + m, key), 0) + r * s
     return _fp_normalize(tuple((n, key, t, ()) for (n, key), t in tally.items()))
 
 
@@ -465,7 +472,6 @@ class _Universe:
         self.index = {fp: pos for pos, fp in enumerate(self.fps)}
         if len(self.index) < len(self.fps):
             raise BadElement("universe lists two objects with the same fingerprint")
-        self.nonzero = frozenset(self.index) - {()}
         self.span = max(_fp_span(fp) for fp in self.fps)
         self.keys = sorted({key for fp in self.fps for _, key, _, _ in fp}, key=str)
         # a field holds the sum of two member ranks, so packed sums never carry
@@ -474,6 +480,7 @@ class _Universe:
         slot = {key: i * self.width for i, key in enumerate(self.keys)}
         self.packed = {fp: sum(r << (n * self.stride + slot[key]) for n, key, r, _ in fp) for fp in self.fps}
         self.unpacked = {p: fp for fp, p in self.packed.items()}
+        self.nonzero = frozenset(self.unpacked) - {0}
         self.rows = {}
 
     def unpack(self, p):
@@ -504,7 +511,10 @@ class _Universe:
 
 
 class _ClosureState:
-    """One closure run; the universe and the sweeps live in the cache dict."""
+    """One closure run; the universe and the sweeps live in the cache dict.
+
+    Members are tracked by their packed fingerprints (`_Universe.packed`).
+    """
 
     def __init__(self, universe, ring, within, max_maps, cache):
         self.ring = ring
@@ -516,11 +526,12 @@ class _ClosureState:
             self.cache.clear()  # every other entry is keyed by the old universe's fingerprints
             self.cache[("universe",)] = u
         self.u = u
+        self.within_key = within  # None for the default, which the universe alone decides
         self.within = within or _default_within(u.fps)
-        self.found = set()
-        self.todo = []  # admitted members whose cheap steps are still to run
-        self.done = []  # shifted packings of members already combined
-        self.seen = set()  # packed members, and packed sums already offered to admit
+        self.found = set()  # packed members
+        self.todo = []  # packed members whose cheap steps are still to run
+        self.done = []  # packed members already combined
+        self.rejected = set()  # packed sums outside the universe, already refused by within
 
     def cached(self, key, make):
         if key not in self.cache:
@@ -536,42 +547,77 @@ class _ClosureState:
 
         return self.cached(("res", fp), make)
 
-    def add(self, fp):
-        if fp and fp not in self.found:
-            self.found.add(fp)
-            self.todo.append(fp)
-            self.seen.add(self.u.packed[fp])
+    def add(self, p):
+        if p and p not in self.found:
+            self.found.add(p)
+            self.todo.append(p)
 
     def admit(self, fp, how):
-        if fp and fp not in self.found and self.within(fp):
-            if fp not in self.u.index:
+        p = self.u.packed.get(fp)
+        if fp and (p is None or p not in self.found) and self.within(fp):
+            if p is None:
                 raise UniverseNotClosed(f"{how} produced an object outside the universe: {fp}")
-            self.add(fp)
+            self.add(p)
 
     def drain(self):
         """Run the cheap steps until no member is left on the worklist."""
-        u, span = self.u, self.u.span
+        u = self.u
         while self.todo:
-            x = self.todo.pop()
-            for v, rest in self.cached(("split", x), lambda: u.split(x)):
-                self.add(v)
-                self.add(rest)
+            px = self.todo.pop()
+            x = u.unpacked[px]
+            for v, rest in self.cached(("split", px), lambda: u.split(x)):
+                self.add(u.packed[v])
+                self.add(u.packed.get(rest, 0))  # rest () is packed only if the universe holds 0
             # shifted direct sums, which also stand in for cones of zero maps
-            xs = [u.packed[x] << (j * u.stride) for j in range(span + 1)]
-            self.done.append(xs)
-            for ys in self.done:
-                for cand in {xs[0] + y for y in ys} | {a + ys[0] for a in xs}:
-                    if cand not in self.seen:
-                        self.seen.add(cand)
-                        self.admit(u.unpacked.get(cand) or u.unpack(cand), "direct sum")
-            # tensor with every universe element, distinct products once
-            row = self.cached(("tensor", x), lambda: tuple(dict.fromkeys(self.box_fps(x, v) for v in u.fps if v)))
-            for fp in row:
-                self.admit(fp, "tensor product")
+            self.done.append(px)
+            for py in self.done:
+                for p in self.pair_sums(min(px, py), max(px, py)):
+                    self.add(p)
+            # tensor with every universe element
+            inside, outside = self.cached(("tensor", px), lambda: self.tensor_row(x))
+            for p in inside:
+                if p not in self.found and self.within(u.unpacked[p]):
+                    self.add(p)
+            for fp in outside:
+                if self.within(fp):
+                    raise UniverseNotClosed(f"tensor product produced an object outside the universe: {fp}")
+
+    def pair_sums(self, px, py):
+        """The shifted sums of the members px <= py that lie in the universe
+        and that within admits, packed; computed once per cache and within.
+
+        Every sum outside the universe is offered to within, once per call;
+        if within admits one, nothing is stored.
+        """
+        key = ("sum", self.within_key, px, py)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit
+        u, out = self.u, []
+        shifts = [j * u.stride for j in range(u.span + 1)]
+        for cand in {px + (py << k) for k in shifts} | {(px << k) + py for k in shifts}:
+            if cand in u.unpacked:
+                if self.within(u.unpacked[cand]):
+                    out.append(cand)
+            elif cand not in self.rejected:
+                self.rejected.add(cand)
+                fp = u.unpack(cand)
+                if self.within(fp):
+                    raise UniverseNotClosed(f"direct sum produced an object outside the universe: {fp}")
+        self.cache[key] = out = tuple(out)
+        return out
+
+    def tensor_row(self, x):
+        """The distinct nonzero products of x with the universe: packed
+        members, then fingerprints outside the universe."""
+        row = dict.fromkeys(self.box_fps(x, v) for v in self.u.fps if v)
+        row.pop((), None)
+        packed = self.u.packed
+        return tuple(packed[fp] for fp in row if fp in packed), tuple(fp for fp in row if fp not in packed)
 
     def box_fps(self, a, b):
-        a, b = sorted((a, b))
-        return self.cached(("box", a, b), lambda: _fp_box(a, b))
+        pa, pb = sorted((self.u.packed[a], self.u.packed[b]))
+        return self.cached(("box", pa, pb), lambda: _fp_box(a, b))
 
     def cone_fps(self, a, b, k):
         """Fingerprints of cones over all nonzero chain maps a[k] -> b.
@@ -605,8 +651,9 @@ class _ClosureState:
         """Sweep cones between members, small pairs first, up to the first
         pair that admits something; False when no pair does."""
         capped = 0
+        members = [self.u.unpacked[p] for p in self.found]
         pairs = sorted(
-            ((x, y) for x in self.found for y in self.found),
+            ((x, y) for x in members for y in members),
             key=lambda t: (sum(r for fp in t for _, key, r, _ in fp if not str(key).startswith("->")), str(t)),
         )
         for x, y in pairs:
@@ -631,12 +678,15 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
     Returns the members as elements of the given universe list.  `within`
     bounds the oracle's scope: fingerprints outside it are ignored rather
     than demanded of the universe (default: the universe's own degree span
-    and fiber dimensions).  `cache` is a plain dict; pass the same one to
-    successive calls over the same universe to share its fingerprints, the
-    summand splits, the cheap tensor fingerprints and the expensive cone
-    sweeps.  The cache is tied to one universe by object identity: given a
-    universe whose elements are not the very objects it holds, it is
-    emptied first.
+    and fiber dimensions).  It must be a hashable, pure function of the
+    fingerprint: its verdicts on the shifted sums of member pairs are
+    memoized per cache and `within` object, so pass the same object to
+    every call that shares a cache; a new lambda on each call gets no reuse.  `cache` is a plain
+    dict; pass the same one to successive calls over the same universe to
+    share its fingerprints, the summand splits, the pair sums, the cheap
+    tensor fingerprints and the expensive cone sweeps.  The cache is tied to
+    one universe by object identity: given a universe whose elements are
+    not the very objects it holds, it is emptied first.
     The cheap steps run semi-naively, summing packed fingerprints (see the
     block comment above).
     """
@@ -652,10 +702,10 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
         fp = st.u.fps[pos] if pos is not None else _fp_normalize(homology_fingerprint(g))
         if fp and fp not in st.u.index:
             raise UniverseNotClosed("generator is not a member of the universe")
-        st.add(fp)
+        st.add(st.u.packed.get(fp, 0))  # the zero object adds nothing
     st.drain()
     while st.found < st.u.nonzero and st.cone_pass():
         st.drain()
 
-    members = st.found | ({()} & st.u.index.keys())
+    members = {st.u.unpacked[p] for p in st.found} | ({()} & st.u.index.keys())
     return [st.u.elements[st.u.index[fp]] for fp in sorted(members, key=str)]

@@ -8,8 +8,6 @@ guessing which layer complained.
 
 from __future__ import annotations
 
-import yaml
-
 from .complexes import ComplexRQ, Representation, RepMorphism, _trusted
 from .errors import QuiverTTError, WorkspaceError
 from .linalg import Matrix
@@ -31,6 +29,8 @@ class Workspace:
 
 
 def load_workspace(path: str) -> Workspace:
+    import yaml  # here, so that importing the package does not load PyYAML
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -272,6 +272,8 @@ def parse_filtration(node, q: Quiver, ring: Ring, where) -> Filtration:
 
 def load_filtration_file(path: str, q: Quiver, ring: Ring) -> Filtration:
     """A standalone filtration document, same schema as a filtrations: entry."""
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

@@ -535,6 +535,36 @@ def test_closure_offers_every_shifted_sum_to_within():
     assert sums - fps <= offered
 
 
+def test_closure_sum_verdicts_do_not_leak_between_within_objects():
+    # 2 U1 is refused by _one_copy_each; a later within that admits it must
+    # still see it, though both calls share one cache
+    universe = [zero_complex(A2, F2), U1]
+    cache = {}
+    assert len(thick_closure_bruteforce([U1], universe, within=_one_copy_each, cache=cache)) == 2
+    with pytest.raises(UniverseNotClosed, match="direct sum"):
+        thick_closure_bruteforce([U1], universe, within=lambda fp: True, cache=cache)
+
+
+def test_closure_offers_each_sum_outside_the_universe_once_per_cache():
+    # every call below reaches the whole universe by the cheap steps, so no
+    # cone is offered; tensor products are offered again on every call
+    universe = _small_universe()
+    fps = [_fp_normalize(homology_fingerprint(x)) for x in universe]
+    products = {_fp_box(a, b) for a in fps for b in fps}
+    offered = Counter()
+
+    def within(fp):
+        offered[fp] += 1
+        return _one_copy_each(fp)
+
+    p1u1, p1u1u2 = universe[4], universe[7]
+    cache = {}
+    for gens in ([p1u1], [P1], [p1u1u2], [P1, U2], [p1u1]):
+        assert len(thick_closure_bruteforce(gens, universe, within=within, cache=cache)) == len(universe)
+    sums = {fp: n for fp, n in offered.items() if fp not in fps and fp not in products}
+    assert sums and max(sums.values()) == 1
+
+
 def test_packed_fingerprints_match_tuple_arithmetic():
     wide = [_sums([P1, shift_complex(U2, 1)]), _sums([U1, U1, shift_complex(P1, -1)])]
     u = _Universe(_small_universe() + wide, F2)
@@ -574,3 +604,20 @@ def test_box_fingerprint_is_read_off_the_factors():
         assert _fp_box(homology_fingerprint(x), homology_fingerprint(y)) == want
         arrow_rows += any(str(key).startswith("->") for _, key, _, _ in want)
     assert arrow_rows  # arrow ranks are exercised, not only fiber dimensions
+
+
+def _nested_box(a, b):
+    # the closed form as a plain double loop over both fingerprints
+    tally = {}
+    for n, key, r, _ in a:
+        for m, other, s, _ in b:
+            if other == key:
+                tally[n + m, key] = tally.get((n + m, key), 0) + r * s
+    return _fp_normalize(tuple((n, key, t, ()) for (n, key), t in tally.items()))
+
+
+def test_box_fingerprint_matches_the_double_loop():
+    wide = [_sums([P1, shift_complex(U2, 1)]), _sums([U1, U1, shift_complex(P1, -1)])]
+    members = [_fp_normalize(homology_fingerprint(x)) for x in _small_universe() + wide]
+    for a, b in itertools.combinations_with_replacement(members, 2):
+        assert _fp_box(a, b) == _nested_box(a, b) == _fp_box(b, a)

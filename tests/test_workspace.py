@@ -4,8 +4,14 @@ Every bad node must surface as WorkspaceError carrying the path to the
 offending entry, because the CLI turns that into its parse-error exit code.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import quivertt
 from quivertt import (
     RepMorphism,
     WorkspaceError,
@@ -235,3 +241,12 @@ def test_load_filtration_file(tmp_path, line):
     assert not f.at(2).at("1").is_all
     with pytest.raises(WorkspaceError, match="cannot read"):
         load_filtration_file(str(tmp_path / "missing.yaml"), q, ring)
+
+
+def test_importing_the_package_does_not_load_yaml():
+    # PyYAML is read only by the loaders, so it stays out of a bare import
+    src = str(Path(quivertt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, quivertt; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
