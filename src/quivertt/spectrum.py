@@ -552,11 +552,11 @@ class _ClosureState:
             self.found.add(p)
             self.todo.append(p)
 
-    def admit(self, fp, how):
+    def admit_cone(self, fp):
         p = self.u.packed.get(fp)
         if fp and (p is None or p not in self.found) and self.within(fp):
             if p is None:
-                raise UniverseNotClosed(f"{how} produced an object outside the universe: {fp}")
+                raise UniverseNotClosed(f"mapping cone produced an object outside the universe: {fp}")
             self.add(p)
 
     def drain(self):
@@ -663,7 +663,7 @@ class _ClosureState:
                     capped += 1
                     continue
                 for cand in cands:
-                    self.admit(cand, "mapping cone")
+                    self.admit_cone(cand)
             if self.todo:
                 return True
         if capped:
