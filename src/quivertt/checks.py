@@ -12,7 +12,6 @@ import random
 
 from .complexes import (
     box_tensor,
-    complex_r,
     cone,
     direct_sum_complexes,
     ensure_perfect,
@@ -29,8 +28,8 @@ from .complexes import (
 )
 from .errors import QuiverTTError
 from .homs import ChainMapSpace, chom_rep, hom_space, internal_hom, is_rigid
-from .quivers import build_quiver, paths
-from .rings import FGModule, Integers, PrimeField, primes_upto, sp_all
+from .quivers import build_quiver, paths, point_quiver
+from .rings import Integers, PrimeField, primes_upto, sp_all
 from .samples import (
     random_acyclic_quiver,
     random_free_rep,
@@ -78,8 +77,7 @@ def _fp(x):
 
 
 def _vertex_unit(q, ring, i):
-    one = complex_r(ring, {0: FGModule.free(ring, 1)}, {})
-    return i_times(one, q, i)
+    return i_times(unit_complex(point_quiver(), ring), q, i)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ One validation rule: the public constructors, `rep_free`, `complex_r`,
 workspace loading and the evaluation map validate; everything the package
 builds internally goes through `_trusted` (one object) or `_complex` (a
 whole complex) and is not validated again.  That includes `cone`,
-`box_tensor`, the resolution steps and the internal hom: their outputs are
-valid by construction when their inputs are.  Workspace loading validates
+`box_tensor`, `koszul_complex`, the resolution steps and the internal hom:
+their outputs are valid by construction when their inputs are.  Workspace loading validates
 each differential once, as it builds it, and then checks only d^2 = 0 on
 the assembled complex.
 
@@ -124,18 +124,9 @@ def rep_free(quiver: Quiver, ring: Ring, ranks: dict, arrows: dict) -> Represent
 def rep_direct_sum(reps: list) -> Representation:
     assert reps
     q, r = reps[0].quiver, reps[0].ring
-    fibers = {}
-    for v in q.vertices:
-        pres = reps[0].fibers[v].presentation
-        for rep in reps[1:]:
-            pres = pres.direct_sum(rep.fibers[v].presentation)
-        fibers[v] = FGModule(r, pres)
-    arrows = {}
-    for name, _, _ in q.arrows:
-        m = reps[0].arrows[name]
-        for rep in reps[1:]:
-            m = m.direct_sum(rep.arrows[name])
-        arrows[name] = m
+    fibers = {v: FGModule(r, Matrix.direct_sum(r, [rep.fibers[v].presentation for rep in reps]))
+              for v in q.vertices}
+    arrows = {name: Matrix.direct_sum(r, [rep.arrows[name] for rep in reps]) for name, _, _ in q.arrows}
     return _trusted(Representation, q, r, fibers, arrows)
 
 
@@ -277,13 +268,10 @@ def _rep_is_projective(rep: Representation) -> bool:
         return False
     for v in rep.quiver.vertices:
         incoming = rep.quiver.arrows_in(v)
-        total = sum(rep.gens(s) for _, s, _ in incoming)
-        if total == 0:
+        if not sum(rep.gens(s) for _, s, _ in incoming):
             continue
-        m = None
-        for name, s, _ in incoming:
-            col = rep.arrows[name]
-            m = col if m is None else m.hstack(col)
+        m = Matrix.blocks(rep.ring, [[rep.arrows[name] for name, _, _ in incoming]],
+                          [rep.gens(v)], [rep.gens(s) for _, s, _ in incoming])
         if not is_split_mono(m):
             return False
     return True
@@ -319,17 +307,8 @@ def direct_sum_complexes(xs: list) -> ComplexRQ:
     q, r = xs[0].quiver, xs[0].ring
     degrees = sorted({n for x in xs for n in x.degrees})
     terms = {n: rep_direct_sum([x.term(n) for x in xs]) for n in degrees}
-    diffs = {}
-    for n in degrees:
-        if n + 1 not in terms:
-            continue
-        mats = {}
-        for v in q.vertices:
-            m = xs[0].diff(n).mats[v]
-            for x in xs[1:]:
-                m = m.direct_sum(x.diff(n).mats[v])
-            mats[v] = m
-        diffs[n] = mats
+    diffs = {n: {v: Matrix.direct_sum(r, [x.diff(n).mats[v] for x in xs]) for v in q.vertices}
+             for n in degrees if n + 1 in terms}
     return _complex(q, r, terms, diffs)
 
 
@@ -383,9 +362,7 @@ def cone(f: ComplexMorphism) -> ComplexRQ:
             da = a.diff(n + 1).mats[v].neg()
             db = b.diff(n).mats[v]
             fv = f.part(n + 1).mats[v]
-            top = da.hstack(Matrix.zeros(r, da.rows, db.cols))
-            bot = fv.hstack(db)
-            mats[v] = top.vstack(bot)
+            mats[v] = Matrix.blocks(r, [[da, None], [fv, db]], [da.rows, db.rows], [da.cols, db.cols])
         diffs[n] = mats
     return _complex(q, r, terms, diffs)
 
@@ -399,12 +376,10 @@ def projective_rep(q: Quiver, ring: Ring, i) -> Representation:
     i = q.check_vertex(i)
     base = {v: paths(q, i, v) for v in q.vertices}
     fibers = {v: FGModule.free(ring, len(base[v])) for v in q.vertices}
-    arrows = {}
-    for name, s, t in q.arrows:
-        m = [[ring.zero()] * len(base[s]) for _ in range(len(base[t]))]
-        for col, p in enumerate(base[s]):
-            m[base[t].index(p + (name,))][col] = ring.one()
-        arrows[name] = Matrix(ring, len(base[t]), len(base[s]), tuple(tuple(row) for row in m))
+    one = ring.one()
+    arrows = {name: Matrix.from_entries(ring, len(base[t]), len(base[s]),
+                                        {(base[t].index(p + (name,)), col): one for col, p in enumerate(base[s])})
+              for name, s, t in q.arrows}
     return _trusted(Representation, q, ring, fibers, arrows)
 
 
@@ -433,13 +408,12 @@ def proj_precompose(q: Quiver, ring: Ring, arrow_name) -> RepMorphism:
     """The map P(j) -> P(i) for an arrow a: i -> j, prefixing paths with a."""
     _, i, j = q.arrow(arrow_name)
     pi, pj = projective_rep(q, ring, i), projective_rep(q, ring, j)
+    one = ring.one()
     mats = {}
     for v in q.vertices:
         rows, cols = paths(q, i, v), paths(q, j, v)
-        m = [[ring.zero()] * len(cols) for _ in range(len(rows))]
-        for c, p in enumerate(cols):
-            m[rows.index((arrow_name,) + p)][c] = ring.one()
-        mats[v] = Matrix(ring, len(rows), len(cols), tuple(tuple(row) for row in m))
+        mats[v] = Matrix.from_entries(ring, len(rows), len(cols),
+                                      {(rows.index((arrow_name,) + p), c): one for c, p in enumerate(cols)})
     return _trusted(RepMorphism, pj, pi, mats)
 
 
@@ -461,15 +435,13 @@ def _copies_rep(q: Quiver, ring: Ring, fib: FGModule, slot_lists: dict, arrow_sl
     for v in q.vertices:
         k = len(slot_lists[v])
         fibers[v] = FGModule(ring, Matrix.identity(ring, k).kron(fib.presentation)) if k else FGModule.free(ring, 0)
+    one = ring.one()
     arrows = {}
     for name, s, t in q.arrows:
         rows, cols = slot_lists[t], slot_lists[s]
-        perm = [[ring.zero()] * len(cols) for _ in range(len(rows))]
-        for c, slot in enumerate(cols):
-            tgt = arrow_slot(name, s, t, slot)
-            if tgt is not None:
-                perm[rows.index(tgt)][c] = ring.one()
-        pm = Matrix(ring, len(rows), len(cols), tuple(tuple(r) for r in perm))
+        moved = {c: arrow_slot(name, s, t, slot) for c, slot in enumerate(cols)}
+        pm = Matrix.from_entries(ring, len(rows), len(cols),
+                                 {(rows.index(tgt), c): one for c, tgt in moved.items() if tgt is not None})
         arrows[name] = pm.kron(Matrix.identity(ring, fib.gens))
     return _trusted(Representation, q, ring, fibers, arrows)
 
@@ -544,11 +516,16 @@ def change_ring(x: ComplexRQ, ring: Ring, convert=None) -> ComplexRQ:
     return _complex(x.quiver, ring, terms, diffs)
 
 
-def complex_r(ring: Ring, entries: dict, diff_mats: dict) -> ComplexRQ:
-    """A complex over the one-vertex quiver from modules and matrices."""
+def _point_complex(ring: Ring, entries: dict, diff_mats: dict) -> ComplexRQ:
+    """Trusted complex over the one-vertex quiver from modules and matrices."""
     pt = point_quiver()
     terms = {n: _trusted(Representation, pt, ring, {"pt": fib}, {}) for n, fib in entries.items()}
-    out = _complex(pt, ring, terms, {n: {"pt": m} for n, m in diff_mats.items()})
+    return _complex(pt, ring, terms, {n: {"pt": m} for n, m in diff_mats.items()})
+
+
+def complex_r(ring: Ring, entries: dict, diff_mats: dict) -> ComplexRQ:
+    """A complex over the one-vertex quiver from modules and matrices."""
+    out = _point_complex(ring, entries, diff_mats)
     out.validate()
     return out
 
@@ -568,15 +545,11 @@ def koszul_complex(ring: Ring, gens) -> ComplexRQ:
     diffs = {}
     for j in range(k, 0, -1):
         rows, cols = basis[j - 1], basis[j]
-        m = [[ring.zero()] * len(cols) for _ in range(len(rows))]
-        for c, S in enumerate(cols):
-            for t, idx in enumerate(S):
-                rest = S[:t] + S[t + 1:]
-                coeff = gens[idx] if t % 2 == 0 else ring.neg(gens[idx])
-                r_i = rows.index(rest)
-                m[r_i][c] = ring.add(m[r_i][c], coeff)
-        diffs[-j] = Matrix(ring, len(rows), len(cols), tuple(tuple(r) for r in m))
-    return complex_r(ring, entries, diffs)
+        # distinct positions t drop distinct indices, so no entry is hit twice
+        diffs[-j] = Matrix.from_entries(ring, len(rows), len(cols), {
+            (rows.index(S[:t] + S[t + 1:]), c): gens[idx] if t % 2 == 0 else ring.neg(gens[idx])
+            for c, S in enumerate(cols) for t, idx in enumerate(S)})
+    return _point_complex(ring, entries, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -645,28 +618,9 @@ def box_tensor(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
                     ri = tgt.index((p, qq + 1))
                     blk = Matrix.identity(r, x.terms[p].gens(v)).kron(y.diff(qq).mats[v])
                     grid[ri][ci] = blk if p % 2 == 0 else blk.neg()
-            mats[v] = _assemble(r, grid, tgt_dims, src_dims)
+            mats[v] = Matrix.blocks(r, grid, tgt_dims, src_dims)
         diffs[n] = mats
     return _complex(q, r, terms, diffs)
-
-
-def _assemble(ring, grid, row_dims, col_dims) -> Matrix:
-    rows = sum(row_dims)
-    cols = sum(col_dims)
-    out = [[ring.zero()] * cols for _ in range(rows)]
-    roff = 0
-    for ri, rd in enumerate(row_dims):
-        coff = 0
-        for ci, cd in enumerate(col_dims):
-            blk = grid[ri][ci]
-            if blk is not None:
-                for i in range(blk.rows):
-                    row = blk.entries[i]
-                    for j in range(blk.cols):
-                        out[roff + i][coff + j] = row[j]
-            coff += cd
-        roff += rd
-    return Matrix(ring, rows, cols, tuple(tuple(r) for r in out))
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +641,7 @@ def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
         if nxt_pres.cols:
             block = block.hstack(nxt_pres)
         K_full = kernel_basis(block)
-        K = Matrix(r, g, K_full.cols, tuple(K_full.entries[i] for i in range(g)))
+        K = K_full.select_rows(range(g))
         rel_cols = dp.mats[v]
         cur_pres = cur.fibers[v].presentation
         if cur_pres.cols:
@@ -729,9 +683,7 @@ def _fibers(x: ComplexRQ, n: int, below: dict) -> tuple:
         rank_in, divs = below[v]
         here[v] = _smith(x, n, v)
         f = cur.gens(v) - rank_in - here[v][0]
-        z = r.zero()
-        rows = tuple(tuple(d if i == j else z for j in range(len(divs))) for i, d in enumerate(divs))
-        out[v] = FGModule(r, Matrix(r, len(divs) + f, len(divs), rows + ((z,) * len(divs),) * f))
+        out[v] = FGModule(r, Matrix.from_entries(r, len(divs) + f, len(divs), {(i, i): d for i, d in enumerate(divs)}))
     rest = [v for v in live if v not in out]
     if rest:
         out.update((v, h) for v, (_, h) in _homology_parts(x, n, rest).items())
@@ -827,7 +779,7 @@ def homology_fingerprint(x: ComplexRQ):
                 dn, dp = x.diff(n), x.diff(n - 1)
                 for name, s, t in q.arrows:
                     a, ds, dt = x.terms[n].arrows[name], dn.mats[s], dp.mats[t]
-                    m = a.hstack(dt).vstack(ds.hstack(Matrix.zeros(r, ds.rows, dt.cols)))
+                    m = Matrix.blocks(r, [[a, dt], [ds, None]], [a.rows, ds.rows], [a.cols, dt.cols])
                     # a vertex _fibers did not read has no generators in
                     # degree n, so d_s^n has no columns and d_t^(n-1) no rows
                     ranks[name] = rank(m) - here.get(s, (0,))[0] - below.get(t, (0,))[0]
@@ -867,26 +819,18 @@ def _minimalize_fibers(x: ComplexRQ) -> ComplexRQ:
             diag = diagonal_of(d)
             keep = [i for i in range(fib.gens)
                     if i >= len(diag) or r.is_zero(diag[i]) or not r.is_unit(diag[i])]
-            cols = []
-            for i in keep:
-                if i < len(diag) and not r.is_zero(diag[i]):
-                    col = [r.zero()] * len(keep)
-                    col[keep.index(i)] = diag[i]
-                    cols.append(col)
-            pres = Matrix(r, len(keep), len(cols),
-                          tuple(tuple(col[i] for col in cols) for i in range(len(keep))))
+            rels = [(k, diag[i]) for k, i in enumerate(keep) if i < len(diag) and not r.is_zero(diag[i])]
+            pres = Matrix.from_entries(r, len(keep), len(rels), {(k, c): e for c, (k, e) in enumerate(rels)})
             coord[(n, v)] = (u, solve(u, Matrix.identity(r, u.rows)), keep, pres)
 
     def convert(mat: Matrix, src_key, tgt_key) -> Matrix:
         m = mat
         if coord[src_key] is not None:
             _, u_inv, keep_s, _ = coord[src_key]
-            m = m.mul(u_inv)
-            m = m.select_columns(keep_s)
+            m = m.mul(u_inv).select_columns(keep_s)
         if coord[tgt_key] is not None:
             u_t, _, keep_t, _ = coord[tgt_key]
-            m = u_t.mul(m)
-            m = Matrix(r, len(keep_t), m.cols, tuple(m.entries[i] for i in keep_t))
+            m = u_t.mul(m).select_rows(keep_t)
         return m
 
     terms = {}
@@ -947,9 +891,9 @@ def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
             defect = dm_t.mul(a_gen).sub(a_next.mul(dm_s))
             n_blk = lift_through(m + 1, t, defect)
             grid = [[a_gen, None], [n_blk.neg(), a_rel]]
-            arrows[name] = _assemble(r, grid,
-                                     [x.term(m).gens(t), pres(m + 1, t).cols],
-                                     [x.term(m).gens(s), pres(m + 1, s).cols])
+            arrows[name] = Matrix.blocks(r, grid,
+                                         [x.term(m).gens(t), pres(m + 1, t).cols],
+                                         [x.term(m).gens(s), pres(m + 1, s).cols])
         if any(f.gens for f in fibers.values()):
             terms[m] = _trusted(Representation, q, r, fibers, arrows)
     for m in span:
@@ -963,9 +907,9 @@ def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
             delta_rel = lift_through(m + 2, v, delta_next.mul(p_next))
             h_blk = lift_through(m + 2, v, delta_next.mul(delta))
             grid = [[delta, p_next], [h_blk.neg(), delta_rel.neg()]]
-            mats[v] = _assemble(r, grid,
-                                [x.term(m + 1).gens(v), pres(m + 2, v).cols],
-                                [x.term(m).gens(v), p_next.cols])
+            mats[v] = Matrix.blocks(r, grid,
+                                    [x.term(m + 1).gens(v), pres(m + 2, v).cols],
+                                    [x.term(m).gens(v), p_next.cols])
         diffs[m] = mats
     return _complex(q, r, terms, diffs)
 
@@ -1006,27 +950,22 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
         parts = [_proj_tensor(projs[t], term.gens(s)) for _, s, t in aorder]
         return rep_direct_sum(parts) if parts else rep_zero(q, r)
 
-    def block_map(blocks, src: Representation, tgt: Representation, f_mats) -> dict:
+    def block_map(blocks, f_mats) -> dict:
         # blockwise P(start) x f_g
-        out = {}
-        for v in q.vertices:
-            grid = [[None] * len(blocks) for _ in blocks]
-            rdims, cdims = [], []
-            for k, (g, start) in enumerate(blocks):
-                np_ = len(paths(q, start, v))
-                rdims.append(np_ * tgt.gens(g))
-                cdims.append(np_ * src.gens(g))
-                grid[k][k] = Matrix.identity(r, np_).kron(f_mats[g])
-            out[v] = _assemble(r, grid, rdims, cdims)
-        return out
+        return {v: Matrix.direct_sum(r, [Matrix.identity(r, len(paths(q, start, v))).kron(f_mats[g])
+                                         for g, start in blocks]) for v in q.vertices}
 
     def phi(term: Representation) -> dict:
         """B1 -> B0: p x z maps to p x X_a(z) minus (a then p) x z."""
+        minus_one = r.neg(r.one())
         out = {}
         for v in q.vertices:
             rdims = [len(paths(q, i, v)) * term.gens(i) for i in vorder]
             cdims = [len(paths(q, t, v)) * term.gens(s) for _, s, t in aorder]
-            m = [[r.zero()] * sum(cdims) for _ in range(sum(rdims))]
+            # the P(t) and P(s) blocks of an arrow are distinct rows (the
+            # quiver is acyclic) and each arrow has its own columns, so no
+            # entry is written twice
+            ents = {}
             coff = 0
             for name, s, t in aorder:
                 pt_list = paths(q, t, v)
@@ -1043,41 +982,35 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
                         for w in range(gt):
                             val = a_mat.entries[w][z]
                             if not r.is_zero(val):
-                                row = roff_t + pt_list.index(p) * gt + w
-                                m[row][col0 + z] = r.add(m[row][col0 + z], val)
+                                ents[(roff_t + pi * gt + w, col0 + z)] = val
                         # minus (name then p) x z in the P(s) block
-                        row = roff_s + ps_list.index((name,) + p) * gs + z
-                        m[row][col0 + z] = r.sub(m[row][col0 + z], r.one())
+                        ents[(roff_s + ps_list.index((name,) + p) * gs + z, col0 + z)] = minus_one
                 coff += len(pt_list) * gs
-            out[v] = Matrix(r, sum(rdims), sum(cdims), tuple(tuple(row) for row in m))
+            out[v] = Matrix.from_entries(r, sum(rdims), sum(cdims), ents)
         return out
 
     degrees = x.degrees
     b0 = {n: b0_of(x.terms[n]) for n in degrees}
     b1 = {n: b1_of(x.terms[n]) for n in degrees}
+    zero = rep_zero(q, r)
     terms, diffs = {}, {}
     span = sorted(set(degrees) | {n - 1 for n in degrees})
     for m in span:
-        t = rep_direct_sum([b0[m] if m in degrees else rep_zero(q, r),
-                            b1[m + 1] if m + 1 in degrees else rep_zero(q, r)])
+        t = rep_direct_sum([b0.get(m, zero), b1.get(m + 1, zero)])
         if not t.is_zero_gens():
             terms[m] = t
     for m in span:
         if m not in terms or m + 1 not in terms:
             continue
-        d_cur = x.diff(m)
-        top_d = block_map(b0_blocks, x.term(m), x.term(m + 1), d_cur.mats) if m in degrees and m + 1 in degrees else None
+        top_d = block_map(b0_blocks, x.diff(m).mats) if m in degrees and m + 1 in degrees else None
         phi_next = phi(x.terms[m + 1]) if m + 1 in degrees else None
-        bot_d = block_map(b1_blocks, x.term(m + 1), x.term(m + 2), x.diff(m + 1).mats) if (m + 1 in degrees and m + 2 in degrees) else None
+        bot_d = block_map(b1_blocks, x.diff(m + 1).mats) if (m + 1 in degrees and m + 2 in degrees) else None
         mats = {}
         for v in q.vertices:
-            r00 = b0[m + 1].gens(v) if m + 1 in degrees else 0
-            r10 = b1[m + 2].gens(v) if m + 2 in degrees else 0
-            c00 = b0[m].gens(v) if m in degrees else 0
-            c10 = b1[m + 1].gens(v) if m + 1 in degrees else 0
             grid = [[top_d[v] if top_d else None, phi_next[v] if phi_next else None],
                     [None, bot_d[v].neg() if bot_d else None]]
-            mats[v] = _assemble(r, grid, [r00, r10], [c00, c10])
+            mats[v] = Matrix.blocks(r, grid, [b0.get(m + 1, zero).gens(v), b1.get(m + 2, zero).gens(v)],
+                                    [b0.get(m, zero).gens(v), b1.get(m + 1, zero).gens(v)])
         diffs[m] = mats
     return _complex(q, r, terms, diffs)
 

@@ -21,7 +21,6 @@ from .complexes import (
     ComplexRQ,
     Representation,
     RepMorphism,
-    _assemble,
     _complex,
     _trusted,
     box_tensor,
@@ -139,6 +138,16 @@ def hom_space(a: Representation, b: Representation) -> HomData:
     return HomData(r, q, kernel_basis(c), shapes, offsets)
 
 
+def _induced(src: HomData, tgt: HomData, compose) -> Matrix:
+    """The map src -> tgt taking f to {v: compose(v, f_v)}, in tgt's generators."""
+    vertices = src.quiver.vertices
+    glist = []
+    for l in range(src.gens):
+        f = src.lift(l)
+        glist.append({v: compose(v, f[v]) for v in vertices})
+    return tgt.express_cols(glist)
+
+
 def chom_rep(y: Representation, z: Representation) -> Representation:
     """The representation with fiber Hom(y tensor P(i), z) at vertex i.
 
@@ -154,13 +163,8 @@ def chom_rep(y: Representation, z: Representation) -> Representation:
     arrows = {}
     for name, i, j in q.arrows:
         iota = proj_precompose(q, r, name)
-        src_hd, tgt_hd = hds[i], hds[j]
         pre = {v: Matrix.identity(r, y.gens(v)).kron(iota.mats[v]) for v in q.vertices}
-        glist = []
-        for l in range(src_hd.gens):
-            f = src_hd.lift(l)
-            glist.append({v: f[v].mul(pre[v]) for v in q.vertices})
-        arrows[name] = tgt_hd.express_cols(glist)
+        arrows[name] = _induced(hds[i], hds[j], lambda v, f: f.mul(pre[v]))
     return _trusted(Representation, q, r, fibers, arrows)
 
 
@@ -205,11 +209,8 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
     for a in a_values:
         fibers = {}
         for i in q.vertices:
-            pres = None
-            for m in summands[(i, a)]:
-                p = hd[(i, a, m)].module.presentation
-                pres = p if pres is None else pres.direct_sum(p)
-            fibers[i] = FGModule(r, pres) if pres is not None else FGModule.free(r, 0)
+            pres = [hd[(i, a, m)].module.presentation for m in summands[(i, a)]]
+            fibers[i] = FGModule(r, Matrix.direct_sum(r, pres))
         arrows = {}
         for name, i, j in q.arrows:
             iota = proj_precompose(q, r, name)
@@ -219,16 +220,11 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
             for ci, m in enumerate(ms):
                 if m not in ms_j:
                     continue
-                src_hd, tgt_hd = hd[(i, a, m)], hd[(j, a, m)]
                 pre = {v: Matrix.identity(r, x.terms[m].gens(v)).kron(iota.mats[v]) for v in q.vertices}
-                glist = []
-                for l in range(src_hd.gens):
-                    f = src_hd.lift(l)
-                    glist.append({v: f[v].mul(pre[v]) for v in q.vertices})
-                grid[ms_j.index(m)][ci] = tgt_hd.express_cols(glist)
+                grid[ms_j.index(m)][ci] = _induced(hd[(i, a, m)], hd[(j, a, m)], lambda v, f: f.mul(pre[v]))
             rdims = [hd[(j, a, m)].gens for m in ms_j]
             cdims = [hd[(i, a, m)].gens for m in ms]
-            arrows[name] = _assemble(r, grid, rdims, cdims)
+            arrows[name] = Matrix.blocks(r, grid, rdims, cdims)
         terms[a] = _trusted(Representation, q, r, fibers, arrows)
 
     diffs = {}
@@ -243,28 +239,18 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
                 src_hd = hd[(i, a, m)]
                 # post-compose with the differential of y
                 if m in ms_t and m + a + 1 in y.degrees:
-                    tgt_hd = hd[(i, a + 1, m)]
                     dy = y.diff(m + a)
-                    glist = []
-                    for l in range(src_hd.gens):
-                        f = src_hd.lift(l)
-                        glist.append({v: dy.mats[v].mul(f[v]) for v in q.vertices})
-                    grid[ms_t.index(m)][ci] = tgt_hd.express_cols(glist)
+                    grid[ms_t.index(m)][ci] = _induced(src_hd, hd[(i, a + 1, m)], lambda v, f: dy.mats[v].mul(f))
                 # pre-compose with the differential of x, sign (-1)^{a+1}
                 if m - 1 in ms_t:
-                    tgt_hd = hd[(i, a + 1, m - 1)]
                     dx = x.diff(m - 1)
                     pre = {v: dx.mats[v].kron(Matrix.identity(r, len(paths(q, i, v)))) for v in q.vertices}
                     if a % 2 == 0:
                         pre = {v: p.neg() for v, p in pre.items()}
-                    glist = []
-                    for l in range(src_hd.gens):
-                        f = src_hd.lift(l)
-                        glist.append({v: f[v].mul(pre[v]) for v in q.vertices})
-                    grid[ms_t.index(m - 1)][ci] = tgt_hd.express_cols(glist)
+                    grid[ms_t.index(m - 1)][ci] = _induced(src_hd, hd[(i, a + 1, m - 1)], lambda v, f: f.mul(pre[v]))
             rdims = [hd[(i, a + 1, m)].gens for m in ms_t]
             cdims = [hd[(i, a, m)].gens for m in ms]
-            mats[i] = _assemble(r, grid, rdims, cdims)
+            mats[i] = Matrix.blocks(r, grid, rdims, cdims)
         diffs[a] = mats
     return ChomData(_complex(q, r, terms, diffs), summands, hd, offsets, x, y)
 
@@ -292,10 +278,9 @@ def _unit_with_counit(q, ring):
     unit = u.terms[0]
     mats = {}
     for v in q.vertices:
-        cols = [tuple(row[z] for row in unit.path_action(i, p).entries)
-                for i in q.vertices for p in paths(q, i, v) for z in range(unit.gens(i))]
-        mats[v] = Matrix(ring, unit.gens(v), len(cols),
-                         tuple(tuple(c[k] for c in cols) for k in range(unit.gens(v))))
+        into_v = [(i, p) for i in q.vertices for p in paths(q, i, v)]
+        mats[v] = Matrix.blocks(ring, [[unit.path_action(i, p) for i, p in into_v]],
+                                [unit.gens(v)], [unit.gens(i) for i, _ in into_v])
     return w, ComplexMorphism(w, u, {0: _trusted(RepMorphism, w.terms[0], unit, mats)})
 
 
@@ -314,8 +299,8 @@ def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) 
         ps = sorted(pairs[n])
         mats = {}
         for i in q.vertices:
-            tgt_total = t.term(n).gens(i)
-            out_cols = []
+            ents = {}
+            ncols = 0
             for a, b in ps:
                 ygens = y.terms[b].gens(i)
                 for m in cu.summands[(i, a)]:
@@ -323,7 +308,7 @@ def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) 
                     if data.gens == 0 or ygens == 0:
                         continue
                     if m + a != 0:
-                        out_cols.extend([(0, None)] * (data.gens * ygens))
+                        ncols += data.gens * ygens
                         continue
                     glist = []
                     for l in range(data.gens):
@@ -332,17 +317,10 @@ def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) 
                             glist.append(_eval_image(q, r, x, y, paths, aug, f, i, a, b, m, z))
                     coeffs = ct.hd[(i, n, m)].express_cols(glist)
                     off = ct.offsets[(i, n, m)]
-                    for cidx in range(coeffs.cols):
-                        out_cols.append((off, tuple(coeffs.entries[w][cidx] for w in range(coeffs.rows))))
-            cols = []
-            for off, coeff in out_cols:
-                col = [r.zero()] * tgt_total
-                if coeff is not None:
-                    for w, e in enumerate(coeff):
-                        col[off + w] = e
-                cols.append(col)
-            mats[i] = Matrix(r, tgt_total, len(cols),
-                             tuple(tuple(c[rr] for c in cols) for rr in range(tgt_total)))
+                    ents.update(((off + w, ncols + c), e) for w, row in enumerate(coeffs.entries)
+                                for c, e in enumerate(row))
+                    ncols += coeffs.cols
+            mats[i] = Matrix.from_entries(r, t.term(n).gens(i), ncols, ents)
         if n in s.terms:
             parts[n] = _trusted(RepMorphism, s.terms[n], t.term(n), mats)
     return ComplexMorphism(s, t, parts)

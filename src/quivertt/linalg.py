@@ -37,6 +37,12 @@ still pack rows into ints and xor them.  An empty matrix (no rows or no
 columns) is already in Smith form with identity transforms, and its cokernel
 is free on its rows; neither runs elimination.
 
+Blocks are assembled only here.  `Matrix.blocks` builds a block matrix from a
+grid (None is a zero block), `Matrix.direct_sum` a block diagonal and
+`Matrix.from_entries` a matrix from a dict of its entries.  The tensor's
+total complex, cones, the internal hom and the projective resolution all go
+through them, and no other module fills a grid of zeros.
+
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x],
 valuation over the p-locals), ties broken by lowest row then lowest column.
@@ -74,6 +80,57 @@ class Matrix:
     def zeros(ring, rows: int, cols: int) -> "Matrix":
         z = ring.zero()
         return Matrix(ring, rows, cols, tuple((z,) * cols for _ in range(rows)))
+
+    @staticmethod
+    def from_entries(ring, rows: int, cols: int, entries: dict) -> "Matrix":
+        """The rows x cols matrix with entries[(i, j)] at (i, j), zero elsewhere."""
+        out = [[ring.zero()] * cols for _ in range(rows)]
+        for (i, j), e in entries.items():
+            out[i][j] = e
+        return Matrix(ring, rows, cols, tuple(map(tuple, out)))
+
+    @staticmethod
+    def blocks(ring, grid, row_dims, col_dims) -> "Matrix":
+        """The block matrix whose block (i, j) is grid[i][j], a row_dims[i] x
+        col_dims[j] matrix, or zero where grid[i][j] is None.  Each block row
+        is built in one pass."""
+        if len(grid) != len(row_dims) or any(len(brow) != len(col_dims) for brow in grid):
+            raise ShapeMismatch("block grid does not match its dimensions")
+        z = ring.zero()
+        out = []
+        for brow, rd in zip(grid, row_dims):
+            parts = []
+            for blk, cd in zip(brow, col_dims):
+                if blk is None:
+                    parts.append(((z,) * cd,) * rd)
+                    continue
+                if blk.ring is not ring and blk.ring != ring:
+                    raise RingMismatch(f"mixed rings {ring.label} and {blk.ring.label}")
+                if (blk.rows, blk.cols) != (rd, cd):
+                    raise ShapeMismatch(f"block is {blk.rows}x{blk.cols}, wanted {rd}x{cd}")
+                parts.append(blk.entries)
+            if len(parts) == 1:
+                out += parts[0]
+            elif parts:
+                out += (sum(row, ()) for row in zip(*parts))
+            else:
+                out += ((),) * rd
+        return Matrix(ring, sum(row_dims), sum(col_dims), tuple(out))
+
+    @staticmethod
+    def direct_sum(ring, mats) -> "Matrix":
+        """The block diagonal of mats; the empty list gives a 0 x 0 matrix."""
+        cols = sum(m.cols for m in mats)
+        z = ring.zero()
+        out = []
+        off = 0
+        for m in mats:
+            if m.ring is not ring and m.ring != ring:
+                raise RingMismatch(f"mixed rings {ring.label} and {m.ring.label}")
+            pre, post = (z,) * off, (z,) * (cols - off - m.cols)
+            out += (pre + row + post for row in m.entries)
+            off += m.cols
+        return Matrix(ring, len(out), cols, tuple(out))
 
     @staticmethod
     def identity(ring, n: int) -> "Matrix":
@@ -154,18 +211,6 @@ class Matrix:
         return Matrix(self.ring, self.rows, self.cols + other.cols,
                       tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if self.cols != other.cols:
-            raise ShapeMismatch("vstack col mismatch")
-        return Matrix(self.ring, self.rows + other.rows, self.cols, self.entries + other.entries)
-
-    def direct_sum(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        top = self.hstack(Matrix.zeros(self.ring, self.rows, other.cols))
-        bot = Matrix.zeros(self.ring, other.rows, self.cols).hstack(other)
-        return top.vstack(bot)
-
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i, j) is self[i][j] * other."""
         self._check(other)
@@ -184,6 +229,9 @@ class Matrix:
 
     def select_columns(self, idxs) -> "Matrix":
         return Matrix(self.ring, self.rows, len(idxs), tuple(tuple(row[j] for j in idxs) for row in self.entries))
+
+    def select_rows(self, idxs) -> "Matrix":
+        return Matrix(self.ring, len(idxs), self.cols, tuple(self.entries[i] for i in idxs))
 
     def map_entries(self, fn, ring=None) -> "Matrix":
         r = ring if ring is not None else self.ring
@@ -528,7 +576,6 @@ def solve_kernel(a: Matrix, b: Matrix):
     if a.rows != b.rows:
         raise ShapeMismatch("solve shape mismatch")
     r = a.ring
-    zero = r.zero()
     if r.is_field:
         # columns reduce left to right, so the pivots among a's columns are
         # a's own and b only rides along
@@ -536,18 +583,13 @@ def solve_kernel(a: Matrix, b: Matrix):
         own = [p for p in piv if p < a.cols]
         kept = set(own)
         free = [c for c in range(a.cols) if c not in kept]
-        kernel = [[zero] * len(free) for _ in range(a.cols)]
-        for j, f in enumerate(free):
-            kernel[f][j] = r.one()
-            for i, p in enumerate(own):
-                kernel[p][j] = r.neg(rows[i][f])
-        kernel = Matrix(r, a.cols, len(free), tuple(map(tuple, kernel)))
+        kernel = {(f, j): r.one() for j, f in enumerate(free)}
+        kernel.update(((p, j), r.neg(rows[i][f])) for j, f in enumerate(free) for i, p in enumerate(own))
+        kernel = Matrix.from_entries(r, a.cols, len(free), kernel)
         if len(own) < len(piv):
             return None, kernel
-        x = [[zero] * b.cols for _ in range(a.cols)]
-        for i, p in enumerate(piv):
-            x[p] = rows[i][a.cols:]
-        return Matrix(r, a.cols, b.cols, tuple(map(tuple, x))), kernel
+        x = {(p, j): e for i, p in enumerate(piv) for j, e in enumerate(rows[i][a.cols:])}
+        return Matrix.from_entries(r, a.cols, b.cols, x), kernel
     d, u, v = smith_normal_form(a)
     diag = diagonal_of(d)
     # kernel: v's columns over a zero or missing diagonal entry; over Z/n a
@@ -560,7 +602,7 @@ def solve_kernel(a: Matrix, b: Matrix):
     if not b.cols:
         return Matrix.zeros(r, a.cols, 0), kernel
     rhs = u.mul(b)
-    y = [[zero] * b.cols for _ in range(a.cols)]
+    y = {}
     for i in range(a.rows):
         for j in range(b.cols):
             target = rhs.entries[i][j]
@@ -568,10 +610,10 @@ def solve_kernel(a: Matrix, b: Matrix):
                 q = r.divide(target, diag[i])
                 if q is None:
                     return None, kernel
-                y[i][j] = q
+                y[(i, j)] = q
             elif not r.is_zero(target):
                 return None, kernel
-    return v.mul(Matrix(r, a.cols, b.cols, tuple(map(tuple, y)))), kernel
+    return v.mul(Matrix.from_entries(r, a.cols, b.cols, y)), kernel
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -25,12 +25,12 @@ from .complexes import (
     cone,
     direct_sum_complexes,
     ensure_perfect,
-    complex_r,
     homology_fingerprint,
     homology_sweep,
     i_times,
     koszul_complex,
     shift_complex,
+    unit_complex,
 )
 from .errors import (
     BadElement,
@@ -39,9 +39,8 @@ from .errors import (
     UniverseNotClosed,
 )
 from .homs import ChainMapSpace
-from .quivers import Quiver
+from .quivers import Quiver, point_quiver
 from .rings import (
-    FGModule,
     PrimeIdeal,
     Ring,
     SpClosedSet,
@@ -187,7 +186,7 @@ def ideal_generators(s: QSupport) -> list:
     """
     q, r = s.quiver, s.ring
     out = []
-    unit_pt = complex_r(r, {0: FGModule.free(r, 1)}, {})
+    unit_pt = unit_complex(point_quiver(), r)
     for v in q.vertices:
         c = s.at(v)
         if c.is_all:
@@ -217,7 +216,7 @@ def detecting_object(ring: Ring, quiver: Quiver, r_elem, i) -> ComplexRQ:
     The free stalks pin the vertex, the Koszul factor pins the prime.
     """
     i = quiver.check_vertex(i)
-    unit_pt = complex_r(ring, {0: FGModule.free(ring, 1)}, {})
+    unit_pt = unit_complex(point_quiver(), ring)
     parts = [i_times(koszul_complex(ring, (r_elem,)), quiver, i)]
     for v in quiver.vertices:
         if v != i:

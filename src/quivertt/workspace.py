@@ -28,16 +28,22 @@ class Workspace:
         self.filtrations = filtrations
 
 
-def load_workspace(path: str) -> Workspace:
+def _read_yaml(path: str):
+    """The YAML document at path; unreadable, undecodable or malformed input
+    raises WorkspaceError."""
     import yaml  # here, so that importing the package does not load PyYAML
 
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as e:
+            return yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as e:
         raise WorkspaceError(f"cannot read {path}: {e}") from e
     except yaml.YAMLError as e:
         raise WorkspaceError(f"{path}: {e}") from e
+
+
+def load_workspace(path: str) -> Workspace:
+    doc = _read_yaml(path)
     if not isinstance(doc, dict):
         raise WorkspaceError(f"{path}: top level must be a mapping")
     return build_workspace(doc, where=path)
@@ -272,13 +278,4 @@ def parse_filtration(node, q: Quiver, ring: Ring, where) -> Filtration:
 
 def load_filtration_file(path: str, q: Quiver, ring: Ring) -> Filtration:
     """A standalone filtration document, same schema as a filtrations: entry."""
-    import yaml
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as e:
-        raise WorkspaceError(f"cannot read {path}: {e}") from e
-    except yaml.YAMLError as e:
-        raise WorkspaceError(f"{path}: {e}") from e
-    return parse_filtration(doc, q, ring, path)
+    return parse_filtration(_read_yaml(path), q, ring, path)

@@ -172,6 +172,13 @@ def test_unreadable_inputs_exit_1(capsys, tmp_path):
     bad.write_text("ring: Z\nquiver: {vertices: [1, 1]}\n")
     code, _, err = run(capsys, "support", str(bad), "U")
     assert code == 1 and err.startswith("ERR 1:")
+    # bytes that are not UTF-8, as a workspace and as a filtration file
+    undecodable = tmp_path / "undecodable.yaml"
+    undecodable.write_bytes(b"ring: Z\n\xff\xfe x\n")
+    for argv in (("support", str(undecodable), "U"), ("aisle", Z_A3, "--member", "U", "--filt", str(undecodable))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"ERR 1: cannot read {undecodable}: ")
     # inline --set with an unknown vertex is a parse problem, not a math one
     code, _, err = run(capsys, "ideal", Z_A3, "--set", "9: all")
     assert code == 1 and "unknown vertices" in err

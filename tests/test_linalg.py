@@ -20,6 +20,7 @@ from quivertt import (
     solve,
 )
 import quivertt.linalg as linalg
+from quivertt.errors import RingMismatch, ShapeMismatch
 from quivertt.linalg import ElementaryDivisors, _diagonal, diagonal_of, solve_kernel
 
 Z = Integers()
@@ -512,3 +513,70 @@ def test_diagonal_only_mode_builds_no_transform(ring, monkeypatch):
     monkeypatch.setattr(Matrix, "identity", staticmethod(refuse))
     assert [_diagonal(m) for m in cases] == want
     assert [rank(m) for m in cases] == [sum(not ring.is_zero(e) for e in d) for d in want]
+
+
+# --- block assembly ---------------------------------------------------------------
+
+
+def entrywise_blocks(ring, grid, row_dims, col_dims):
+    """Entries of the block matrix, written one entry at a time."""
+    out = [[ring.zero()] * sum(col_dims) for _ in range(sum(row_dims))]
+    for bi, brow in enumerate(grid):
+        for bj, blk in enumerate(brow):
+            if blk is None:
+                continue
+            for i in range(row_dims[bi]):
+                for j in range(col_dims[bj]):
+                    out[sum(row_dims[:bi]) + i][sum(col_dims[:bj]) + j] = blk.entries[i][j]
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_blocks_and_direct_sum_match_entrywise_assembly(ring):
+    rng = random.Random(17)
+    for _ in range(40):
+        # dims include 0, so 0 x n and n x 0 blocks occur, and grids of one row or column
+        row_dims = [rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 3))]
+        col_dims = [rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 3))]
+        grid = [[None if rng.random() < 0.3 else random_matrix(ring, rng, rd, cd) for cd in col_dims]
+                for rd in row_dims]
+        got = Matrix.blocks(ring, grid, row_dims, col_dims)
+        assert (got.rows, got.cols) == (sum(row_dims), sum(col_dims))
+        assert got.entries == entrywise_blocks(ring, grid, row_dims, col_dims)
+        mats = [random_matrix(ring, rng, rng.choice((0, 1, 2, 3)), rng.choice((0, 1, 2, 3)))
+                for _ in range(rng.randint(1, 4))]
+        diagonal = [[m if i == j else None for j in range(len(mats))] for i, m in enumerate(mats)]
+        got = Matrix.direct_sum(ring, mats)
+        assert (got.rows, got.cols) == (sum(m.rows for m in mats), sum(m.cols for m in mats))
+        assert got.entries == entrywise_blocks(ring, diagonal, [m.rows for m in mats], [m.cols for m in mats])
+    empty = Matrix.direct_sum(ring, [])
+    assert (empty.rows, empty.cols, empty.entries) == (0, 0, ())
+    # no block rows, or no block columns
+    assert Matrix.blocks(ring, [], [], [2, 1]) == Matrix.zeros(ring, 0, 3)
+    assert Matrix.blocks(ring, [[], []], [2, 1], []) == Matrix.zeros(ring, 3, 0)
+
+
+def test_blocks_refuse_wrong_shapes_and_mixed_rings():
+    two = Matrix.identity(Z, 2)
+    with pytest.raises(ShapeMismatch):
+        Matrix.blocks(Z, [[two, None]], [2], [3, 1])
+    with pytest.raises(ShapeMismatch):
+        Matrix.blocks(Z, [[two], [None]], [2], [2])
+    with pytest.raises(ShapeMismatch):
+        Matrix.blocks(Z, [[two, None]], [2], [2])
+    q = Rationals()
+    with pytest.raises(RingMismatch):
+        Matrix.blocks(Z, [[two, Matrix.identity(q, 2)]], [2], [2, 2])
+    with pytest.raises(RingMismatch):
+        Matrix.direct_sum(Z, [two, Matrix.identity(q, 1)])
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_from_entries_and_select_rows(ring):
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        assert Matrix.from_entries(ring, rows, cols, {}) == Matrix.zeros(ring, rows, cols)
+    one = ring.one()
+    m = Matrix.from_entries(ring, 3, 2, {(0, 1): one, (2, 0): ring.neg(one)})
+    assert m.entries == ((ring.zero(), one), (ring.zero(), ring.zero()), (ring.neg(one), ring.zero()))
+    assert m.select_rows([2, 0]).entries == (m.entries[2], m.entries[0])
+    assert m.select_rows([]) == Matrix.zeros(ring, 0, 2)

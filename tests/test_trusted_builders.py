@@ -2,8 +2,9 @@
 
 Shifts, sums, vertex evaluation, Kan extensions, parking, component
 restriction and embedding, base change, chain-map assembly, cones, tensor
-products, perfect replacements and the internal hom all build their output
-without `validate()`, because it is valid by construction.  This file
+products, perfect replacements, the internal hom, Koszul complexes and the
+spectrum's generators and detecting objects all build their output without
+`validate()`, because it is valid by construction.  This file
 re-validates those outputs (every term, every differential, d^2 = 0) on
 samples over Z, Q, Fp(5), Zmod(12), Zloc(3) and FpX(3), drawn the way the
 `rings` benchmark draws them, and counts that the builders themselves make
@@ -29,6 +30,7 @@ from quivertt import (
     change_ring,
     chom_rep,
     cone,
+    detecting_object,
     direct_sum_complexes,
     ensure_perfect,
     eval_vertex,
@@ -38,11 +40,17 @@ from quivertt import (
     homology_fingerprint,
     homology_range,
     i_times,
+    ideal_generators,
     internal_hom,
     kan_extend,
+    koszul_complex,
     parse_ring,
+    prime_ideal,
     projective_rep,
+    q_support,
     shift_complex,
+    sp_all,
+    sp_points,
     stalk_complex,
     unit_complex,
 )
@@ -180,6 +188,14 @@ def test_resolutions_of_torsion_fibers_are_valid(text):
 
 
 @pytest.mark.parametrize("text", RINGS)
+def test_koszul_complexes_are_valid(text):
+    ring = parse_ring(text)
+    c = ring.parse_elem(NON_UNITS[text])
+    for gens in ((c,), (c, c), (c, ring.one(), c)):
+        assert_valid(koszul_complex(ring, gens))
+
+
+@pytest.mark.parametrize("text", RINGS)
 def test_internal_homs_are_valid(text):
     q, x, y = sample_pair(text)
     if text == "Zmod(12)":
@@ -220,6 +236,11 @@ def test_builders_make_no_validate_calls(monkeypatch):
     assert count(lambda: box_tensor(a, b)) == {}
     assert count(lambda: cone(space.build([1] * space.dim))) == {}
     assert count(lambda: internal_hom(a, b)) == {}
+    assert count(lambda: koszul_complex(a.ring, (2, 3, 6))) == {}
+    assert count(lambda: detecting_object(a.ring, V, 2, "3")) == {}
+    points = sp_points(a.ring, {prime_ideal(a.ring, 2), prime_ideal(a.ring, 5)})
+    s = q_support(V, a.ring, {"1": sp_all(a.ring), "3": points})
+    assert count(lambda: ideal_generators(s)) == {}
     # the evaluation map promises a validated map
     u = ensure_perfect(unit_complex(V, a.ring))
     assert count(lambda: evaluation_map(u, u)).get("ComplexMorphism", 0) >= 1
