@@ -1,27 +1,26 @@
 """Exact matrices and Smith normal form over the supported ring tier.
 
 Matrices are immutable and carry their ring; all arithmetic goes through the
-ring object, so the same code runs over Z, fields, p-local integers and
-F_p[x].  Z/n never enters the Euclidean loop: its Smith form is computed on an
-integer lift and reduced, which stays a certificate because reduction is a
-ring map and the transforms have determinant +-1.
+ring object, so the same code runs over Z, fields, p-local integers, Z/n and
+F_p[x].  Z/n runs the Euclidean loop on its own residues: the norm of a is
+gcd(a, n), and dividing by b's canonical associate g = gcd(b, n) leaves a
+remainder r < g, so gcd(r, n) < g and every entry stays in [0, n).
 
 Each of the two questions asked here is answered by one elimination, picked
 once by the ring kind.  Invariant factors (`rank`, `cokernel_presentation`,
 `is_split_mono`) read the Smith diagonal, which needs no transforms: over a
 field it is one 1 per pivot of the row reduction.  Otherwise unit pivots go
 first, on sparse rows: each is a unit entry of least Markowitz cost, (row
-nonzeros - 1) * (column nonzeros - 1), and splits off a 1, since SNF(1 + S)
-is 1 followed by SNF(S).  What is left has no unit entry; the one Smith
-worker runs on it diagonal-only, with no u and no v, so its row and column
-operations touch only a.  Z/n does both on the integer lift, then reduces
-each entry to its canonical associate.  Invariant factors do not depend on
-the order of elimination, so the diagonal is that of `smith_normal_form`,
-whose loop and pinned pivot rule the worker shares.  Solutions and kernels
-(`solve`, `kernel_basis`) read `solve_kernel`, which eliminates a once for
-both: over a field one row reduction of [a | b], whose pivots among a's
-columns are a's own; otherwise one Smith form u*a*v = d, whose v gives the
-kernel and whose u and v give the solution.
+nonzeros - 1) * (column nonzeros - 1), and splits off a 1, since SNF(1 + S) is
+1 followed by SNF(S).  What is left has no unit entry; the one Smith worker
+runs on it diagonal-only, with no u and no v, so its row and column operations
+touch only a.  Over Z/n the unit pivots are the residues prime to n.
+Invariant factors do not depend on the order of elimination, so the diagonal
+is that of `smith_normal_form`, whose loop and pinned pivot rule the worker
+shares.  Solutions and kernels (`solve`, `kernel_basis`) read `solve_kernel`,
+which eliminates a once for both: over a field one row reduction of [a | b],
+whose pivots among a's columns are a's own; otherwise one Smith form
+u*a*v = d, whose v gives the kernel and whose u and v give the solution.
 
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
@@ -44,11 +43,11 @@ total complex, cones, the internal hom and the projective resolution all go
 through them, and no other module fills a grid of zeros.
 
 The pivot rule is pinned for reproducibility: among nonzero candidates take
-the one of smallest norm (absolute value over Z, degree over F_p[x],
-valuation over the p-locals), ties broken by lowest row then lowest column.
-It governs `smith_normal_form` and `solve_kernel`, whose u and v reach kernel
-bases and reports, and the diagonal-only worker; only the unit pass before
-that worker picks by cost.
+the one of smallest norm (absolute value over Z, degree over F_p[x], valuation
+over the p-locals, gcd with n over Z/n), ties broken by lowest row then lowest
+column.  It governs `smith_normal_form` and `solve_kernel`, whose u and v
+reach kernel bases and reports, and the diagonal-only worker; only the unit
+pass before that worker picks by cost.
 """
 
 from __future__ import annotations
@@ -339,8 +338,6 @@ def smith_normal_form(m: Matrix):
     r = m.ring
     if not m.rows or not m.cols:
         return m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols)
-    if r.needs_lift:
-        return _smith_via_lift(m)
     w = _Worker(m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols))
     _eliminate(w)
     return _canonical_diagonal(w)
@@ -400,15 +397,6 @@ def _eliminate(w: _Worker):
         t += 1
         if t >= min(w.rows, w.cols):
             break
-
-
-def _smith_via_lift(m: Matrix):
-    r = m.ring
-    lifted = m.map_entries(r.lift_elem, r.lift_ring())
-    d, u, v = (x.map_entries(r.reduce_elem, r) for x in smith_normal_form(lifted))
-    # reduction keeps u*m*v = d and unit determinants; only the diagonal
-    # needs rescaling to canonical associates mod n
-    return _canonical_diagonal(_Worker(d, u, v))
 
 
 def _canonical_diagonal(w: _Worker):
@@ -529,25 +517,21 @@ def _unit_pivots(m: Matrix):
 
 def _diagonal(m: Matrix) -> list:
     """The Smith diagonal of m, with no transforms.  A field's is one 1 per
-    pivot of its row reduction, then zeros.  Any other ring takes unit pivots
-    first (`_unit_pivots`), then runs the Smith worker diagonal-only on what
-    is left; Z/n does both on its integer lift, each entry then reduced.
-    Invariant factors do not depend on the order of elimination, so this is
-    the diagonal of `smith_normal_form`."""
+    pivot of its row reduction, then zeros.  Any other ring, Z/n included,
+    takes unit pivots first (`_unit_pivots`), then runs the Smith worker
+    diagonal-only on what is left.  Invariant factors do not depend on the
+    order of elimination, so this is the diagonal of `smith_normal_form`."""
     r = m.ring
     if r.is_field:
         k = len(_rref_field(m)[1])
         return [r.one()] * k + [r.zero()] * (min(m.rows, m.cols) - k)
-    lifted = m.map_entries(r.lift_elem, r.lift_ring()) if r.needs_lift else m
-    k, rest = _unit_pivots(lifted)
-    diag = [lifted.ring.one()] * k
+    k, rest = _unit_pivots(m)
+    diag = [r.one()] * k
     if rest is not None:
         w = _Worker(rest)
         _eliminate(w)
         diag += (w.a[t][t] for t in range(min(rest.rows, rest.cols)))
-    diag += [lifted.ring.zero()] * (min(m.rows, m.cols) - len(diag))
-    if r.needs_lift:
-        diag = map(r.reduce_elem, diag)
+    diag += [r.zero()] * (min(m.rows, m.cols) - len(diag))
     return [r.canonical_associate(e)[1] for e in diag]
 
 
@@ -560,8 +544,8 @@ def cokernel_presentation(m: Matrix) -> ElementaryDivisors:
     """Invariant factors of coker(m) = R^rows / (column span of m).
 
     Unit divisors are dropped; zero diagonal entries and missing rows count
-    toward the free rank.  Over Z/n a diagonal entry that reduces to zero is
-    free of rank one, since (Z/n)/(0) = Z/n.
+    toward the free rank.  Over Z/n a zero diagonal entry is free of rank
+    one, since (Z/n)/(0) = Z/n.
     """
     r = m.ring
     if not m.rows or not m.cols:

@@ -13,9 +13,9 @@ arithmetic on them, including the Euclidean structure used by the Smith form:
     Zmod(n)       int in [0, n)     gcd(a, n)
     FpX(p)        coeff tuple       monic
 
-Zmod(n) is not a domain; its linear algebra is done on integer lifts (see
-linalg) and the ring only has to supply the lift/reduce hooks plus canonical
-associates.
+Zmod(n) is not a domain, but it is Euclidean enough for the Smith form: the
+norm of a is gcd(a, n), and division by b goes through b's canonical
+associate gcd(b, n), so its remainder has a smaller norm (see linalg).
 """
 
 from __future__ import annotations
@@ -206,6 +206,9 @@ def _poly_parse(s: str, p: int):
             deg = int(m.group(4)) if m.group(4) else 1
         else:
             deg = 0
+        # the stated cap: the coefficient list has degree + 1 entries
+        if deg > 10**4:
+            raise BadElement(f"polynomial degree {deg} above the cap 10^4")
         if sign == "-":
             c = -c
         coeffs[deg] = coeffs.get(deg, 0) + c
@@ -229,6 +232,13 @@ def _poly_format(a) -> str:
     return "+".join(parts)
 
 
+def _parse_fraction(s) -> Fraction:
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise BadElement(f"zero denominator in {s!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # ring descriptors
 
@@ -239,7 +249,6 @@ class Ring:
     label = "?"
     is_field = False
     is_domain = True
-    needs_lift = False  # True when linear algebra must run on integer lifts
     # elements are plain ints reduced mod this (0: not reduced, as over Z);
     # None when they are not ints.  Matrix products use it for a fast path.
     modulus_int = None
@@ -447,7 +456,7 @@ class Rationals(Ring):
         return str(a)
 
     def parse_elem(self, s):
-        return Fraction(s)
+        return _parse_fraction(s)
 
     def elem_sort_key(self, a):
         return (a.numerator, a.denominator)
@@ -592,7 +601,7 @@ class IntegersLocalized(Ring):
         return str(a)
 
     def parse_elem(self, s):
-        return self.canon(Fraction(s))
+        return self.canon(_parse_fraction(s))
 
     def elem_sort_key(self, a):
         return (a.numerator, a.denominator)
@@ -605,8 +614,6 @@ class IntegersMod(Ring):
     def __post_init__(self):
         if self.n < 2:
             raise UnsupportedRing(f"Zmod needs n >= 2, got {self.n}")
-
-    needs_lift = True
 
     @property
     def modulus_int(self):
@@ -649,18 +656,14 @@ class IntegersMod(Ring):
         return pow(a, -1, self.n)
 
     def norm(self, a):
-        raise UnsupportedRing("Zmod has no Euclidean norm; lift to Z instead")
+        return gcd(a, self.n)
 
     def divmod_(self, a, b):
-        raise UnsupportedRing("Zmod division runs on integer lifts")
-
-    def divide(self, a, b):
-        # solvable iff gcd(b, n) | a; return the canonical smallest solution
-        g = gcd(b, self.n)
-        if a % g != 0:
-            return None
-        m = self.n // g
-        return ((a // g) * pow((b // g) % m, -1, m)) % m if m > 1 else 0
+        # w*b = g = gcd(b, n), so a = q*g + r = (q*w)*b + r with 0 <= r < g,
+        # and gcd(r, n) <= r < g: the norm falls and entries stay in [0, n)
+        w, g = self.canonical_associate(b)
+        q, r = divmod(a, g)
+        return (q * w) % self.n, r
 
     def canonical_associate(self, a):
         a %= self.n
@@ -673,16 +676,6 @@ class IntegersMod(Ring):
         while gcd(w, self.n) != 1:
             w += m
         return w % self.n, g
-
-    # lift hooks used by linalg
-    def lift_ring(self):
-        return Integers()
-
-    def lift_elem(self, a):
-        return a % self.n
-
-    def reduce_elem(self, a):
-        return a % self.n
 
     def is_prime_elem(self, a):
         a %= self.n

@@ -210,8 +210,9 @@ def _vertex_component(ring: Ring, spec, where):
     if isinstance(spec, str) and spec.strip().lower() == "all":
         return sp_all(ring)
     if isinstance(spec, list):
+        gens = [_elem(ring, g, where) for g in spec]  # names its own location
         try:
-            return sp_points(ring, [prime_ideal(ring, _elem(ring, g, where)) for g in spec])
+            return sp_points(ring, [prime_ideal(ring, g) for g in gens])
         except QuiverTTError as e:
             raise WorkspaceError(f"{where}: {e}") from e
     raise WorkspaceError(f"{where}: expected 'all' or a generator list, got {spec!r}")

@@ -5,6 +5,7 @@ greps for, so any drift is a break worth noticing.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,16 @@ def test_unreadable_inputs_exit_1(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith(f"ERR 1: cannot read {undecodable}: ")
+    # a zero denominator is a bad entry, in a workspace and in --set
+    for ring in ("Q", "Zloc(3)"):
+        ws = tmp_path / "fractions.yaml"
+        for fiber, argv in (('[["1/0"]]', ("support", str(ws), "T")),
+                            ("free 1", ("ideal", str(ws), "--set", "1: [1/0]"))):
+            ws.write_text(f"ring: {ring}\nquiver: {{vertices: [1], arrows: []}}\n"
+                          f"objects:\n  T: {{degrees: {{0: {{1: {fiber}}}}}}}\n")
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and err.startswith("ERR 1: ") and "zero denominator in '1/0'" in err
     # inline --set with an unknown vertex is a parse problem, not a math one
     code, _, err = run(capsys, "ideal", Z_A3, "--set", "9: all")
     assert code == 1 and "unknown vertices" in err
@@ -233,6 +244,32 @@ def test_oversized_poly_factoring_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err == "ERR 2: FpX(101): factoring x^4+1 would trial-divide by more than 10^4 candidate divisors\n"
+
+
+def test_sparse_zmod_differential_finishes(capsys, tmp_path):
+    # one 2 %-dense differential R^100 -> R^100 over Z/12 drawing the units 5,
+    # 7 and 11: on the integer lift, where they are not units, its entries
+    # grew until `support` was killed at 30 s
+    rng = random.Random(3)
+    elems = [1, 5, 7, 11, 2, 4, 6, 10]
+    rows = [[rng.choice(elems) if rng.random() < 0.02 else 0 for _ in range(100)] for _ in range(100)]
+    ws = tmp_path / "zmod12.yaml"
+    ws.write_text("ring: Zmod(12)\nquiver: {vertices: [1], arrows: []}\nobjects:\n  X:\n"
+                  "    degrees: {-1: {1: free 100}, 0: {1: free 100}}\n"
+                  f"    differentials: {{-1: {{1: {json.dumps(rows)}}}}}\n")
+    code, out, err = run(capsys, "support", str(ws), "X")
+    assert (code, out, err) == (0, "support of X\n  1: all\n", "")
+
+
+def test_oversized_poly_degree_exits_1(capsys, tmp_path):
+    # the parser builds degree + 1 coefficients; past the cap 10^4 it refuses
+    # before allocating them
+    ws = tmp_path / "fpx2.yaml"
+    ws.write_text(FPX_TORSION.format(p=2, poly="x^10001"))
+    code, out, err = run(capsys, "support", str(ws), "T")
+    assert code == 1 and out == ""
+    assert err == (f"ERR 1: {ws}/objects/T/degrees/0/1: bad entry 'x^10001': "
+                   "polynomial degree 10001 above the cap 10^4\n")
 
 
 def test_spectrum_bound_cap(capsys):

@@ -170,9 +170,7 @@ def test_field_cokernel_is_rank_deficit():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
-def test_snf_mod_n_by_lift(n):
-    from quivertt import IntegersMod
-
+def test_snf_mod_n_certificate(n):
     r = IntegersMod(n)
     m = Matrix.from_rows(r, [[r.from_int(2), r.from_int(4)], [r.from_int(0), r.from_int(2)]])
     d, u, v = smith_normal_form(m)
@@ -392,9 +390,8 @@ def unitriangular(ring, rng, n, lower):
 
 
 # (units, non-units) per ring.  No entry of a matrix over the non-units is a
-# unit, on Z/12's integer lift either.  Z/12 lists only the unit 1: its other
-# units lift to non-units of Z, where the unit-pivot pass runs, and the lift's
-# entries grow, so they are drawn only at 8 x 8 (LIFTED_UNITS).
+# unit.  Z/12's other units 5, 7 and 11 (MORE_UNITS) are drawn after every
+# other input, at 8 x 8 and at 100 x 100, so the draws before them stay put.
 UNITS_AND_NON_UNITS = {
     "Z": ([1, -1], [2, -4, 6]),
     "Q": ([1, -1, Fraction(2, 3), 5], []),
@@ -403,7 +400,7 @@ UNITS_AND_NON_UNITS = {
     "Zloc(3)": ([1, -1, 2, Fraction(1, 2)], [3, -6, Fraction(9, 2)]),
     "FpX(3)": ([(1,), (2,)], [(0, 1), (1, 1), (0, 2)]),
 }
-LIFTED_UNITS = {"Zmod(12)": [5, 7, 11]}
+MORE_UNITS = {"Zmod(12)": [5, 7, 11]}
 
 
 @pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
@@ -427,9 +424,17 @@ def test_diagonal_only_mode_matches_smith_diagonal(ring, monkeypatch):
                for _ in range(10) if non_unit_elems]
     cases += unit_heavy + no_unit
     big = [sparse_matrix(ring, rng, 100, 100, mixed, density=0.02) for _ in range(2)]
-    lifted = [ring.canon(e) for e in LIFTED_UNITS.get(str(ring), ())]
-    cases += big + [sparse_matrix(ring, rng, 8, 8, lifted + non_unit_elems, density=0.4)
-                    for _ in range(6) if lifted]
+    more = [ring.canon(e) for e in MORE_UNITS.get(str(ring), ())]
+    cases += big + [sparse_matrix(ring, rng, 8, 8, more + non_unit_elems, density=0.4)
+                    for _ in range(6) if more]
+    # every unit of Z/12 with the non-units 2, 4, 6, 10 at 100 x 100: these
+    # hung while Z/n was eliminated on its integer lift, where only 1 and -1
+    # are units
+    big_more = [sparse_matrix(ring, rng, 100, 100, unit_elems + more + [2, 4, 6, 10], density=0.02)
+                for _ in range(2) if more]
+    cases += big_more
+    if big_more:
+        assert_certificate(big_more[0])
     pivots = {}  # id of an input -> unit pivots the sparse pass took on it
     real = linalg._unit_pivots
 
@@ -449,7 +454,7 @@ def test_diagonal_only_mode_matches_smith_diagonal(ring, monkeypatch):
     if ring.is_field:
         assert not pivots  # fields keep the row reduction
     else:
-        assert all(pivots[id(m)] for m in unit_heavy[:3] + big)
+        assert all(pivots[id(m)] for m in unit_heavy[:3] + big + big_more)
         assert no_unit and not any(pivots[id(m)] for m in no_unit)
 
 
@@ -499,6 +504,29 @@ def test_diagonal_matches_sympy_invariant_factors(ring):
         m = sparse_matrix(ring, rng, rng.randint(1, 8), rng.randint(1, 8), elems, density=rng.choice((0.2, 0.4)))
         dm = DomainMatrix([[to_sympy(e) for e in row] for row in m.entries], (m.rows, m.cols), dom)
         assert _diagonal(m) == [from_sympy(f) for f in invariant_factors(dm)]
+
+
+@pytest.mark.parametrize("n", (4, 6, 12, 18, 30, 36))
+def test_zmod_cokernel_matches_sympy_over_the_integers(n):
+    # an independent oracle: over Z/n, coker(a) is the cokernel over Z of
+    # [a | n*I], whose invariant factors all divide n; those strictly between
+    # 1 and n are the divisors, and each one equal to n is a free Z/n summand
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    ring = IntegersMod(n)
+    rng = random.Random(n)
+    # every nonzero residue, or the non-units only, whose cokernels have torsion
+    pools = (list(range(1, n)), [e for e in range(2, n) if not ring.is_unit(e)])
+    for k in range(30):
+        rows, cols = rng.randint(1, 7), rng.randint(0, 7)
+        m = sparse_matrix(ring, rng, rows, cols, pools[k % 2], density=rng.choice((0.3, 0.6)))
+        stacked = [[sympy.ZZ(e) for e in row] + [sympy.ZZ(n if i == j else 0) for j in range(rows)]
+                   for i, row in enumerate(m.entries)]
+        factors = [abs(int(f)) for f in invariant_factors(DomainMatrix(stacked, (rows, cols + rows), sympy.ZZ))]
+        want = ElementaryDivisors(tuple(f for f in factors if 1 < f < n), factors.count(n))
+        assert cokernel_presentation(m) == want
 
 
 @pytest.mark.parametrize("ring", (Z, PolyOverPrimeField(3)), ids=str)

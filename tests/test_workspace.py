@@ -209,6 +209,10 @@ def test_parse_support_rejections(line):
         parse_support({"1": 17}, q, ring, "here")
     with pytest.raises(WorkspaceError, match="here/1"):
         parse_support({"1": [6]}, q, ring, "here")  # 6 generates no prime
+    # an unparsable generator names its location once
+    with pytest.raises(WorkspaceError, match="bad entry 'x'") as err:
+        parse_support({"1": ["x"]}, q, ring, "here")
+    assert str(err.value).count("here/1") == 1
 
 
 def test_parse_filtration_shape(line):
