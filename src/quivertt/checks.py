@@ -14,7 +14,6 @@ from .complexes import (
     box_tensor,
     cone,
     direct_sum_complexes,
-    ensure_perfect,
     eval_vertex,
     homology_fingerprint,
     homology_sweep,
@@ -27,7 +26,7 @@ from .complexes import (
     unit_complex,
 )
 from .errors import QuiverTTError
-from .homs import ChainMapSpace, chom_rep, hom_space, internal_hom, is_rigid
+from .homs import ChainMapSpace, chom_rep, hom_space, is_rigid, rigidity_report
 from .quivers import build_quiver, paths, point_quiver
 from .rings import Integers, PrimeField, primes_upto, sp_all
 from .samples import (
@@ -212,14 +211,15 @@ def check_rigidity_witness(rng):
     ring = _pick_ring(rng)
     u1 = _vertex_unit(_A2, ring, 1)
     u = unit_complex(_A2, ring)
-    if is_rigid(u1):
+    report = rigidity_report(u1)
+    if report["rigid"]:
         return False, "source vertex unit passed the rigidity test"
     if not is_rigid(u):
         return False, "tensor unit failed the rigidity test"
-    r1 = ensure_perfect(u1)
-    if not is_acyclic(internal_hom(r1, ensure_perfect(u))):
+    # the probes' targets: chom(r1, U) for "U", chom(r1, r1) for "x"
+    if not is_acyclic(report["maps"]["U"].target):
         return False, "chom against the unit is not acyclic"
-    if _fp(internal_hom(r1, r1)) != _fp(u1):
+    if _fp(report["maps"]["x"].target) != _fp(u1):
         return False, "self chom is not the object back"
     return True, f"over {ring}"
 

@@ -13,9 +13,9 @@ import json
 import sys
 
 from .checks import run_suite
-from .complexes import box_tensor, ensure_perfect, homology_sweep, unit_complex
+from .complexes import homology_sweep
 from .errors import QuiverTTError, UnknownName, WorkspaceError
-from .homs import internal_hom, is_rigid
+from .homs import rigidity_report
 from .spectrum import (
     compact_support,
     ideal_generators,
@@ -176,12 +176,12 @@ def _cmd_aisle(ws, args):
 
 
 def _cmd_rigidity(ws, args):
-    x = _lookup(ws.objects, args.name, "object")
-    xr = ensure_perfect(x)
-    ur = ensure_perfect(unit_complex(ws.quiver, ws.ring))
-    left = _homology_table(box_tensor(internal_hom(xr, ur), xr))
-    right = _homology_table(internal_hom(xr, xr))
-    rigid = is_rigid(x)
+    report = rigidity_report(_lookup(ws.objects, args.name, "object"))
+    # the self probe's evaluation map runs chom(x, U) tensor x -> chom(x, x)
+    ev = report["maps"]["x"]
+    left = _homology_table(ev.source)
+    right = _homology_table(ev.target)
+    rigid = report["rigid"]
     lines = ["RIGID" if rigid else "NOT RIGID"]
     lines.append("hom against the unit, tensored back:")
     lines += _table_lines(left)

@@ -7,13 +7,13 @@ arrow maps must respect relations, morphisms must be natural modulo the
 target relations, differentials must square to zero.
 
 One validation rule: the public constructors, `rep_free`, `complex_r`,
-workspace loading and the evaluation map validate; everything the package
-builds internally goes through `_trusted` (one object) or `_complex` (a
-whole complex) and is not validated again.  That includes `cone`,
-`box_tensor`, `koszul_complex`, the resolution steps and the internal hom:
-their outputs are valid by construction when their inputs are.  Workspace loading validates
-each differential once, as it builds it, and then checks only d^2 = 0 on
-the assembled complex.
+workspace loading and the public `evaluation_map` validate; everything the
+package builds internally goes through `_trusted` (one object) or `_complex`
+(a whole complex) and is not validated again.  That includes `cone`,
+`box_tensor`, `koszul_complex`, the resolution steps, the internal hom and
+`rigidity_report`'s evaluation maps: their outputs are valid by construction
+when their inputs are.  Workspace loading validates each differential once,
+as it builds it, and then checks only d^2 = 0 on the assembled complex.
 
 Complexes are cohomological, sparse dictionaries degree -> representation.
 The shift is (X[1])^n = X^{n+1} with differential negated per shift.  All
@@ -922,7 +922,8 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
 
         0 -> sum_a P(t(a)) x X_{s(a)} -> sum_i P(i) x X_i -> X -> 0
 
-    is applied termwise and totalized.  Refused over Z/n with square factors.
+    is applied termwise and totalized.  Refused over Z/n unless n is square-free
+    and every fiber of x is already literally free.
     The result is built through `_complex` and not validated again, like
     every internal builder.  Only the complex is built: the augmentation
     back to x has one reader, the unit's in `homs`, which builds it there.

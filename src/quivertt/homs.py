@@ -9,9 +9,9 @@ Everything here is assembled from explicit generator lifts.  The package's
 one validation rule holds here too: `chom_rep`, `chom_complex` and
 `ChainMapSpace.build` build through `_trusted` and `_complex` without
 validating again (hom fibers are kernels, arrows are expressed lifts, chain
-maps are kernel vectors of the chain-map equations).  The evaluation map is
-the exception: it promises a validated map, so it and the unit's
-augmentation it reads are checked (naturality, the chain-map equations).
+maps are kernel vectors of the chain-map equations), and so do the unit's
+augmentation and `rigidity_report`'s evaluation maps.  The public
+`evaluation_map` promises a validated map, so it checks its result once.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def _unit_with_counit(q, ring):
     u sits in degree 0 with free fibers, so w^0 is the B0 block of
     `projective_resolution`, the sum of the P(i) x u_i in vertex order (its
     B1 block comes from u^1 = 0).  The augmentation sends p x z there to the
-    path action of p on z.  It is validated here, once per call.
+    path action of p on z, a chain map by construction.
     """
     u = unit_complex(q, ring)
     if u.perfect:
@@ -281,7 +281,7 @@ def _unit_with_counit(q, ring):
         into_v = [(i, p) for i in q.vertices for p in paths(q, i, v)]
         mats[v] = Matrix.blocks(ring, [[unit.path_action(i, p) for i, p in into_v]],
                                 [unit.gens(v)], [unit.gens(i) for i, _ in into_v])
-    return w, ComplexMorphism(w, u, {0: _trusted(RepMorphism, w.terms[0], unit, mats)})
+    return w, _trusted(ComplexMorphism, w, u, {0: _trusted(RepMorphism, w.terms[0], unit, mats)})
 
 
 def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) -> ComplexMorphism:
@@ -323,7 +323,7 @@ def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) 
             mats[i] = Matrix.from_entries(r, t.term(n).gens(i), ncols, ents)
         if n in s.terms:
             parts[n] = _trusted(RepMorphism, s.terms[n], t.term(n), mats)
-    return ComplexMorphism(s, t, parts)
+    return _trusted(ComplexMorphism, s, t, parts)
 
 
 def _eval_image(q, r, x, y, paths, aug, f, i, a, b, m, z):
@@ -352,13 +352,12 @@ def evaluation_map(x: ComplexRQ, y: ComplexRQ) -> ComplexMorphism:
     if not x.perfect or not y.perfect:
         raise NotPerfect("evaluation map needs perfect inputs; resolve first")
     w, aug = _unit_with_counit(x.quiver, x.ring)
-    cu = chom_complex(x, w)
-    ct = chom_complex(x, y)
-    return _eval_parts(cu, y, aug, ct)
+    ev = _eval_parts(chom_complex(x, w), y, aug, chom_complex(x, y))
+    return ComplexMorphism(ev.source, ev.target, ev.parts)
 
 
 def rigidity_report(x: ComplexRQ) -> dict:
-    """Check evaluation cones against the unit, vertex units, and x itself."""
+    """Check evaluation cones against the unit, vertex units, and x; "maps" holds each probe's map."""
     q, r = x.quiver, x.ring
     xr = ensure_perfect(x)
     w, aug = _unit_with_counit(q, r)
@@ -367,13 +366,13 @@ def rigidity_report(x: ComplexRQ) -> dict:
     for j in q.vertices:
         probes.append((f"U({j})", ensure_perfect(stalk_complex(unit_restriction(q, r, (j,))))))
     probes.append(("x", xr))
-    failures = []
+    maps, failures = {}, []
     for label, y in probes:
-        ct = chom_complex(xr, y)
-        ev = _eval_parts(cu, y, aug, ct)
+        ct = cu if label == "U" else chom_complex(xr, y)
+        ev = maps[label] = _eval_parts(cu, y, aug, ct)
         if not is_acyclic(cone(ev)):
             failures.append(label)
-    return {"rigid": not failures, "failures": failures}
+    return {"rigid": not failures, "failures": failures, "maps": maps}
 
 
 def is_rigid(x: ComplexRQ) -> bool:

@@ -125,6 +125,19 @@ def test_rigidity_reports(capsys):
     assert out.splitlines()[2] == "  n=0: 2: R"
 
 
+def test_rigidity_of_the_unit_on_affine_d5(capsys):
+    # the goldens skip rigidity on this workspace (about 2 s a run)
+    code, out, _ = run(capsys, "rigidity", D5, "U")
+    assert code == 0
+    assert out.splitlines() == [
+        "RIGID",
+        "hom against the unit, tensored back:",
+        "  n=0: 1: R; 2: R; 3: R; 4: R; 5: R; 6: R",
+        "hom against itself:",
+        "  n=0: 1: R; 2: R; 3: R; 4: R; 5: R; 6: R",
+    ]
+
+
 def test_filtsys_verdicts(capsys):
     code, out, _ = run(capsys, "filtsys", D5, "1", "2", "3", "4", "5", "6")
     assert code == 0

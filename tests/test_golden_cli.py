@@ -4,8 +4,8 @@ Each case runs `cli.main` in text and in `--json` mode and compares the exit
 code and stdout with `tests/golden/<workspace>.json`.  The case list is
 derived from the workspaces themselves (each object, every vertex as its own
 filtration-system part), so a new object gets covered without editing this
-file.  `rigidity` is skipped on affine_d5_f2.yaml, where one run takes
-seconds.
+file.  `rigidity` is skipped on affine_d5_f2.yaml, where one run takes about
+2 s (1.95-2.42 s as a subprocess for object U); tests/test_cli.py runs it on U.
 
 Regenerate the goldens after an intended report change with
 

@@ -212,6 +212,14 @@ def test_evaluation_sides_of_source_simple():
     right = internal_hom(u1, u1)
     assert is_acyclic(left)
     assert fp(right) == fp(u1)
+    # the rigidity report holds the same sides as its self probe's evaluation map
+    report = rigidity_report(u1)
+    maps = report["maps"]
+    assert list(maps) == ["U", "U(1)", "U(2)", "x"]
+    assert set(report["failures"]) <= set(maps)
+    assert fp(maps["x"].source) == fp(left)
+    assert fp(maps["x"].target) == fp(right)
+    assert fp(maps["U"].target) == fp(internal_hom(u1, u))
 
 
 def test_evaluation_map_validates_and_cones():
@@ -233,6 +241,7 @@ def test_unit_augmentation_is_a_quasi_isomorphism(text):
     for quiver in (A2, q):
         w, aug = _unit_with_counit(quiver, ring)
         assert w.perfect and aug.source is w
+        aug.validate()  # built trusted: natural, and a chain map
         assert is_acyclic(cone(aug))
 
 

@@ -48,6 +48,7 @@ from quivertt import (
     prime_ideal,
     projective_rep,
     q_support,
+    rigidity_report,
     shift_complex,
     sp_all,
     sp_points,
@@ -241,6 +242,7 @@ def test_builders_make_no_validate_calls(monkeypatch):
     points = sp_points(a.ring, {prime_ideal(a.ring, 2), prime_ideal(a.ring, 5)})
     s = q_support(V, a.ring, {"1": sp_all(a.ring), "3": points})
     assert count(lambda: ideal_generators(s)) == {}
-    # the evaluation map promises a validated map
+    # the evaluation map promises a validated map; the rigidity test's own maps are trusted
     u = ensure_perfect(unit_complex(V, a.ring))
     assert count(lambda: evaluation_map(u, u)).get("ComplexMorphism", 0) >= 1
+    assert count(lambda: rigidity_report(u)) == {}
