@@ -712,13 +712,13 @@ def homology_fibers(x: ComplexRQ, n: int) -> dict:
 
 
 def homology_sweep(x: ComplexRQ):
-    """(n, `homology_fibers(x, n)`) for n in `homology_range(x)`, reading each
+    """(n, `homology_fibers(x, n)`) for n in `x.degrees`, reading each
     d^k_v's Smith diagonal once: d^k serves as d^n at degree k and as
     d^(n-1) at degree k + 1, so each degree hands what it read of d^n to the
-    next."""
+    next.  H^n = 0 wherever C^n = 0, so the empty degrees are skipped."""
     below = {}
-    for n in homology_range(x):
-        fibers, below = _fibers(x, n, below)
+    for n in x.degrees:
+        fibers, below = _fibers(x, n, below if n - 1 in x.terms else {})
         yield n, fibers
 
 
@@ -759,15 +759,18 @@ def homology_fingerprint(x: ComplexRQ):
     kernel ker M and image a(Z_s) + B_t, so that image has dimension
     rank M - rank d_s^n, and B_t has dimension rank d_t^(n-1).  Any other
     field degree reads both its fibers and its arrow maps off one
-    `homology` call.  Other rings read the fibers of the sweep.
+    `homology` call.  Other rings read the fibers of the sweep.  Like the
+    sweep, it visits only the degrees of x.
     """
     r, q = x.ring, x.quiver
     fmt = r.format_elem
     out = []
     below = {}
-    for n in homology_range(x):
+    for n in x.degrees:
         ranks = {}
-        if r.is_field and n in x.terms and not (x.terms[n].all_free() and x.term(n + 1).all_free()):
+        if n - 1 not in x.terms:
+            below = {}
+        if r.is_field and not (x.terms[n].all_free() and x.term(n + 1).all_free()):
             h = homology(x, n)
             fibers, below = h.fibers, {}
             for name, _, t in q.arrows:
@@ -775,7 +778,7 @@ def homology_fingerprint(x: ComplexRQ):
                 ranks[name] = rank(h.arrows[name].hstack(pres)) - rank(pres)
         else:
             fibers, here = _fibers(x, n, below)
-            if r.is_field and n in x.terms:
+            if r.is_field:
                 dn, dp = x.diff(n), x.diff(n - 1)
                 for name, s, t in q.arrows:
                     a, ds, dt = x.terms[n].arrows[name], dn.mats[s], dp.mats[t]
@@ -922,14 +925,15 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
 
         0 -> sum_a P(t(a)) x X_{s(a)} -> sum_i P(i) x X_i -> X -> 0
 
-    is applied termwise and totalized.  Refused over Z/n unless n is square-free
-    and every fiber of x is already literally free.
+    is applied termwise and totalized.  Refused over Z/n for composite n
+    unless n is square-free and every fiber of x is already literally free;
+    Z/p is a field and resolves like F_p.
     The result is built through `_complex` and not validated again, like
     every internal builder.  Only the complex is built: the augmentation
     back to x has one reader, the unit's in `homs`, which builds it there.
     """
     q, r = x.quiver, x.ring
-    if isinstance(r, IntegersMod):
+    if isinstance(r, IntegersMod) and not r.is_field:
         square_free = all(r.n % (p * p) != 0 for p in int_prime_factors(r.n))
         if not (square_free and all(rep.all_free() for rep in x.terms.values())):
             raise NonRegularRing(f"cannot resolve over {r.label}; input must already be perfect")

@@ -1,9 +1,12 @@
 """Hom modules between representations, the internal hom, evaluation maps.
 
-Hom(A, B) for representations with free fibers is the kernel of the
-naturality constraint system, one matrix variable per vertex.  The internal
-hom against a vertex i evaluates Hom(X tensor P(i), Y); arrows act by
-precomposition with the path-prefixing inclusions P(j) -> P(i).
+A `MapSpace` is the solution space of a naturality system: one matrix
+unknown per block, one constraint f_t a = b f_s per equation.  Hom(A, B) for
+representations with free fibers has one block per vertex and one equation
+per arrow (`hom_space`); a `ChainMapSpace` has one block per (degree,
+vertex) and adds the differentials.  The internal hom against a vertex i
+evaluates Hom(X tensor P(i), Y); arrows act by precomposition with the
+path-prefixing inclusions P(j) -> P(i).
 
 Everything here is assembled from explicit generator lifts.  The package's
 one validation rule holds here too: `chom_rep`, `chom_complex` and
@@ -42,130 +45,106 @@ from .quivers import paths
 from .rings import FGModule
 
 
-class HomData:
-    """Generators of Hom(A, B) plus enough data to lift and express them."""
+class MapSpace:
+    """Solutions of f_t * a_mat - b_mat * f_s = 0, with kmat's columns as generators.
 
-    __slots__ = ("ring", "quiver", "kmat", "shapes", "offsets", "module")
+    blocks lists (key, rows, cols) of the unknown matrices in storage order,
+    each stored row-major; equations lists (a_mat, b_mat, key_t, key_s).
+    Each equation gives one row per entry (rr, cc), row-major, stacked in the
+    order given; over Z the kernel depends on that order.
+    """
 
-    def __init__(self, ring, quiver, kmat, shapes, offsets):
-        self.ring = ring
-        self.quiver = quiver
-        self.kmat = kmat
-        self.shapes = shapes
-        self.offsets = offsets
-        self.module = FGModule(ring, kernel_basis(kmat)) if kmat.cols else FGModule.free(ring, 0)
+    __slots__ = ("ring", "shapes", "offsets", "kmat")
+
+    def __init__(self, ring, blocks, equations):
+        self.ring, self.shapes, self.offsets = ring, {}, {}
+        n = 0
+        for key, rows, cols in blocks:
+            self.shapes[key], self.offsets[key] = (rows, cols), n
+            n += rows * cols
+        rows = []
+        for a_mat, b_mat, key_t, key_s in equations:
+            off_t, off_s = self.offsets[key_t], self.offsets[key_s]
+            t_cols, s_cols = a_mat.rows, a_mat.cols
+            for rr in range(b_mat.rows):
+                for cc in range(s_cols):
+                    row = [ring.zero()] * n
+                    for k in range(t_cols):
+                        val = a_mat.entries[k][cc]
+                        if not ring.is_zero(val):
+                            c = off_t + rr * t_cols + k
+                            row[c] = ring.add(row[c], val)
+                    for k in range(b_mat.cols):
+                        val = b_mat.entries[rr][k]
+                        if not ring.is_zero(val):
+                            c = off_s + k * s_cols + cc
+                            row[c] = ring.sub(row[c], val)
+                    rows.append(tuple(row))
+        self.kmat = kernel_basis(Matrix(ring, len(rows), n, tuple(rows)))
 
     @property
     def gens(self) -> int:
         return self.kmat.cols
 
-    def lift(self, l: int) -> dict:
-        """The l-th generator as one matrix per vertex."""
+    def blocks_of(self, vec) -> dict:
+        """{key: matrix} read off a vector in storage order."""
         out = {}
-        for v in self.quiver.vertices:
-            rows, cols = self.shapes[v]
-            off = self.offsets[v]
-            ent = tuple(tuple(self.kmat.entries[off + r * cols + c][l] for c in range(cols))
-                        for r in range(rows))
-            out[v] = Matrix(self.ring, rows, cols, ent)
+        for key, (rows, cols) in self.shapes.items():
+            off = self.offsets[key]
+            out[key] = Matrix(self.ring, rows, cols,
+                              tuple(tuple(vec[off + rr * cols:off + (rr + 1) * cols]) for rr in range(rows)))
         return out
 
-    def _vectorize(self, mats: dict) -> list:
-        vec = []
-        for v in self.quiver.vertices:
-            rows, cols = self.shapes[v]
-            m = mats[v]
-            if (m.rows, m.cols) != (rows, cols):
-                raise ShapeMismatch("morphism has the wrong shape for this hom module")
-            for r in range(rows):
-                vec.extend(m.entries[r])
-        return vec
+    def lift(self, l: int) -> dict:
+        """The l-th generator, one matrix per block."""
+        return self.blocks_of([row[l] for row in self.kmat.entries])
 
     def express_cols(self, mats_list: list) -> Matrix:
-        """Coordinates of several morphisms at once, one column each."""
+        """Coordinates of several block families at once, one column each."""
         if not mats_list:
             return Matrix.zeros(self.ring, self.gens, 0)
-        vecs = [self._vectorize(m) for m in mats_list]
-        b = Matrix(self.ring, len(vecs[0]), len(vecs),
-                   tuple(tuple(v[i] for v in vecs) for i in range(len(vecs[0]))))
-        out = solve(self.kmat, b)
+        vecs = []
+        for mats in mats_list:
+            vec = []
+            for key, shape in self.shapes.items():
+                m = mats[key]
+                if (m.rows, m.cols) != shape:
+                    raise ShapeMismatch("morphism has the wrong shape for this hom module")
+                for row in m.entries:
+                    vec.extend(row)
+            vecs.append(vec)
+        out = solve(self.kmat, Matrix(self.ring, self.kmat.rows, len(vecs), tuple(zip(*vecs))))
         if out is None:
             raise ShapeMismatch("matrix family is not a morphism in this hom module")
         return out
 
 
-def _naturality_rows(r, n, a_mat, b_mat, off_t, off_s) -> list:
-    """Rows, over n unknowns, of f_t * a_mat - b_mat * f_s = 0, one per entry (rr, cc).
-
-    f_t is stored row-major from off_t with a_mat.rows columns, f_s from off_s with
-    a_mat.cols columns.  Rows run row-major in (rr, cc); over Z the kernel depends on it.
-    """
-    t_cols, s_cols = a_mat.rows, a_mat.cols
-    rows = []
-    for rr in range(b_mat.rows):
-        for cc in range(s_cols):
-            row = [r.zero()] * n
-            for k in range(t_cols):
-                val = a_mat.entries[k][cc]
-                if not r.is_zero(val):
-                    c = off_t + rr * t_cols + k
-                    row[c] = r.add(row[c], val)
-            for k in range(b_mat.cols):
-                val = b_mat.entries[rr][k]
-                if not r.is_zero(val):
-                    c = off_s + k * s_cols + cc
-                    row[c] = r.sub(row[c], val)
-            rows.append(tuple(row))
-    return rows
-
-
-def hom_space(a: Representation, b: Representation) -> HomData:
+def hom_space(a: Representation, b: Representation) -> MapSpace:
     """Hom(a, b) for representations with literally free fibers."""
     if not (a.all_free() and b.all_free()):
         raise NotPerfect("hom modules are computed between free-fiber representations")
-    q, r = a.quiver, a.ring
-    shapes, offsets = {}, {}
-    n = 0
-    for v in q.vertices:
-        shapes[v] = (b.gens(v), a.gens(v))
-        offsets[v] = n
-        n += b.gens(v) * a.gens(v)
-
-    rows = []
-    for name, s, t in q.arrows:
-        rows += _naturality_rows(r, n, a.arrows[name], b.arrows[name], offsets[t], offsets[s])
-    c = Matrix(r, len(rows), n, tuple(rows))
-    return HomData(r, q, kernel_basis(c), shapes, offsets)
+    q = a.quiver
+    return MapSpace(a.ring, [(v, b.gens(v), a.gens(v)) for v in q.vertices],
+                    [(a.arrows[name], b.arrows[name], t, s) for name, s, t in q.arrows])
 
 
-def _induced(src: HomData, tgt: HomData, compose) -> Matrix:
+def _induced(src: MapSpace, tgt: MapSpace, compose) -> Matrix:
     """The map src -> tgt taking f to {v: compose(v, f_v)}, in tgt's generators."""
-    vertices = src.quiver.vertices
-    glist = []
-    for l in range(src.gens):
-        f = src.lift(l)
-        glist.append({v: compose(v, f[v]) for v in vertices})
-    return tgt.express_cols(glist)
+    return tgt.express_cols([{v: compose(v, f) for v, f in src.lift(l).items()} for l in range(src.gens)])
 
 
 def chom_rep(y: Representation, z: Representation) -> Representation:
     """The representation with fiber Hom(y tensor P(i), z) at vertex i.
 
-    The arrow for a: i -> j precomposes with the path-prefixing inclusion
-    P(j) -> P(i).  Fibers are free: over our coefficient domains the kernel
-    of an integer matrix is free, and kernel_basis hands back a basis.
+    This is the degree-0 term of chom(y, z) for the stalk complexes, built
+    by the same code as `chom_complex` without its perfect-input check: y
+    and z need only free fibers.  Fibers are free: over our coefficient
+    domains the kernel of an integer matrix is free, and kernel_basis hands
+    back a basis.
     """
-    q, r = y.quiver, y.ring
-    if not r.is_domain:
+    if not y.ring.is_domain:
         raise UnsupportedRing("hom fibers need not be free over a non-domain")
-    hds = {i: hom_space(rep_box(y, projective_rep(q, r, i)), z) for i in q.vertices}
-    fibers = {i: FGModule.free(r, hds[i].gens) for i in q.vertices}
-    arrows = {}
-    for name, i, j in q.arrows:
-        iota = proj_precompose(q, r, name)
-        pre = {v: Matrix.identity(r, y.gens(v)).kron(iota.mats[v]) for v in q.vertices}
-        arrows[name] = _induced(hds[i], hds[j], lambda v, f: f.mul(pre[v]))
-    return _trusted(Representation, q, r, fibers, arrows)
+    return _chom(stalk_complex(y), stalk_complex(z)).complex.term(0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +157,7 @@ class ChomData:
     def __init__(self, complex_, summands, hd, offsets, source, target):
         self.complex = complex_
         self.summands = summands  # (i, a) -> ordered list of source degrees m
-        self.hd = hd              # (i, a, m) -> HomData
+        self.hd = hd              # (i, a, m) -> MapSpace
         self.offsets = offsets    # (i, a, m) -> generator offset inside the fiber
         self.source = source
         self.target = target
@@ -188,6 +167,12 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
     """chom(x, y) with vertex i fiber Hom(x tensor P(i), y), degreewise."""
     if not x.perfect or not y.perfect:
         raise NotPerfect("internal hom needs perfect inputs; resolve first")
+    return _chom(x, y)
+
+
+def _chom(x: ComplexRQ, y: ComplexRQ) -> ChomData:
+    """`chom_complex` for complexes whose terms have free fibers.  A fiber's
+    relations are those among its hom generators, kernel_basis of kmat."""
     q, r = x.quiver, x.ring
     projs = {i: projective_rep(q, r, i) for i in q.vertices}
     boxed = {(i, m): rep_box(x.terms[m], projs[i]) for i in q.vertices for m in x.degrees}
@@ -209,8 +194,8 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
     for a in a_values:
         fibers = {}
         for i in q.vertices:
-            pres = [hd[(i, a, m)].module.presentation for m in summands[(i, a)]]
-            fibers[i] = FGModule(r, Matrix.direct_sum(r, pres))
+            spaces = [hd[(i, a, m)] for m in summands[(i, a)]]
+            fibers[i] = FGModule(r, Matrix.direct_sum(r, [kernel_basis(h.kmat) for h in spaces if h.gens]))
         arrows = {}
         for name, i, j in q.arrows:
             iota = proj_precompose(q, r, name)
@@ -383,69 +368,42 @@ def is_rigid(x: ComplexRQ) -> bool:
 # chain maps between complexes (used by the brute-force closure search)
 
 
-class ChainMapSpace:
+class ChainMapSpace(MapSpace):
     """Solution space of all degree-0 chain maps x -> y.
 
     Every term of both complexes needs literally free fibers (NotPerfect
-    otherwise).  The constraint rows come degree by degree: naturality at
-    each arrow, then commutation with the differential at each vertex.
+    otherwise).  The blocks are (degree, vertex) in order; the equations
+    come degree by degree: naturality at each arrow, then commutation with
+    the differential at each vertex.
     """
 
-    __slots__ = ("source", "target", "kmat", "shapes", "offsets", "ring")
+    __slots__ = ("source", "target")
 
     def __init__(self, source: ComplexRQ, target: ComplexRQ):
         x, y = source, target
         if not all(rep.all_free() for c in (x, y) for rep in c.terms.values()):
             raise NotPerfect("chain-map spaces are computed between free-fiber complexes")
-        q, r = x.quiver, x.ring
-        self.source, self.target, self.ring = x, y, r
+        q = x.quiver
+        self.source, self.target = x, y
         degrees = sorted(set(x.degrees) | set(y.degrees))
-        xt, yt = {d: x.term(d) for d in degrees}, {d: y.term(d) for d in degrees}
-        shapes, offsets = {}, {}
-        n = 0
+        blocks = [((d, v), y.term(d).gens(v), x.term(d).gens(v)) for d in degrees for v in q.vertices]
+        equations = []
         for d in degrees:
-            for v in q.vertices:
-                shapes[(d, v)] = (yt[d].gens(v), xt[d].gens(v))
-                offsets[(d, v)] = n
-                n += shapes[(d, v)][0] * shapes[(d, v)][1]
-        rows = []
-        for d in degrees:
-            for name, s, t in q.arrows:
-                rows += _naturality_rows(r, n, xt[d].arrows[name], yt[d].arrows[name],
-                                         offsets[(d, t)], offsets[(d, s)])
+            equations += [(x.term(d).arrows[name], y.term(d).arrows[name], (d, t), (d, s))
+                          for name, s, t in q.arrows]
             if d + 1 in degrees:
                 dx, dy = x.diff(d), y.diff(d)
-                for v in q.vertices:
-                    rows += _naturality_rows(r, n, dx.mats[v], dy.mats[v], offsets[(d + 1, v)], offsets[(d, v)])
-        c_mat = Matrix(r, len(rows), n, tuple(rows))
-        self.kmat = kernel_basis(c_mat)
-        self.shapes = shapes
-        self.offsets = offsets
+                equations += [(dx.mats[v], dy.mats[v], (d + 1, v), (d, v)) for v in q.vertices]
+        super().__init__(x.ring, blocks, equations)
 
-    @property
-    def dim(self) -> int:
-        return self.kmat.cols
+    dim = MapSpace.gens
 
     def build(self, coeffs) -> ComplexMorphism:
-        """Chain map from coefficients against the kernel basis."""
+        """Chain map from coefficients against the kernel basis, one per generator."""
         r = self.ring
-        vec = [r.zero()] * self.kmat.rows
-        for l, c in enumerate(coeffs):
-            c = r.canon(c)
-            if r.is_zero(c):
-                continue
-            for rr in range(self.kmat.rows):
-                vec[rr] = r.add(vec[rr], r.mul(c, self.kmat.entries[rr][l]))
-        parts = {}
-        degrees = sorted(set(self.source.degrees) | set(self.target.degrees))
-        for d in degrees:
-            mats = {}
-            for v in self.source.quiver.vertices:
-                rows, cols = self.shapes[(d, v)]
-                off = self.offsets[(d, v)]
-                mats[v] = Matrix(r, rows, cols,
-                                 tuple(tuple(vec[off + rr * cols + cc] for cc in range(cols))
-                                       for rr in range(rows)))
-            if d in self.source.terms:
-                parts[d] = _trusted(RepMorphism, self.source.terms[d], self.target.term(d), mats)
+        vec = self.kmat.mul(Matrix(r, len(coeffs), 1, tuple((r.canon(c),) for c in coeffs)))
+        mats = self.blocks_of([row[0] for row in vec.entries])
+        vertices = self.source.quiver.vertices
+        parts = {d: _trusted(RepMorphism, rep, self.target.term(d), {v: mats[(d, v)] for v in vertices})
+                 for d, rep in self.source.terms.items()}
         return _trusted(ComplexMorphism, self.source, self.target, parts)

@@ -6,6 +6,7 @@ greps for, so any drift is a break worth noticing.
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,40 @@ def test_sparse_zmod_differential_finishes(capsys, tmp_path):
                   f"    differentials: {{-1: {{1: {json.dumps(rows)}}}}}\n")
     code, out, err = run(capsys, "support", str(ws), "X")
     assert (code, out, err) == (0, "support of X\n  1: all\n", "")
+
+
+def test_wide_degree_span_finishes(capsys, tmp_path):
+    # H^n = 0 wherever C^n = 0: the homology readers visit the two occupied
+    # degrees, not the 10^9 empty ones between them
+    ws = tmp_path / "wide.yaml"
+    ws.write_text("ring: Z\nquiver: {vertices: [1], arrows: []}\nobjects:\n  W:\n"
+                  "    degrees: {0: {1: free 1}, 1000000000: {1: free 1}}\n")
+    want = {
+        "support": "support of W\n  1: all\n",
+        "aisle": "filtration generated by W\nn < 1000000001: 1: all\nn >= 1000000001: 1: {}\n",
+        "rigidity": "RIGID\nhom against the unit, tensored back:\n"
+                    "  n=-1000000000: 1: R\n  n=0: 1: R^2\n  n=1000000000: 1: R\n"
+                    "hom against itself:\n  n=-1000000000: 1: R\n  n=0: 1: R^2\n  n=1000000000: 1: R\n",
+    }
+    for argv in (["support", str(ws), "W"], ["aisle", str(ws), "--gen", "W"], ["rigidity", str(ws), "W"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, want[argv[0]], "")
+        assert time.perf_counter() - t0 < 5.0
+
+
+def test_rigidity_over_zmod_prime_resolves(capsys, tmp_path):
+    # Z/5 is a field: a fiber with relations resolves, and the report is the F_5 one
+    reports = []
+    for ring in ("Zmod(5)", "Fp(5)"):
+        ws = tmp_path / "z5.yaml"
+        ws.write_text(f"ring: {ring}\nquiver: {{vertices: [1, 2], arrows: ['a: 1 -> 2']}}\nobjects:\n  T:\n"
+                      "    degrees: {0: {1: [[1], [0]]}}\n")
+        code, out, err = run(capsys, "rigidity", str(ws), "T")
+        assert code == 0 and err == ""
+        reports.append(out)
+    assert reports[0] == reports[1] == ("NOT RIGID\nhom against the unit, tensored back:\n  0 in every degree\n"
+                                        "hom against itself:\n  n=0: 1: R\n")
 
 
 def test_oversized_poly_degree_exits_1(capsys, tmp_path):

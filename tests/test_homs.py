@@ -11,6 +11,7 @@ from quivertt import (
     Matrix,
     NotPerfect,
     PrimeField,
+    ShapeMismatch,
     box_tensor,
     build_quiver,
     chom_rep,
@@ -36,13 +37,16 @@ from quivertt import (
     unit_restriction,
 )
 from quivertt.homs import _unit_with_counit
-from quivertt.samples import random_acyclic_quiver, random_free_rep, random_perfect_complex
+from quivertt.samples import random_acyclic_quiver, random_free_rep, random_perfect_complex, random_point_complex
 
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
 A3 = build_quiver([1, 2, 3], ["a: 1 -> 2", "b: 2 -> 3"])
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 Z = Integers()
+
+
+RINGS = ("Z", "Q", "Fp(5)", "Zmod(12)", "Zloc(3)", "FpX(3)")
 
 
 def vertex_unit(q, ring, i):
@@ -305,3 +309,44 @@ def test_chain_map_space_needs_free_fibers():
         ChainMapSpace(x, y)
     with pytest.raises(NotPerfect):
         ChainMapSpace(y, x)
+
+
+def test_chain_map_space_build_checks_the_coefficient_count():
+    u = ensure_perfect(unit_complex(A2, F2))
+    space = ChainMapSpace(u, u)
+    for coeffs in ([1] * (space.dim + 1), [1] * (space.dim - 1)):
+        with pytest.raises(ShapeMismatch):
+            space.build(coeffs)
+    # Hom(U(1), U) = 0: one unknown, no generators, and build(()) is the zero map
+    empty = ChainMapSpace(vertex_unit(A2, F2, 1), stalk_complex(unit_restriction(A2, F2, A2.vertices)))
+    assert empty.dim == 0 and empty.kmat.rows == 1
+    assert empty.build(()).part(0).is_zero()
+    with pytest.raises(ShapeMismatch):
+        empty.build((1,))
+
+
+# --- one map space under hom spaces and chain maps ---------------------------------
+
+
+@pytest.mark.parametrize("text", RINGS)
+def test_map_space_round_trips(text):
+    ring = parse_ring(text)
+    rng = random.Random(f"map-space:{text}")
+    built = 0
+    for _ in range(4):
+        q = random_acyclic_quiver(rng, 3)
+        a, b = random_free_rep(q, ring, rng), random_free_rep(q, ring, rng)
+        x = random_point_complex(ring, rng)
+        hom, stalks, chain = hom_space(a, b), ChainMapSpace(stalk_complex(a), stalk_complex(b)), ChainMapSpace(x, x)
+        # a chain map between stalks is a hom: the same blocks, equations and kernel
+        assert stalks.kmat == hom.kmat
+        for space in (hom, stalks, chain):
+            lifts = [space.lift(l) for l in range(space.gens)]
+            assert space.kmat.mul(space.express_cols(lifts)) == space.kmat
+        for space in (stalks, chain):
+            for l in range(space.dim):
+                f = space.build([ring.one() if j == l else ring.zero() for j in range(space.dim)])
+                blocks = {(d, v): m for d, part in f.parts.items() for v, m in part.mats.items()}
+                assert blocks == {k: m for k, m in space.lift(l).items() if k[0] in space.source.terms}
+                built += 1
+    assert built

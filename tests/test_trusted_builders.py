@@ -146,7 +146,7 @@ def times(x, c):
     return ComplexMorphism(x, x, parts)
 
 
-def torsion_sample(text):
+def torsion_sample(text, c=None):
     """A complex over V that is not perfect and has fibers with relations.
 
     The cone of c on the unit (free fibers, not projective) plus t -> t -> t,
@@ -156,9 +156,10 @@ def torsion_sample(text):
     relations: both lifts in `_free_fiber_replacement` are nonzero.  Over Z,
     Zloc(3) and FpX(3) c is a non-unit and the fibers have torsion; over the
     fields c^2 is a unit, and the fiber steps drop the generator it kills.
+    c defaults to the ring's entry in NON_UNITS.
     """
     ring = parse_ring(text)
-    c = ring.parse_elem(NON_UNITS[text])
+    c = ring.parse_elem(c or NON_UNITS[text])
     cc, z = ring.mul(c, c), ring.zero()
     t = Representation(V, ring, {v: FGModule(ring, Matrix(ring, 2, 1, ((cc,), (z,)))) for v in V.vertices},
                        {a: Matrix.identity(ring, 2) for a in ("a", "b")})
@@ -186,6 +187,18 @@ def test_resolutions_of_torsion_fibers_are_valid(text):
     assert r.perfect
     assert_valid(r)
     assert homology_fingerprint(r) == homology_fingerprint(x)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_zmod_prime_resolves_like_the_prime_field(p):
+    # Z/p is a field, so fibers with relations resolve there as over F_p
+    for c in sorted({"1", str(p - 1)}):
+        x = torsion_sample(f"Zmod({p})", c)
+        assert not all(rep.all_free() for rep in x.terms.values())
+        r = ensure_perfect(x)
+        assert r.perfect
+        assert_valid(r)
+        assert homology_fingerprint(r) == homology_fingerprint(ensure_perfect(torsion_sample(f"Fp({p})", c)))
 
 
 @pytest.mark.parametrize("text", RINGS)
