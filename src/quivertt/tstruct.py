@@ -18,16 +18,12 @@ from dataclasses import dataclass
 
 from .complexes import (
     ComplexRQ,
-    Representation,
-    _complex,
-    _trusted,
+    _reindex,
     homology_sweep,
 )
 from .errors import BadElement, IndexOutOfRange, NotAField
-from .linalg import Matrix
 from .quivers import Quiver, full_subquiver, is_dynkin, vertex_set
 from .rings import (
-    FGModule,
     Ring,
     check_same_ring,
     module_support,
@@ -297,33 +293,16 @@ def _check_part(c: FiltrationSystem, k: int) -> frozenset:
 
 def component_restrict(x: ComplexRQ, k: int, c: FiltrationSystem) -> ComplexRQ:
     """Forget everything outside part k's subquiver."""
-    part = _check_part(c, k)
-    sub = full_subquiver(x.quiver, part)
-    terms = {n: _trusted(Representation, sub, x.ring, rep.fibers, rep.arrows) for n, rep in x.terms.items()}
-    return _complex(sub, x.ring, terms, {n: d.mats for n, d in x.diffs.items()})
+    sub = full_subquiver(x.quiver, _check_part(c, k))
+    return _reindex(x, sub, {v: v for v in sub.vertices})
 
 
 def component_times(m: ComplexRQ, k: int, c: FiltrationSystem) -> ComplexRQ:
     """Embed a complex over part k's subquiver, zero outside the part."""
-    part = _check_part(c, k)
-    q = c.quiver
-    sub = full_subquiver(q, part)
+    sub = full_subquiver(c.quiver, _check_part(c, k))
     if m.quiver != sub:
         raise BadElement("complex is not over the part's subquiver")
-    r = m.ring
-    terms = {}
-    for n, rep in m.terms.items():
-        fibers = {v: (rep.fibers[v] if v in part else FGModule.free(r, 0)) for v in q.vertices}
-        arrows = {}
-        for name, s, t in q.arrows:
-            if s in part and t in part:
-                arrows[name] = rep.arrows[name]
-            else:
-                arrows[name] = Matrix.zeros(r, fibers[t].gens, fibers[s].gens)
-        terms[n] = _trusted(Representation, q, r, fibers, arrows)
-    diffs = {n: {v: (d.mats[v] if v in part else Matrix.zeros(r, 0, 0)) for v in q.vertices}
-             for n, d in m.diffs.items()}
-    return _complex(q, r, terms, diffs)
+    return _reindex(m, c.quiver, {v: v for v in sub.vertices})
 
 
 def c_aisle_decompose(f: Filtration, c: FiltrationSystem) -> list:

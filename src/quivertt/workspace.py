@@ -59,8 +59,9 @@ def build_workspace(doc: dict, where: str = "workspace") -> Workspace:
         raise WorkspaceError(f"{where}/ring: {e}") from e
     quiver = _build_quiver(_need(doc, "quiver", where), f"{where}/quiver")
     objects = {}
+    budget = [_MAX_ZERO_ENTRIES]
     for name, node in _named_section(doc, "objects", where).items():
-        objects[name] = _build_object(node, quiver, ring, f"{where}/objects/{name}")
+        objects[name] = _build_object(node, quiver, ring, f"{where}/objects/{name}", budget)
     supports = {}
     for name, node in _named_section(doc, "supports", where).items():
         supports[name] = parse_support(node, quiver, ring, f"{where}/supports/{name}")
@@ -116,15 +117,42 @@ def _matrix(ring: Ring, rows, where) -> Matrix:
     return Matrix(ring, len(rows), cols, ents)
 
 
+# The most generators one fiber may have, and the most entries the implicit
+# zero matrices of one workspace (its omitted arrow maps and differential
+# components) may hold together: loading builds a bounded amount, whatever
+# the ranks and however many degrees and arrows there are.
+_MAX_GENS = 1000
+_MAX_ZERO_ENTRIES = 10**7
+
+
+def _check_gens(gens: int, where) -> None:
+    if gens > _MAX_GENS:
+        raise WorkspaceError(f"{where}: fiber generators above the cap {_MAX_GENS}")
+
+
 def _fiber(ring: Ring, spec, where) -> FGModule:
-    if isinstance(spec, str):
-        parts = spec.split()
-        if len(parts) == 2 and parts[0] == "free" and parts[1].isdigit():
-            return FGModule.free(ring, int(parts[1]))
-        raise WorkspaceError(f"{where}: expected 'free <rank>' or a presentation, got {spec!r}")
+    """A fiber from 'free <rank>' or a presentation matrix, refused before
+    anything is built when it has more than _MAX_GENS generators."""
     if isinstance(spec, list):
+        _check_gens(len(spec), where)
         return FGModule(ring, _matrix(ring, spec, where))
-    raise WorkspaceError(f"{where}: expected 'free <rank>' or a presentation, got {spec!r}")
+    parts = spec.split() if isinstance(spec, str) else []
+    if not (len(parts) == 2 and parts[0] == "free" and parts[1].isdecimal()):
+        raise WorkspaceError(f"{where}: expected 'free <rank>' or a presentation, got {spec!r}")
+    rank = parts[1].lstrip("0") or "0"
+    # ten digits are past the cap: a longer string is never converted
+    gens = int(rank) if len(rank) < 10 else _MAX_GENS + 1
+    _check_gens(gens, where)
+    return FGModule.free(ring, gens)
+
+
+def _zeros(ring: Ring, rows: int, cols: int, budget: list, where) -> Matrix:
+    """The zero matrix of an omitted arrow map or differential component,
+    charged to budget[0], the entries the workspace may still build so."""
+    budget[0] -= rows * cols
+    if budget[0] < 0:
+        raise WorkspaceError(f"{where}: implicit zero entries above the cap 10^7")
+    return Matrix.zeros(ring, rows, cols)
 
 
 def _int_key(k, where) -> int:
@@ -134,7 +162,7 @@ def _int_key(k, where) -> int:
         raise WorkspaceError(f"{where}: degree {k!r} is not an integer") from None
 
 
-def _build_term(node, q: Quiver, ring: Ring, where) -> Representation:
+def _build_term(node, q: Quiver, ring: Ring, where, budget) -> Representation:
     if not isinstance(node, dict):
         raise WorkspaceError(f"{where}: expected vertex: fiber entries")
     node = {str(k): v for k, v in node.items()}
@@ -150,7 +178,7 @@ def _build_term(node, q: Quiver, ring: Ring, where) -> Representation:
     for name, s, t in q.arrows:
         raw = arrow_specs.get(name)
         if raw is None:
-            arrows[name] = Matrix.zeros(ring, fibers[t].gens, fibers[s].gens)
+            arrows[name] = _zeros(ring, fibers[t].gens, fibers[s].gens, budget, f"{where}/arrow_maps/{name}")
         else:
             arrows[name] = _matrix(ring, raw, f"{where}/arrow_maps/{name}")
     bad = set(map(str, arrow_specs)) - known
@@ -162,7 +190,7 @@ def _build_term(node, q: Quiver, ring: Ring, where) -> Representation:
         raise WorkspaceError(f"{where}: {e}") from e
 
 
-def _build_object(node, q: Quiver, ring: Ring, where) -> ComplexRQ:
+def _build_object(node, q: Quiver, ring: Ring, where, budget) -> ComplexRQ:
     if not isinstance(node, dict):
         raise WorkspaceError(f"{where}: expected degrees:/differentials: entries")
     unknown = set(node) - {"degrees", "differentials"}
@@ -171,7 +199,7 @@ def _build_object(node, q: Quiver, ring: Ring, where) -> ComplexRQ:
     terms = {}
     for k, term_node in (node.get("degrees") or {}).items():
         n = _int_key(k, where)
-        terms[n] = _build_term(term_node, q, ring, f"{where}/degrees/{k}")
+        terms[n] = _build_term(term_node, q, ring, f"{where}/degrees/{k}", budget)
     diffs = {}
     for k, diff_node in (node.get("differentials") or {}).items():
         n = _int_key(k, where)
@@ -184,7 +212,8 @@ def _build_object(node, q: Quiver, ring: Ring, where) -> ComplexRQ:
         for v in q.vertices:
             raw = diff_node.pop(v, None)
             if raw is None:
-                mats[v] = Matrix.zeros(ring, terms[n + 1].gens(v), terms[n].gens(v))
+                mats[v] = _zeros(ring, terms[n + 1].gens(v), terms[n].gens(v), budget,
+                                 f"{where}/differentials/{k}/{v}")
             else:
                 mats[v] = _matrix(ring, raw, f"{where}/differentials/{k}/{v}")
         if diff_node:

@@ -5,7 +5,10 @@ greps for, so any drift is a break worth noticing.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -215,6 +218,48 @@ def test_oversized_ring_parameter_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "spectrum", str(big))
     assert code == 1 and out == ""
     assert err == f"ERR 1: {big}/ring: Fp parameter above the cap 10^9\n"
+
+
+CAPPED_MAIN = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+               "from quivertt.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+
+
+def run_capped(*argv):
+    """(exit code, stdout, stderr) of the CLI in a subprocess limited to 2 GB
+    of address space, so that a missing size cap ends in a MemoryError there
+    instead of taking the host's memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("quiver, term", [
+    ("{vertices: [1], arrows: []}", "{1: free 100000000}"),
+    ('{vertices: [1, 2], arrows: ["a: 1 -> 2"]}', "{1: free 20000, 2: free 20000}"),
+], ids=["one huge fiber", "zero arrow between two large fibers"])
+def test_oversized_fiber_rank_exits_1(tmp_path, quiver, term):
+    # the cap is checked before any matrix is built: the second case used to
+    # run out of memory filling the implicit 20000 x 20000 arrow matrix
+    ws = tmp_path / "big.yaml"
+    ws.write_text(f"ring: Z\nquiver: {quiver}\nobjects:\n  X:\n    degrees: {{0: {term}}}\n")
+    code, out, err = run_capped("support", str(ws), "X")
+    assert (code, out) == (1, "")
+    assert err == f"ERR 1: {ws}/objects/X/degrees/0/1: fiber generators above the cap 1000\n"
+
+
+def test_implicit_zero_entries_exit_1(tmp_path):
+    # every fiber is within its cap, but the omitted arrow maps of 300 degrees
+    # would take about 2.4 GB: the eleventh 1000 x 1000 one is refused
+    ws = tmp_path / "wide.yaml"
+    degrees = ", ".join(f"{n}: {{1: free 1000, 2: free 1000}}" for n in range(300))
+    ws.write_text(f'ring: Z\nquiver: {{vertices: [1, 2], arrows: ["a: 1 -> 2"]}}\n'
+                  f"objects:\n  X:\n    degrees: {{{degrees}}}\n")
+    code, out, err = run_capped("support", str(ws), "X")
+    assert (code, out) == (1, "")
+    assert err == f"ERR 1: {ws}/objects/X/degrees/10/arrow_maps/a: implicit zero entries above the cap 10^7\n"
 
 
 def test_oversized_prime_window_exits_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Complexes of representations: homology, tensor, Kan extensions, resolutions."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ from quivertt import (
     unit_restriction,
     zero_complex,
 )
-from quivertt.complexes import ComplexMorphism, Representation, RepMorphism
+from quivertt.complexes import ComplexMorphism, Representation, RepMorphism, rep_mor_identity
 from quivertt.samples import random_acyclic_quiver, random_perfect_complex, random_point_complex
 
 Z = Integers()
@@ -140,6 +141,90 @@ def test_morphism_naturality_checked():
     urep = unit_complex(A2, Z).term(0)
     with pytest.raises(ShapeMismatch):
         RepMorphism(urep, urep, {"1": Matrix.identity(Z, 1), "2": Matrix.identity(Z, 1).scale(2)})
+
+
+# --- relations checks ---------------------------------------------------------
+# Each validator asks whether a defect lies in the target's relations.  Over Z
+# with an R/(2) or R/(6) fiber, each pair below has a nonzero defect: inside
+# the relations the input is accepted, outside it is refused with the message.
+
+PT = point_quiver()
+R1 = FGModule.free(Z, 1)
+
+
+def cyclic(n):
+    """R/(n), one generator."""
+    return FGModule(Z, Matrix.from_rows(Z, [[n]]))
+
+
+def point_rep(fib):
+    return Representation(PT, Z, {"pt": fib}, {})
+
+
+def mat(e):
+    return Matrix.from_rows(Z, [[e]])
+
+
+def test_arrow_relations_check():
+    # R/(2) -> R/(6): the relation 2 goes to 6 under 3, in (6); to 2 under 1
+    Representation(A2, Z, {"1": cyclic(2), "2": cyclic(6)}, {"a": mat(3)})
+    with pytest.raises(ShapeMismatch, match="^arrow a not well defined on relations$"):
+        Representation(A2, Z, {"1": cyclic(2), "2": cyclic(6)}, {"a": mat(1)})
+
+
+def test_component_relations_check():
+    a, b = point_rep(cyclic(2)), point_rep(cyclic(6))
+    RepMorphism(a, b, {"pt": mat(3)})
+    with pytest.raises(ShapeMismatch, match="^component at pt not well defined on relations$"):
+        RepMorphism(a, b, {"pt": mat(1)})
+
+
+def test_naturality_relations_check():
+    # defect f2 a - b f1 into R/(2): 3 - 1 = 2 lies in (2), 2 - 1 = 1 does not
+    a = Representation(A2, Z, {"1": R1, "2": R1}, {"a": mat(1)})
+    b = Representation(A2, Z, {"1": R1, "2": cyclic(2)}, {"a": mat(1)})
+    RepMorphism(a, b, {"1": mat(1), "2": mat(3)})
+    with pytest.raises(ShapeMismatch, match="^naturality fails at arrow a$"):
+        RepMorphism(a, b, {"1": mat(1), "2": mat(2)})
+
+
+def test_square_zero_relations_check():
+    # R -> R -> R/(2): d^2 = 4 lies in (2), d^2 = 1 does not
+    fibers = {0: R1, 1: R1, 2: cyclic(2)}
+    complex_r(Z, fibers, {0: mat(1), 1: mat(4)})
+    with pytest.raises(ShapeMismatch, match="^d\\^2 != 0 at degree 0, vertex pt$"):
+        complex_r(Z, fibers, {0: mat(1), 1: mat(1)})
+
+
+def test_chain_map_relations_check():
+    # x = (R -1-> R), y = (R -1-> R/(2)); at degree 0 the defect d f0 - f1 d
+    # is 1 - 3 = -2, in (2), or 1 - 2 = -1, not in it
+    x = complex_r(Z, {0: R1, 1: R1}, {0: mat(1)})
+    y = complex_r(Z, {0: R1, 1: cyclic(2)}, {0: mat(1)})
+
+    def parts(f1):
+        return {0: RepMorphism(x.terms[0], y.terms[0], {"pt": mat(1)}),
+                1: RepMorphism(x.terms[1], y.terms[1], {"pt": mat(f1)})}
+
+    ComplexMorphism(x, y, parts(3))
+    with pytest.raises(ShapeMismatch, match="^morphism does not commute with d at degree 0, vertex pt$"):
+        ComplexMorphism(x, y, parts(2))
+
+
+def test_morphism_validation_visits_only_occupied_degrees():
+    # the commutation square at degree n is 0 = 0 unless a term sits in degree
+    # n or n + 1, so a span of 10^9 empty degrees is not walked
+    s = complex_r(Z, {0: R1}, {})
+    two = complex_r(Z, {0: R1, 1: R1}, {0: mat(2)})
+    x = direct_sum_complexes([s, shift_complex(two, -10**9)])
+    t0 = time.perf_counter()
+    ComplexMorphism(x, x, {n: rep_mor_identity(x.terms[n]) for n in x.degrees})
+    assert time.perf_counter() - t0 < 2.0
+    # zero in degree 10^9 + 1 only: d f - f d = 2 at degree 10^9
+    parts = {n: rep_mor_identity(x.terms[n]) for n in (0, 10**9)}
+    with pytest.raises(ShapeMismatch, match="^morphism does not commute with d at degree 1000000000, vertex pt$"):
+        ComplexMorphism(x, x, parts)
+    assert time.perf_counter() - t0 < 4.0
 
 
 # --- cones and homology -------------------------------------------------------
@@ -376,26 +461,26 @@ def _with_killed_generator(x, degree, rng):
 
 
 def test_fingerprint_arrow_ranks_match_the_homology_fingerprint(monkeypatch):
-    # all six rings; over a field, a degree whose fibers in degrees n and
-    # n + 1 are literally free takes the rank formula, any other the arrow
-    # maps of `homology`
+    # all six rings; over a field a complex with relations is minimalized
+    # once, and every degree then takes the rank formula: no `homology` call
     samples = [x for _, x in _one_path_samples()]
     killed = []
-    for text in ("Q", "Fp(5)", "Fp(2)"):
+    for text in ("Q", "Fp(5)", "Fp(2)", "Zmod(5)"):
         ring = parse_ring(text)
         for k in range(4):
             rng = random.Random(f"fingerprint:{text}:{k}")
             x = random_perfect_complex(random_acyclic_quiver(rng, 3), ring, rng)
             killed.append((x, _with_killed_generator(x, rng.choice(x.degrees), rng)))
     samples += [y for _, y in killed]
-    assert {str(x.ring) for x in samples} >= {"Z", "Q", "Fp(5)", "Zmod(12)", "Zloc(3)", "FpX(3)"}
+    assert {str(x.ring) for x in samples} >= {"Z", "Q", "Fp(5)", "Zmod(12)", "Zloc(3)", "FpX(3)", "Zmod(5)"}
     want = [_fingerprint_from_homology(x) for x in samples]
-    fallback = []
-    real = complexes.homology
+    calls = []
+    minimalized = []
+    real = complexes._minimalize_fibers
 
-    def counted(x, n):
-        fallback.append(n)
-        return real(x, n)
+    def counted(x):
+        minimalized.append(id(x))
+        return real(x)
 
     parts = []  # (complex, degree) of each cycle-matrix elimination
     real_parts = complexes._homology_parts
@@ -404,14 +489,13 @@ def test_fingerprint_arrow_ranks_match_the_homology_fingerprint(monkeypatch):
         parts.append((id(x), n))
         return real_parts(x, n, vertices)
 
-    monkeypatch.setattr(complexes, "homology", counted)
+    monkeypatch.setattr(complexes, "homology", lambda x, n: calls.append(n))
+    monkeypatch.setattr(complexes, "_minimalize_fibers", counted)
     monkeypatch.setattr(complexes, "_homology_parts", counted_parts)
-    field_degrees = 0
     for x, fp in zip(samples, want):
         assert homology_fingerprint(x) == fp
-        field_degrees += len(x.terms) if x.ring.is_field else 0
-    assert 0 < len(fallback) < field_degrees
-    # a fallback degree reads its fibers off the same `homology` call
+    assert calls == []
+    assert minimalized == [id(y) for _, y in killed]
     assert len(parts) == len(set(parts))
     assert any(name.startswith("->") for fp in want for _, name, _, _ in fp)
     for x, y in killed:

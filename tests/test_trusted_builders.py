@@ -8,7 +8,9 @@ spectrum's generators and detecting objects all build their output without
 re-validates those outputs (every term, every differential, d^2 = 0) on
 samples over Z, Q, Fp(5), Zmod(12), Zloc(3) and FpX(3), drawn the way the
 `rings` benchmark draws them, and counts that the builders themselves make
-no `validate()` call.
+no `validate()` call.  It also checks, term by term, that restriction undoes
+extension by zero (`eval_vertex` after `i_times`, `component_restrict` after
+`component_times`).
 """
 
 import random
@@ -259,3 +261,36 @@ def test_builders_make_no_validate_calls(monkeypatch):
     u = ensure_perfect(unit_complex(V, a.ring))
     assert count(lambda: evaluation_map(u, u)).get("ComplexMorphism", 0) >= 1
     assert count(lambda: rigidity_report(u)) == {}
+
+
+def assert_same_complex(a, b):
+    """Term by term: fiber presentations, arrow matrices and differentials."""
+    assert (a.quiver, a.ring, a.degrees, list(a.diffs)) == (b.quiver, b.ring, b.degrees, list(b.diffs))
+    for n in a.degrees:
+        assert {v: f.presentation for v, f in a.terms[n].fibers.items()} == \
+            {v: f.presentation for v, f in b.terms[n].fibers.items()}
+        assert a.terms[n].arrows == b.terms[n].arrows
+    for n in a.diffs:
+        assert a.diffs[n].mats == b.diffs[n].mats
+
+
+@pytest.mark.parametrize("text", RINGS)
+def test_restriction_undoes_extension_by_zero(text):
+    q, x, y = sample_pair(text)
+    rng = random.Random(f"roundtrip:{text}")
+    for v in q.vertices:
+        for m in (eval_vertex(x, v), random_point_complex(x.ring, rng)):
+            assert_same_complex(eval_vertex(i_times(m, q, v), v), m)
+    # single vertices, a split in two, and one part that keeps every arrow
+    vs = q.vertices
+    for parts in ([[v] for v in vs], [vs[:2], vs[2:]], [vs]):
+        c = filtration_system(q, parts)
+        for k in range(len(c.parts)):
+            for z in (x, y):
+                p = component_restrict(z, k, c)
+                assert_same_complex(component_restrict(component_times(p, k, c), k, c), p)
+    # against the input itself: the part holding every vertex keeps all of it
+    whole = filtration_system(q, [vs])
+    for z in (x, y):
+        assert_same_complex(component_times(component_restrict(z, 0, whole), 0, whole), z)
+    assert q.arrows

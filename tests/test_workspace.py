@@ -183,6 +183,45 @@ def test_fiber_spelling():
         build_workspace(_doc({"objects": {"X": {"degrees": {0: {"1": "free"}}}}}))
     with pytest.raises(WorkspaceError, match="expected 'free <rank>'"):
         build_workspace(_doc({"objects": {"X": {"degrees": {0: {"1": 3}}}}}))
+    # a digit int() does not read is a spelling error, not a traceback
+    with pytest.raises(WorkspaceError, match="expected 'free <rank>'"):
+        build_workspace(_doc({"objects": {"X": {"degrees": {0: {"1": "free \u00b2"}}}}}))
+
+
+def fiber_doc(spec):
+    return _doc({"objects": {"X": {"degrees": {0: {"1": spec}}}}})
+
+
+def test_fiber_generators_are_capped():
+    # 'free <rank>' and a presentation's rows alike, checked before building
+    ws = build_workspace(fiber_doc("free 1000"))
+    assert ws.objects["X"].terms[0].gens("1") == 1000
+    assert build_workspace(fiber_doc([[2]] * 1000)).objects["X"].terms[0].gens("1") == 1000
+    # leading zeros do not count towards the rank's length
+    assert build_workspace(fiber_doc("free 0000000005")).objects["X"].terms[0].gens("1") == 5
+    for spec in ("free 1001", "free 100000000", "free " + "9" * 5000, "free 0001001", [[2]] * 1001):
+        with pytest.raises(WorkspaceError, match=r"^workspace/objects/X/degrees/0/1: fiber generators above the cap 1000$"):
+            build_workspace(fiber_doc(spec))
+
+
+def test_implicit_zero_entries_are_capped(monkeypatch):
+    # omitted arrow maps and differential components, over all objects, draw
+    # on one budget per workspace, charged before each matrix is built
+    monkeypatch.setattr(quivertt.workspace, "_MAX_ZERO_ENTRIES", 60)
+    term = {"1": "free 5", "2": "free 5"}  # its omitted arrow map a is 5 x 5
+
+    def obj(n):
+        return {"degrees": {k: term for k in range(n)}}
+
+    build_workspace(_doc({"objects": {"X": obj(2)}}))
+    build_workspace(_doc({"objects": {"X": obj(2)}}))  # a new budget each time
+    cap = "implicit zero entries above the cap 10\\^7$"
+    with pytest.raises(WorkspaceError, match=r"^workspace/objects/Y/degrees/0/arrow_maps/a: " + cap):
+        build_workspace(_doc({"objects": {"X": obj(2), "Y": obj(1)}}))
+    eye = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    diffs = {"degrees": obj(2)["degrees"], "differentials": {0: {"2": eye}}}
+    with pytest.raises(WorkspaceError, match=r"^workspace/objects/X/differentials/0/1: " + cap):
+        build_workspace(_doc({"objects": {"X": diffs}}))
 
 
 @pytest.fixture

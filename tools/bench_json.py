@@ -3,6 +3,7 @@
     python3 tools/bench_json.py --run . BENCH_2.json
     python3 tools/bench_json.py --run ../parent BENCH_1.json --run . BENCH_2.json
     python3 tools/bench_json.py --run . out.json --workloads verify rings --seeds 1 2 3
+    python3 tools/bench_json.py --cli --run ../parent CLI_1.json --run . CLI_2.json
 
 For each workload and seed this runs, in every checkout given by `--run`,
 
@@ -14,7 +15,21 @@ seed to seed, so that a drift of host speed falls on all of them alike.
 Each output file holds the checkout's commit, the host, every run's
 end-to-end metrics, and per workload and metric the median and the
 quartiles over the seeds.  The run length is fixed, so that every file
-this writes is comparable with every other.  Standard library only.
+this writes is comparable with every other.
+
+With `--cli` it times CLI commands instead: the text-mode command list that
+the goldens derive (`cases_for` in tests/test_golden_cli.py, read from the
+checkout this script lives in), plus `rigidity workspaces/affine_d5_f2.yaml
+U`, which the goldens skip.  Each of ROUNDS rounds runs every command once
+in each checkout, as `python3 -m quivertt <argv>` from the checkout's root
+with its `src/` on PYTHONPATH, and alternates which checkout goes first, as
+the workload mode does.  Each checkout's `src/` is byte-compiled first,
+into a temporary PYTHONPYCACHEPREFIX, so that no timed run compiles the
+package and nothing is written into the checkouts.  Each output file holds
+per command the exit code and the median and quartiles of wall time over
+the rounds, and lists every command whose exit code or stdout differs from
+the first checkout's.  The number of rounds is fixed, like the run length.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +41,8 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 
@@ -38,6 +55,7 @@ def commit_of(root: Path) -> str:
 
 
 SECONDS = 15
+ROUNDS = 5
 COMMAND = f"python3 bench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0"
 
 
@@ -59,15 +77,96 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+HERE = Path(__file__).resolve().parent.parent
+CLI_COMMAND = "python3 -m quivertt <argv>"
+LIST_CASES = ("import json, sys; sys.path[:0] = ['src', 'tests']\n"
+              "from test_golden_cli import WORKSPACES, cases_for\n"
+              "print(json.dumps([a for p in WORKSPACES for a in cases_for(p) if '--json' not in a]))")
+
+
+def cli_commands() -> list:
+    """The goldens' text-mode argv lists, then the rigidity run they skip."""
+    proc = subprocess.run([sys.executable, "-c", LIST_CASES], cwd=HERE, capture_output=True, text=True,
+                          timeout=600)
+    if proc.returncode != 0:
+        raise SystemExit(f"cannot list the golden commands:\n{proc.stderr}")
+    return json.loads(proc.stdout) + [["rigidity", "workspaces/affine_d5_f2.yaml", "U"]]
+
+
+def cli_env(root: Path, cache: Path) -> dict:
+    """The environment of a checkout's CLI runs, its bytecode compiled into cache."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=str(cache))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=root, env=env, check=True,
+                   capture_output=True, timeout=600)
+    return env
+
+
+def cli_once(root: Path, env: dict, argv: list) -> tuple:
+    """(wall seconds, exit code, stdout) of one CLI run in a checkout."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "quivertt", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=600)
+    return time.perf_counter() - t0, proc.returncode, proc.stdout
+
+
+def cli_rounds(roots: list, envs: list, commands: list) -> tuple:
+    """({(checkout, command): wall times}, {(checkout, command): (exit code,
+    stdout) of its first run}), the first checkout alternating each round."""
+    walls = {(k, i): [] for k in range(len(roots)) for i in range(len(commands))}
+    seen = {}
+    for rnd in range(ROUNDS):
+        order = list(range(len(roots)))
+        order = order[rnd % len(order):] + order[:rnd % len(order)]
+        for i, argv in enumerate(commands):
+            for k in order:
+                wall, code, out = cli_once(roots[k], envs[k], argv)
+                walls[k, i].append(wall)
+                seen.setdefault((k, i), (code, out))
+                print(f"{roots[k]} round {rnd}: {' '.join(argv)}: {wall:.3f} s, exit {code}",
+                      file=sys.stderr, flush=True)
+    return walls, seen
+
+
+def cli_main(outs: list, roots: list, host: dict) -> int:
+    commands = cli_commands()
+    with tempfile.TemporaryDirectory() as caches:
+        envs = [cli_env(root, Path(caches) / str(k)) for k, root in enumerate(roots)]
+        walls, seen = cli_rounds(roots, envs, commands)
+    differ = [" ".join(argv) for i, argv in enumerate(commands)
+              if any(seen[k, i] != seen[0, i] for k in range(len(roots)))]
+    for line in differ:
+        print(f"differs between checkouts: {line}", file=sys.stderr)
+    for k, (root, out) in enumerate(zip(roots, outs)):
+        doc = {
+            "commit": commit_of(root),
+            "command": CLI_COMMAND,
+            "host": host,
+            "rounds": ROUNDS,
+            "commands": {" ".join(argv): {"code": seen[k, i][0], "wall_s": summary(walls[k, i])}
+                         for i, argv in enumerate(commands)},
+            "differ": differ,
+        }
+        Path(out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--run", nargs=2, action="append", required=True, metavar=("ROOT", "OUT"),
                     help="a source checkout to run and the JSON file to write for it; repeatable")
-    ap.add_argument("--workloads", nargs="+", default=["verify", "closure", "rings"])
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
+    ap.add_argument("--workloads", nargs="+", help="default: verify closure rings")
+    ap.add_argument("--seeds", nargs="+", type=int, help="default: 1 2 3 4 5")
+    ap.add_argument("--cli", action="store_true", help="time the CLI commands instead of the workloads")
     args = ap.parse_args(argv)
     roots = [Path(root).resolve() for root, _ in args.run]
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
+    if args.cli:
+        if args.workloads or args.seeds:
+            ap.error("--workloads and --seeds do not apply to --cli")
+        return cli_main([out for _, out in args.run], roots, host)
+    args.workloads = args.workloads or ["verify", "closure", "rings"]
+    args.seeds = args.seeds or [1, 2, 3, 4, 5]
     runs = {(k, w): [] for k in range(len(roots)) for w in args.workloads}
     for w in args.workloads:
         for i, s in enumerate(args.seeds):
