@@ -9,32 +9,33 @@ remainder r < g, so gcd(r, n) < g and every entry stays in [0, n).
 Each of the two questions asked here is answered by one elimination, picked
 once by the ring kind.  Invariant factors (`rank`, `cokernel_presentation`,
 `is_split_mono`) read the Smith diagonal, which needs no transforms: over a
-field it is one 1 per pivot of the row reduction.  Otherwise unit pivots go
-first, on sparse rows: each is a unit entry of least Markowitz cost, (row
-nonzeros - 1) * (column nonzeros - 1), and splits off a 1, since SNF(1 + S) is
-1 followed by SNF(S).  What is left has no unit entry; the one Smith worker
-runs on it diagonal-only, with no u and no v, so its row and column operations
-touch only a.  Over Z/n the unit pivots are the residues prime to n.
-Invariant factors do not depend on the order of elimination, so the diagonal
-is that of `smith_normal_form`, whose loop and pinned pivot rule the worker
-shares.  Solutions and kernels (`solve`, `kernel_basis`) read `solve_kernel`,
-which eliminates a once for both: over a field one row reduction of [a | b],
-whose pivots among a's columns are a's own; otherwise one Smith form
-u*a*v = d, whose v gives the kernel and whose u and v give the solution.
+field it is one 1 per pivot of a forward pass, with no back-substitution.
+Otherwise unit pivots go first, each a unit entry of least Markowitz cost,
+(row nonzeros - 1) * (column nonzeros - 1), splitting off a 1, since
+SNF(1 + S) is 1 followed by SNF(S).  What is left has no unit entry; the one
+Smith worker runs on it diagonal-only, with no u and no v, so its row and
+column operations touch only a.  Over Z/n the unit pivots are the residues
+prime to n.  Invariant factors do not depend on the order of elimination, so
+the diagonal is that of `smith_normal_form`, whose loop and pinned pivot rule
+the worker shares.  Solutions and kernels (`solve`, `kernel_basis`) read
+`solve_kernel`, which eliminates a once for both: over a field the forward
+pass on [a | b], back-substituted to the reduced row echelon form; otherwise
+one Smith form u*a*v = d, whose v gives the kernel and u and v the solution.
 
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
-nonzero a and the nonzero b of the matching right row, and the Smith form's
-row and column operations skip zero source entries.  Every field, F_2
-included, shares one row reduction, which updates a row only where the pivot
-row is nonzero.  Skipping is exact, since x + c*0 = x and zero is the only
-falsy canonical element.  Integer rings skip the dispatch: when
-`ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n) the product runs on
-plain ints and reduces once at the end for a nonzero modulus, and the Smith
-form's operations over Z call no ring method.  F_2 products (not elimination)
-still pack rows into ints and xor them.  An empty matrix (no rows or no
-columns) is already in Smith form with identity transforms, and its cokernel
-is free on its rows; neither runs elimination.
+nonzero a and the nonzero b of the matching right row.  Fields and the unit
+pass share one sparse row store and one pivot step, which updates a row only
+where the pivot row is nonzero, and the Smith form's row and column
+operations skip zero source entries.  Skipping is exact, since x + c*0 = x
+and zero is the only falsy canonical element.  Integer rings skip the
+dispatch: when `ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n) the
+product runs on plain ints and reduces once at the end for a nonzero modulus,
+and over Z the pivot step and the Smith form's row and column operations
+add and multiply plain ints.  F_2 products (not elimination) still pack rows
+into ints and xor them.  An empty matrix (no rows or no columns) is already
+in Smith form with identity transforms, and its cokernel is free on its
+rows; neither runs elimination.
 
 Blocks are assembled only here.  `Matrix.blocks` builds a block matrix from a
 grid (None is a zero block), `Matrix.direct_sum` a block diagonal and
@@ -78,7 +79,7 @@ class Matrix:
     @staticmethod
     def zeros(ring, rows: int, cols: int) -> "Matrix":
         z = ring.zero()
-        return Matrix(ring, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return Matrix(ring, rows, cols, ((z,) * cols,) * rows)
 
     @staticmethod
     def from_entries(ring, rows: int, cols: int, entries: dict) -> "Matrix":
@@ -258,7 +259,7 @@ class ElementaryDivisors:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# elimination: the Smith worker, then the sparse row store and its pivot step
 
 
 class _Worker:
@@ -417,63 +418,81 @@ def diagonal_of(d: Matrix) -> list:
     return [d.entries[k][k] for k in range(min(d.rows, d.cols))]
 
 
-# ---------------------------------------------------------------------------
-# elimination over fields
-#
-# Smith normal form with its pivot scans is overkill when the ring is a
-# field: kernel, solve, and rank only need row reduction.  Every field, F_2
-# included, runs this one reduction, which updates a row only where the pivot
-# row is nonzero; only F_2 products (`Matrix.mul`) still pack rows into ints.
+def _store(rows):
+    """The nonempty rows {j: nonzero value} by position, and their column index."""
+    rows = {i: row for i, row in enumerate(rows) if row}
+    cols = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    return rows, cols
 
 
-def _rref_field(m: Matrix):
-    r = m.ring
-    rows = [list(row) for row in m.entries]
+def _take(ring, rows, cols, pi, pj):
+    """The pivot step on a unit at (pi, pj): pop row pi, scaled in place to 1
+    at pj, and clear column pj from every other row, touching only its
+    nonzeros.  Rows left empty are dropped; over Z the arithmetic is on ints."""
+    add, mul = (operator.add, operator.mul) if ring.modulus_int == 0 else (ring.add, ring.mul)
+    prow = rows.pop(pi)
+    inv = ring.inv(prow[pj])
+    if inv != ring.one():
+        for j, x in prow.items():
+            prow[j] = mul(inv, x)
+    for j in prow:
+        cols[j].discard(pi)
+    rest = [(j, x) for j, x in prow.items() if j != pj]
+    for i in cols.pop(pj):
+        row = rows[i]
+        f = ring.neg(row.pop(pj))
+        for j, x in rest:
+            y = add(row[j], mul(f, x)) if j in row else mul(f, x)
+            if y:
+                row[j] = y
+                cols[j].add(i)
+            else:
+                row.pop(j, None)
+                cols[j].discard(i)
+        if not row:
+            del rows[i]
+    return prow
+
+
+def _echelon(m: Matrix) -> list:
+    """The forward pass over a field: [(column, pivot row)].  Columns ascend,
+    each pivoting on its sparsest row left (ties to the lowest); pivot rows
+    are dropped, with no back-substitution, so the rank is their number."""
+    rows, cols = _store({j: e for j, e in enumerate(row) if e} for row in m.entries)
     piv = []
-    rr = 0
     for c in range(m.cols):
-        sel = next((i for i in range(rr, len(rows)) if not r.is_zero(rows[i][c])), None)
-        if sel is None:
-            continue
-        rows[rr], rows[sel] = rows[sel], rows[rr]
-        inv = r.inv(rows[rr][c])
-        if not r.is_zero(r.sub(inv, r.one())):
-            rows[rr] = [r.mul(inv, e) for e in rows[rr]]
-        nz = [(j, pe) for j, pe in enumerate(rows[rr]) if not r.is_zero(pe)]
-        for i, row in enumerate(rows):
-            if i != rr and not r.is_zero(row[c]):
-                f = row[c]
-                for j, pe in nz:
-                    row[j] = r.sub(row[j], r.mul(f, pe))
-        piv.append(c)
-        rr += 1
-    return rows, piv
+        if cols.get(c):
+            pi = min(cols[c], key=lambda i: (len(rows[i]), i))
+            piv.append((c, _take(m.ring, rows, cols, pi, c)))
+    return piv
+
+
+def _rref(ring, piv: list):
+    """Back-substitution: the pivot step over `_echelon`'s pivot rows in
+    reverse column order makes them, in place, the reduced row echelon form,
+    which is unique whatever pivots the forward pass chose."""
+    rows, cols = _store(row for _, row in piv)
+    for k in reversed(range(len(piv))):
+        _take(ring, rows, cols, k, piv[k][0])
 
 
 def _unit_pivots(m: Matrix):
     """(k, rest) with SNF(m) = 1^k followed by SNF(rest), by sparse unit pivots.
 
-    Rows are {column: value} dicts with a column index.  Each step takes a
-    unit entry of least Markowitz cost, (row nonzeros - 1) * (column nonzeros
-    - 1), clears its column with row operations on nonzeros only, and drops
-    its row and column: with the column clear, the column operations that
-    would clear the row touch nothing else, so the pivot splits off a 1.
-    rest holds what is left, which has no unit entry, without its zero rows
-    and columns; it is None when nothing is left, and m itself when m has no
-    unit entry, so such an m pays for one scan only."""
+    Each pivot step (`_take`) is on a unit entry of least Markowitz cost,
+    (row nonzeros - 1) * (column nonzeros - 1): with its column clear, the
+    column operations that would clear its row touch nothing else, so the
+    pivot splits off a 1.  rest holds what is left, which has no unit entry,
+    without its zero rows and columns; it is None when nothing is left, and m
+    itself when m has no unit entry, so such an m pays for one scan only."""
     r = m.ring
     is_unit = r.is_unit
     if not any(is_unit(e) for row in m.entries for e in row if e):
         return 0, m
-    add, mul = (operator.add, operator.mul) if r.modulus_int == 0 else (r.add, r.mul)
-    z = r.zero()
-    rows, cols = {}, {}
-    for i, row in enumerate(m.entries):
-        nz = {j: e for j, e in enumerate(row) if e}
-        if nz:
-            rows[i] = nz
-            for j in nz:
-                cols.setdefault(j, set()).add(i)
+    rows, cols = _store({j: e for j, e in enumerate(row) if e} for row in m.entries)
     k = 0
     while True:
         best = None
@@ -491,48 +510,29 @@ def _unit_pivots(m: Matrix):
         if best is None:
             break
         _, pi, pj = best
-        prow = rows.pop(pi)
-        pinv = r.inv(prow.pop(pj))
-        for j in prow:
-            cols[j].discard(pi)
-        for i in cols.pop(pj) - {pi}:
-            row = rows[i]
-            f = r.neg(mul(row.pop(pj), pinv))
-            for j, x in prow.items():
-                y = add(row.get(j, z), mul(f, x))
-                if y:
-                    row[j] = y
-                    cols[j].add(i)
-                else:
-                    row.pop(j, None)
-                    cols[j].discard(i)
-            if not row:
-                del rows[i]
+        _take(r, rows, cols, pi, pj)
         k += 1
     if not rows:
         return k, None
+    z = r.zero()
     live = sorted(j for j, s in cols.items() if s)
     return k, Matrix(r, len(rows), len(live), tuple(tuple(row.get(j, z) for j in live) for row in rows.values()))
 
 
 def _diagonal(m: Matrix) -> list:
     """The Smith diagonal of m, with no transforms.  A field's is one 1 per
-    pivot of its row reduction, then zeros.  Any other ring, Z/n included,
-    takes unit pivots first (`_unit_pivots`), then runs the Smith worker
-    diagonal-only on what is left.  Invariant factors do not depend on the
-    order of elimination, so this is the diagonal of `smith_normal_form`."""
+    pivot of its forward pass (`_echelon`), then zeros.  Any other ring, Z/n
+    included, takes unit pivots first (`_unit_pivots`), then runs the Smith
+    worker diagonal-only on what is left.  Invariant factors do not depend on
+    the order of elimination, so this is the diagonal of `smith_normal_form`."""
     r = m.ring
-    if r.is_field:
-        k = len(_rref_field(m)[1])
-        return [r.one()] * k + [r.zero()] * (min(m.rows, m.cols) - k)
-    k, rest = _unit_pivots(m)
+    k, rest = (len(_echelon(m)), None) if r.is_field else _unit_pivots(m)
     diag = [r.one()] * k
     if rest is not None:
         w = _Worker(rest)
         _eliminate(w)
-        diag += (w.a[t][t] for t in range(min(rest.rows, rest.cols)))
-    diag += [r.zero()] * (min(m.rows, m.cols) - len(diag))
-    return [r.canonical_associate(e)[1] for e in diag]
+        diag += (r.canonical_associate(w.a[t][t])[1] for t in range(min(rest.rows, rest.cols)))
+    return diag + [r.zero()] * (min(m.rows, m.cols) - len(diag))
 
 
 def rank(m: Matrix) -> int:
@@ -561,18 +561,17 @@ def solve_kernel(a: Matrix, b: Matrix):
         raise ShapeMismatch("solve shape mismatch")
     r = a.ring
     if r.is_field:
-        # columns reduce left to right, so the pivots among a's columns are
+        # columns pivot left to right, so the pivots among a's columns are
         # a's own and b only rides along
-        rows, piv = _rref_field(a.hstack(b))
-        own = [p for p in piv if p < a.cols]
-        kept = set(own)
-        free = [c for c in range(a.cols) if c not in kept]
-        kernel = {(f, j): r.one() for j, f in enumerate(free)}
-        kernel.update(((p, j), r.neg(rows[i][f])) for j, f in enumerate(free) for i, p in enumerate(own))
+        piv = _echelon(a.hstack(b))
+        _rref(r, piv)
+        free = {f: j for j, f in enumerate(sorted(set(range(a.cols)) - {p for p, _ in piv}))}
+        kernel = {(f, j): r.one() for f, j in free.items()}
+        kernel.update(((p, free[f]), r.neg(e)) for p, row in piv for f, e in row.items() if f in free)
         kernel = Matrix.from_entries(r, a.cols, len(free), kernel)
-        if len(own) < len(piv):
+        if piv and piv[-1][0] >= a.cols:
             return None, kernel
-        x = {(p, j): e for i, p in enumerate(piv) for j, e in enumerate(rows[i][a.cols:])}
+        x = {(p, c - a.cols): e for p, row in piv for c, e in row.items() if c >= a.cols}
         return Matrix.from_entries(r, a.cols, b.cols, x), kernel
     d, u, v = smith_normal_form(a)
     diag = diagonal_of(d)
@@ -603,10 +602,10 @@ def solve_kernel(a: Matrix, b: Matrix):
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns generating {x : m x = 0}.
 
-    Over a domain this is a basis (columns of the invertible v, or the free
-    columns of the row reduction over a field); over Z/n the diagonal
-    entries contribute annihilator multiples and the columns are only a
-    generating set.
+    Over a domain this is a basis (columns of the invertible v, or one column
+    per free column of the reduced row echelon form over a field); over Z/n
+    the diagonal entries contribute annihilator multiples and the columns are
+    only a generating set.
     """
     return solve_kernel(m, Matrix.zeros(m.ring, m.rows, 0))[1]
 

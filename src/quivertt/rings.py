@@ -34,11 +34,19 @@ from .linalg import Matrix, cokernel_presentation
 # small integer number theory, desk scale
 
 
+# The stated cap on integer trial division: divisors up to 10^6, which decides
+# every k below 10^12.  Past it the search could run for hours, so the input
+# is refused instead.
+_TRIAL_DIVISORS = 10**6
+
+
 def is_prime_int(k: int) -> bool:
     if k < 2:
         return False
     d = 2
     while d * d <= k:
+        if d > _TRIAL_DIVISORS:
+            raise BadElement(f"deciding whether {k} is prime would trial-divide past the cap 10^6")
         if k % d == 0:
             return False
         d += 1
@@ -57,11 +65,14 @@ def _check_window(ring, bound: int, examined: int):
 
 
 def int_prime_factors(k: int) -> list[int]:
-    """Distinct prime divisors of |k|, ascending."""
-    k = abs(k)
+    """Distinct prime divisors of |k|, ascending.  Refuses k when what is left
+    of it after the divisors up to the cap is not yet decided."""
+    n = k = abs(k)
     out = []
     d = 2
     while d * d <= k:
+        if d > _TRIAL_DIVISORS:
+            raise BadElement(f"factoring {n} would trial-divide past the cap 10^6")
         if k % d == 0:
             out.append(d)
             while k % d == 0:

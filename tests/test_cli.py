@@ -273,6 +273,24 @@ def test_oversized_prime_window_exits_2(capsys, tmp_path):
     assert err == "ERR 2: FpX(101) prime window at bound 7 would examine more than 10^4 candidate generators\n"
 
 
+def test_oversized_integer_factoring_exits_with_the_cap(capsys, tmp_path):
+    # N = (10^9+7)(10^9+9) has no prime factor up to the trial-division cap
+    # 10^6: `support` factors it and `--set` asks whether it is prime, and
+    # both ran on without end before the cap; each now answers within 10 s
+    n = (10**9 + 7) * (10**9 + 9)
+    ws = tmp_path / "zbig.yaml"
+    ws.write_text(f"ring: Z\nquiver: {{vertices: [1], arrows: []}}\n"
+                  f"objects:\n  T:\n    degrees: {{0: {{1: [[{n}]]}}}}\n")
+    cases = [(("support", str(ws), "T"), 2, f"ERR 2: factoring {n} would trial-divide past the cap 10^6\n"),
+             (("ideal", str(ws), "--set", f"1: [{n}]"), 1,
+              f"ERR 1: --set/1: deciding whether {n} is prime would trial-divide past the cap 10^6\n")]
+    for argv, code, err in cases:
+        start = time.perf_counter()
+        got = run(capsys, *argv)
+        assert time.perf_counter() - start < 10
+        assert got == (code, "", err)
+
+
 FPX_TORSION = """ring: FpX({p})
 
 quiver:

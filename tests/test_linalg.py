@@ -1,6 +1,8 @@
 """Exact normal forms: certificates are multiplied out, never trusted."""
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -335,10 +337,11 @@ def test_field_elimination_matches_dense_reference(ring):
     rng = random.Random(13)
     elems = [e for e in sample_elements(ring, rng) if e]
     zero, one = ring.zero(), ring.one()
-    for _ in range(40):
-        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+    for k in range(41):
+        # the last input, 40 x 40 at 10 % with a dense row, fills in
+        rows, cols = (40, 40) if k == 40 else (rng.randint(1, 10), rng.randint(1, 10))
         m = sparse_matrix(ring, rng, rows, cols, elems)
-        if rng.random() < 0.5:  # one dense row among the sparse ones
+        if k == 40 or rng.random() < 0.5:  # one dense row among the sparse ones
             entries = list(m.entries)
             entries[rng.randrange(rows)] = tuple(rng.choice(elems) for _ in range(cols))
             m = Matrix(ring, rows, cols, tuple(entries))
@@ -379,6 +382,53 @@ def test_solve_kernel_reads_one_elimination(ring):
             assert kernel.cols == a.cols - rank(a)
         assert x.entries == solve(a, b).entries
         assert kernel.entries == kernel_basis(a).entries
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_solve_kernel_at_the_edges(ring):
+    # no rows, no columns, and b with no columns, against the definition
+    rng = random.Random(23)
+    elems = [e for e in sample_elements(ring, rng) if e]
+    for rows, cols in ((0, 0), (0, 5), (5, 0), (3, 4), (4, 3)):
+        a = random_matrix(ring, rng, rows, cols)
+        for bcols in (0, 2):
+            b = a.mul(random_matrix(ring, rng, cols, bcols))
+            x, kernel = solve_kernel(a, b)
+            assert (x.rows, x.cols) == (cols, bcols) and a.mul(x).entries == b.entries
+            assert kernel.rows == cols and a.mul(kernel).is_zero()
+            if ring.is_domain:
+                assert rank(a) + kernel.cols == cols
+    # with no columns, a x = b is solvable only for b = 0
+    assert solve(Matrix.zeros(ring, 4, 0), sparse_matrix(ring, rng, 4, 2, elems, density=1.0)) is None
+
+
+@pytest.mark.parametrize("ring", (PrimeField(2), PrimeField(5), Rationals()), ids=str)
+def test_field_solve_kernel_at_scale(ring):
+    # 1 %-dense 300 x 300 inputs: kernel and solution within a stated 2 s;
+    # the dense row reduction took over a second for each of them over Q
+    rng = random.Random(37)
+    elems = [e for e in sample_elements(ring, rng) if e]
+    for _ in range(2):
+        a = sparse_matrix(ring, rng, 300, 300, elems, density=0.01)
+        b = a.mul(sparse_matrix(ring, rng, 300, 2, elems, density=0.3))
+        start = time.perf_counter()
+        kernel = kernel_basis(a)
+        x = solve(a, b)
+        assert time.perf_counter() - start < 2
+        assert rank(a) + kernel.cols == a.cols
+        assert a.mul(kernel).is_zero()
+        assert a.mul(x).entries == b.entries
+
+
+def test_zeros_share_one_row():
+    tracemalloc.start()
+    try:
+        m = Matrix.zeros(PrimeField(2), 1000, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (m.rows, m.cols, len(m.entries)) == (1000, 1000, 1000) and m.is_zero()
 
 
 def unitriangular(ring, rng, n, lower):

@@ -270,6 +270,23 @@ def test_poly_factoring_is_capped():
         prime_ideal(big, big.parse_elem("x^4+1"))
 
 
+def test_int_factoring_matches_sympy_below_the_cap():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    ks = [rng.randint(-10**4, 10**4) for _ in range(200)] + [rng.randint(2, 10**12) for _ in range(40)]
+    # two primes just under 10^6: the most trial division the cap allows; and
+    # past 10^12, a number whose cofactor shrinks below the cap is decided
+    ks += [999983 * 999979, 999983, 2**100 * 3**50 * 999983]
+    for k in ks:
+        assert rings.int_prime_factors(k) == (sorted(sympy.factorint(abs(k))) if k else [])
+        assert rings.is_prime_int(k) == bool(sympy.isprime(k))
+    n = (10**9 + 7) * (10**9 + 9)
+    with pytest.raises(BadElement, match=rf"^factoring {n} would trial-divide past the cap 10\^6$"):
+        rings.int_prime_factors(n)
+    with pytest.raises(BadElement, match=rf"^deciding whether {n} is prime would trial-divide past the cap 10\^6$"):
+        rings.is_prime_int(n)
+
+
 def test_zmod_decides_primality_once(monkeypatch):
     calls = []
     real = rings.is_prime_int

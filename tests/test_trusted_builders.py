@@ -10,7 +10,7 @@ samples over Z, Q, Fp(5), Zmod(12), Zloc(3) and FpX(3), drawn the way the
 `rings` benchmark draws them, and counts that the builders themselves make
 no `validate()` call.  It also checks, term by term, that restriction undoes
 extension by zero (`eval_vertex` after `i_times`, `component_restrict` after
-`component_times`).
+`component_times`); over Z/n that check adds a sample with nonzero arrows.
 """
 
 import random
@@ -77,6 +77,14 @@ def sample_pair(text, k=0):
         def make():
             return random_perfect_complex(q, ring, rng, pieces=1)
     return q, make(), make()
+
+
+def arrowed_zmod_sample(q, ring):
+    """A perfect complex over Z pushed into Z/n: its fibers are free, and
+    unlike the parked samples it has a nonzero arrow matrix."""
+    z = change_ring(random_perfect_complex(q, parse_ring("Z"), random.Random(f"arrowed:{ring}"), pieces=1), ring)
+    assert any(not m.is_zero() for rep in z.terms.values() for m in rep.arrows.values())
+    return z
 
 
 def assert_valid(obj):
@@ -278,6 +286,10 @@ def assert_same_complex(a, b):
 def test_restriction_undoes_extension_by_zero(text):
     q, x, y = sample_pair(text)
     rng = random.Random(f"roundtrip:{text}")
+    samples = (x, y)
+    if text.startswith("Zmod"):
+        samples += (arrowed_zmod_sample(q, x.ring),)
+        assert_valid(samples[-1])
     for v in q.vertices:
         for m in (eval_vertex(x, v), random_point_complex(x.ring, rng)):
             assert_same_complex(eval_vertex(i_times(m, q, v), v), m)
@@ -286,11 +298,11 @@ def test_restriction_undoes_extension_by_zero(text):
     for parts in ([[v] for v in vs], [vs[:2], vs[2:]], [vs]):
         c = filtration_system(q, parts)
         for k in range(len(c.parts)):
-            for z in (x, y):
+            for z in samples:
                 p = component_restrict(z, k, c)
                 assert_same_complex(component_restrict(component_times(p, k, c), k, c), p)
     # against the input itself: the part holding every vertex keeps all of it
     whole = filtration_system(q, [vs])
-    for z in (x, y):
+    for z in samples:
         assert_same_complex(component_times(component_restrict(z, 0, whole), 0, whole), z)
     assert q.arrows
