@@ -14,7 +14,7 @@ import sys
 
 from .checks import run_suite
 from .complexes import homology_sweep
-from .errors import QuiverTTError, UnknownName, WorkspaceError
+from .errors import BadElement, QuiverTTError, UnknownName, WorkspaceError
 from .homs import rigidity_report
 from .spectrum import (
     compact_support,
@@ -116,7 +116,10 @@ def _cmd_spectrum(ws, args):
 
 def _cmd_support(ws, args):
     x = _lookup(ws.objects, args.name, "object")
-    s = compact_support(x)
+    try:
+        s = compact_support(x)
+    except BadElement as e:
+        raise BadElement(f"object {args.name}, {e}") from None
     lines = [f"support of {args.name}"] + [f"  {v}: {s.at(v)}" for v in ws.quiver.vertices]
     return lines, {"object": args.name, "support": _support_payload(s)}, 0
 

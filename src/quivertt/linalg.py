@@ -24,14 +24,17 @@ one Smith form u*a*v = d, whose v gives the kernel and u and v the solution.
 
 Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
-nonzero a and the nonzero b of the matching right row.  Fields and the unit
-pass share one sparse row store and one pivot step, which updates a row only
-where the pivot row is nonzero, and the Smith form's row and column
-operations skip zero source entries.  Skipping is exact, since x + c*0 = x
-and zero is the only falsy canonical element.  Integer rings skip the
-dispatch: when `ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n) the
-product runs on plain ints and reduces once at the end for a nonzero modulus,
-and over Z the pivot step and the Smith form's row and column operations
+nonzero a and the nonzero b of the matching right row.  Every elimination
+holds rows as dicts {j: nonzero x}.  Fields and the unit pass share one row
+store and one pivot step, which updates a row only where the pivot row is
+nonzero.  The Smith worker keeps a's rows, u's rows and v's columns that
+way: a row operation runs over the source row's nonzeros, a column operation
+touches only the rows that hold that column, and the pivot search and the
+divisor-chain check read only the nonzeros of the rows left.  Skipping is
+exact, since x + c*0 = x and zero is the only falsy canonical element.
+Integer rings skip the dispatch: when `ring.modulus_int` is set (0 for Z, p
+for Fp, n for Z/n) the product runs on plain ints and reduces once at the
+end for a nonzero modulus, and over Z the pivot step and the Smith worker
 add and multiply plain ints.  F_2 products (not elimination) still pack rows
 into ints and xor them.  An empty matrix (no rows or no columns) is already
 in Smith form with identity transforms, and its cokernel is free on its
@@ -259,74 +262,73 @@ class ElementaryDivisors:
 
 
 # ---------------------------------------------------------------------------
-# elimination: the Smith worker, then the sparse row store and its pivot step
+# elimination on sparse rows: the Smith worker, then the row store and its
+# pivot step
+
+
+def _sparse(rows) -> list:
+    """Each row as a dict {j: nonzero value}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(ring, rows, cols) -> Matrix:
+    """The matrix of sparse rows, read at cols in order."""
+    zeros = (ring.zero(),) * len(cols)
+    return Matrix(ring, len(rows), len(cols), tuple(tuple(map(row.get, cols, zeros)) for row in rows))
 
 
 class _Worker:
-    """Mutable elimination state: a with accumulated row (u) and col (v) ops.
-
-    Given no u and v the worker runs diagonal-only: each operation touches
-    only a."""
+    """Mutable elimination state: a's rows, with the row operations
+    accumulated in u's rows and the column operations in v's columns, each a
+    dict {j: nonzero x}.  Given no u and v the worker runs diagonal-only:
+    each operation touches only a."""
 
     def __init__(self, m: Matrix, u: Matrix = None, v: Matrix = None):
         self.ring = m.ring
         plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
         self.add, self.mul = (operator.add, operator.mul) if plain else (m.ring.add, m.ring.mul)
-        self.a = [list(row) for row in m.entries]
+        self.a = _sparse(m.entries)
         self.rows, self.cols = m.rows, m.cols
-        self.u = [list(row) for row in u.entries] if u is not None else None
-        self.v = [list(row) for row in v.entries] if v is not None else None
+        self.u = _sparse(u.entries) if u is not None else None
+        self.v = _sparse(zip(*v.entries)) if v is not None else None
         self.by_row = (self.a,) if u is None else (self.a, self.u)
-        self.by_col = (self.a,) if v is None else (self.a, self.v)
+
+    def axpy(self, dst, items, c):
+        """dst[j] += c * y for each (j, y) in items, dropping the zeros this makes."""
+        add, mul = self.add, self.mul
+        for j, y in items:
+            x = add(dst[j], mul(c, y)) if j in dst else mul(c, y)
+            if x:
+                dst[j] = x
+            else:
+                dst.pop(j, None)
 
     def swap_rows(self, i, j):
-        if i != j:
-            for m in self.by_row:
-                m[i], m[j] = m[j], m[i]
+        for m in self.by_row:
+            m[i], m[j] = m[j], m[i]
 
     def swap_cols(self, i, j):
-        if i != j:
-            for rows in self.by_col:
-                for row in rows:
-                    row[i], row[j] = row[j], row[i]
+        for row in self.a:
+            x, y = row.pop(i, None), row.pop(j, None)
+            if x is not None:
+                row[j] = x
+            if y is not None:
+                row[i] = y
+        if self.v is not None:
+            self.v[i], self.v[j] = self.v[j], self.v[i]
 
     def addmul_row(self, i, j, c):
         """row_i += c * row_j"""
-        if not c:
-            return
-        add, mul = self.add, self.mul
         for m in self.by_row:
-            m[i] = [add(x, mul(c, y)) if y else x for x, y in zip(m[i], m[j])]
+            self.axpy(m[i], m[j].items(), c)
 
     def addmul_col(self, i, j, c):
-        """col_i += c * col_j"""
-        if not c:
-            return
-        add, mul = self.add, self.mul
-        for rows in self.by_col:
-            for row in rows:
-                y = row[j]
-                if y:
-                    row[i] = add(row[i], mul(c, y))
-
-    def scale_row(self, i, w):
-        r = self.ring
-        for m in self.by_row:
-            m[i] = [r.mul(w, x) for x in m[i]]
-
-
-def _pivot(w: _Worker, t: int):
-    r = w.ring
-    best = None
-    for i in range(t, w.rows):
-        for j in range(t, w.cols):
-            e = w.a[i][j]
-            if r.is_zero(e):
-                continue
-            n = r.norm(e)
-            if best is None or n < best[0]:
-                best = (n, i, j)
-    return best
+        """col_i += c * col_j, in the rows of a that hold column j"""
+        for row in self.a:
+            if j in row:
+                self.axpy(row, ((i, row[j]),), c)
+        if self.v is not None:
+            self.axpy(self.v[i], self.v[j].items(), c)
 
 
 def smith_normal_form(m: Matrix):
@@ -346,72 +348,57 @@ def smith_normal_form(m: Matrix):
 
 def _eliminate(w: _Worker):
     """Diagonalize w.a in place into a divisor chain, up to associates."""
-    r = w.ring
-    t = 0
-    while True:
-        best = _pivot(w, t)
+    r, a = w.ring, w.a
+    for t in range(min(w.rows, w.cols)):
+        # the pinned rule over the nonzeros of rows t onward, which lie in
+        # columns t onward
+        best = min(((r.norm(x), i, j) for i in range(t, w.rows) for j, x in a[i].items()), default=None)
         if best is None:
             break
         _, pi, pj = best
         w.swap_rows(t, pi)
         w.swap_cols(t, pj)
         while True:
-            # clear the pivot column; a nonzero remainder becomes the new,
-            # strictly smaller pivot
-            dirty = False
-            for i in range(w.rows):
-                if i == t or r.is_zero(w.a[i][t]):
-                    continue
-                q, rem = r.divmod_(w.a[i][t], w.a[t][t])
+            # clear the pivot column, then the pivot row; a nonzero remainder
+            # becomes the new, strictly smaller pivot
+            for i in [i for i, row in enumerate(a) if t in row and i != t]:
+                q, rem = r.divmod_(a[i][t], a[t][t])
                 w.addmul_row(i, t, r.neg(q))
-                if not r.is_zero(rem):
+                if rem:
                     w.swap_rows(t, i)
-                    dirty = True
                     break
-            if dirty:
-                continue
-            for j in range(w.cols):
-                if j == t or r.is_zero(w.a[t][j]):
-                    continue
-                q, rem = r.divmod_(w.a[t][j], w.a[t][t])
-                w.addmul_col(j, t, r.neg(q))
-                if not r.is_zero(rem):
-                    w.swap_cols(t, j)
-                    dirty = True
-                    break
-            if dirty:
-                continue
-            if any(not r.is_zero(w.a[i][t]) for i in range(w.rows) if i != t):
-                continue
-            # pivot must divide the rest of the block for the divisor chain
-            offender = None
-            for i in range(t + 1, w.rows):
-                for j in range(t + 1, w.cols):
-                    if not r.is_zero(w.a[i][j]) and r.divide(w.a[i][j], w.a[t][t]) is None:
-                        offender = i
+            else:
+                for j in sorted(a[t].keys() - {t}):
+                    q, rem = r.divmod_(a[t][j], a[t][t])
+                    w.addmul_col(j, t, r.neg(q))
+                    if rem:
+                        w.swap_cols(t, j)
                         break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            w.addmul_row(t, offender, r.one())
-        t += 1
-        if t >= min(w.rows, w.cols):
-            break
+                else:
+                    # the pivot must divide the rest of the block for the
+                    # divisor chain; the lowest row holding an offender is
+                    # added to the pivot row
+                    p = a[t][t]
+                    offender = next((i for i in range(t + 1, w.rows)
+                                     if any(r.divide(x, p) is None for x in a[i].values())), None)
+                    if offender is None:
+                        break
+                    w.addmul_row(t, offender, r.one())
 
 
 def _canonical_diagonal(w: _Worker):
     """(d, u, v) of a diagonalized worker, each diagonal entry scaled to its
     canonical associate; zero is its own on every ring."""
     r = w.ring
-    for k in range(min(w.rows, w.cols)):
-        unit, canon = r.canonical_associate(w.a[k][k])
-        if canon != w.a[k][k]:
-            w.scale_row(k, unit)
-    d = Matrix(r, w.rows, w.cols, tuple(tuple(row) for row in w.a))
-    u = Matrix(r, w.rows, w.rows, tuple(tuple(row) for row in w.u))
-    v = Matrix(r, w.cols, w.cols, tuple(tuple(row) for row in w.v))
-    return d, u, v
+    for k, row in enumerate(w.a):
+        if row:
+            unit, canon = r.canonical_associate(row[k])
+            if canon != row[k]:
+                row[k] = canon
+                w.u[k] = {j: r.mul(unit, x) for j, x in w.u[k].items()}
+    vt = _dense(r, w.v, range(w.cols))
+    return (_dense(r, w.a, range(w.cols)), _dense(r, w.u, range(w.rows)),
+            Matrix(r, w.cols, w.cols, tuple(zip(*vt.entries))))
 
 
 def diagonal_of(d: Matrix) -> list:
@@ -461,7 +448,7 @@ def _echelon(m: Matrix) -> list:
     """The forward pass over a field: [(column, pivot row)].  Columns ascend,
     each pivoting on its sparsest row left (ties to the lowest); pivot rows
     are dropped, with no back-substitution, so the rank is their number."""
-    rows, cols = _store({j: e for j, e in enumerate(row) if e} for row in m.entries)
+    rows, cols = _store(_sparse(m.entries))
     piv = []
     for c in range(m.cols):
         if cols.get(c):
@@ -492,7 +479,7 @@ def _unit_pivots(m: Matrix):
     is_unit = r.is_unit
     if not any(is_unit(e) for row in m.entries for e in row if e):
         return 0, m
-    rows, cols = _store({j: e for j, e in enumerate(row) if e} for row in m.entries)
+    rows, cols = _store(_sparse(m.entries))
     k = 0
     while True:
         best = None
@@ -514,9 +501,7 @@ def _unit_pivots(m: Matrix):
         k += 1
     if not rows:
         return k, None
-    z = r.zero()
-    live = sorted(j for j, s in cols.items() if s)
-    return k, Matrix(r, len(rows), len(live), tuple(tuple(row.get(j, z) for j in live) for row in rows.values()))
+    return k, _dense(r, list(rows.values()), sorted(j for j, s in cols.items() if s))
 
 
 def _diagonal(m: Matrix) -> list:
@@ -531,7 +516,7 @@ def _diagonal(m: Matrix) -> list:
     if rest is not None:
         w = _Worker(rest)
         _eliminate(w)
-        diag += (r.canonical_associate(w.a[t][t])[1] for t in range(min(rest.rows, rest.cols)))
+        diag += (r.canonical_associate(row[t])[1] for t, row in enumerate(w.a) if row)
     return diag + [r.zero()] * (min(m.rows, m.cols) - len(diag))
 
 

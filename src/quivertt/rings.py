@@ -463,9 +463,6 @@ class Rationals(Ring):
     def maximal_prime_window(self, bound):
         return []
 
-    def format_elem(self, a):
-        return str(a)
-
     def parse_elem(self, s):
         return _parse_fraction(s)
 
@@ -607,9 +604,6 @@ class IntegersLocalized(Ring):
     def maximal_prime_window(self, bound):
         # the spectrum is finite; the window argument has nothing to cut
         return [Fraction(self.p)]
-
-    def format_elem(self, a):
-        return str(a)
 
     def parse_elem(self, s):
         return self.canon(_parse_fraction(s))

@@ -154,13 +154,18 @@ def xi_zero_test(x: ComplexRQ, p: PrimeIdeal, i) -> bool:
 def compact_support(x: ComplexRQ) -> QSupport:
     """Per-vertex union of homology supports; the points where x survives.
 
-    No prime enters it, so it is memoized on the complex (`x._support`).
+    No prime enters it, so it is memoized on the complex (`x._support`).  A
+    factoring cap refused by `module_support` is re-raised with the degree
+    and vertex whose homology it was reading.
     """
     if x._support is None:
         comps = {v: sp_empty(x.ring) for v in x.quiver.vertices}
-        for _, fibers in homology_sweep(x):
+        for n, fibers in homology_sweep(x):
             for v, fib in fibers.items():
-                comps[v] = sp_closed_union(comps[v], module_support(fib))
+                try:
+                    comps[v] = sp_closed_union(comps[v], module_support(fib))
+                except BadElement as e:
+                    raise BadElement(f"degree {n}, vertex {v}: {e}") from None
         x._support = QSupport(x.quiver, x.ring, tuple(comps.values()))
     return x._support
 

@@ -281,7 +281,8 @@ def test_oversized_integer_factoring_exits_with_the_cap(capsys, tmp_path):
     ws = tmp_path / "zbig.yaml"
     ws.write_text(f"ring: Z\nquiver: {{vertices: [1], arrows: []}}\n"
                   f"objects:\n  T:\n    degrees: {{0: {{1: [[{n}]]}}}}\n")
-    cases = [(("support", str(ws), "T"), 2, f"ERR 2: factoring {n} would trial-divide past the cap 10^6\n"),
+    cases = [(("support", str(ws), "T"), 2,
+              f"ERR 2: object T, degree 0, vertex 1: factoring {n} would trial-divide past the cap 10^6\n"),
              (("ideal", str(ws), "--set", f"1: [{n}]"), 1,
               f"ERR 1: --set/1: deciding whether {n} is prime would trial-divide past the cap 10^6\n")]
     for argv, code, err in cases:
@@ -320,7 +321,8 @@ def test_oversized_poly_factoring_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "support", str(ws), "T")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err == "ERR 2: FpX(101): factoring x^4+1 would trial-divide by more than 10^4 candidate divisors\n"
+    assert err == ("ERR 2: object T, degree 0, vertex 1: FpX(101): factoring x^4+1 would trial-divide by more than "
+                   "10^4 candidate divisors\n")
 
 
 def test_sparse_zmod_differential_finishes(capsys, tmp_path):
@@ -370,6 +372,51 @@ def test_rigidity_over_zmod_prime_resolves(capsys, tmp_path):
         reports.append(out)
     assert reports[0] == reports[1] == ("NOT RIGID\nhom against the unit, tensored back:\n  0 in every degree\n"
                                         "hom against itself:\n  n=0: 1: R\n")
+
+
+ZMOD30_A3 = """ring: Zmod(30)
+quiver: {vertices: [1, 2, 3], arrows: ["a: 1 -> 2", "b: 2 -> 3"]}
+objects:
+  X:
+    degrees:
+      -1: {1: free 2, 2: free 3, 3: free 1}
+      0: {1: free 2, 2: free 3, 3: free 1}
+    differentials:
+      -1: {1: [[0, 12], [0, 0]], 2: [[16, 0, 2], [0, 0, 0], [12, 0, 0]], 3: [[2]]}
+"""
+
+# (free rank, R/(2) summands, R/(6) summands) per degree and vertex
+ZMOD30_UNIT_SIDE = {-1: (2, 3, 1), 0: (4, 6, 2), 1: (2, 3, 1)}
+ZMOD30_SELF_SIDE = {
+    -1: ((2, 6, 6), (1, 6, 3), (0, 1, 0)),
+    0: ((5, 17, 15), (2, 15, 6), (0, 2, 0)),
+    1: ((4, 16, 12), (1, 12, 3), (0, 1, 0)),
+    2: ((1, 5, 3), (0, 3, 0)),
+}
+
+
+def zmod30_fiber(free, twos, sixes):
+    """A Z/30 fiber as reports spell it: R^free, then each R/(2), then each R/(6)."""
+    head = [] if not free else ["R"] if free == 1 else [f"R^{free}"]
+    return " + ".join(head + ["R/(2)"] * twos + ["R/(6)"] * sixes)
+
+
+def test_rigidity_over_zmod30_within_its_bound(capsys, tmp_path):
+    # Z/30 is not a field, so every hom and chain-map space here comes from
+    # Smith transforms; this run took 6-7 s while the worker kept dense rows
+    ws = tmp_path / "zmod30.yaml"
+    ws.write_text(ZMOD30_A3)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rigidity", str(ws), "X")
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    lines = ["NOT RIGID", "hom against the unit, tensored back:"]
+    lines += [f"  n={n}: " + "; ".join(f"{v}: {zmod30_fiber(0, twos, 0)}" for v, twos in enumerate(row, 1))
+              for n, row in ZMOD30_UNIT_SIDE.items()]
+    lines.append("hom against itself:")
+    lines += [f"  n={n}: " + "; ".join(f"{v}: {zmod30_fiber(*f)}" for v, f in enumerate(row, 1))
+              for n, row in ZMOD30_SELF_SIDE.items()]
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_oversized_poly_degree_exits_1(capsys, tmp_path):

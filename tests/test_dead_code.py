@@ -8,6 +8,10 @@ Dunder names are exempt: the language calls them.
 
 A second pass flags unused locals: a name that a function (nested functions
 included) stores but never loads.  Names starting with `_` are exempt.
+
+A third pass flags redundant overrides: a method whose arguments and body
+match, by `ast.dump`, the method it overrides in a base class defined in the
+same module, so that deleting it changes nothing.
 """
 
 import ast
@@ -74,6 +78,33 @@ def unused_locals(modules):
     return found
 
 
+def redundant_overrides(modules):
+    """'file:line Class.method' for each method that repeats the one it overrides."""
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        methods = {name: {f.name: f for f in cls.body if isinstance(f, DEFS[:2])} for name, cls in classes.items()}
+
+        def overridden(cls, name):
+            """The nearest definition of name in cls's bases within the module."""
+            for base in (b.id for b in cls.bases if isinstance(b, ast.Name) and b.id in classes):
+                f = methods[base].get(name) or overridden(classes[base], name)
+                if f is not None:
+                    return f
+            return None
+
+        def shape(f):
+            return ast.dump(f.args), [ast.dump(stmt) for stmt in f.body]
+
+        for cls in classes.values():
+            for name, f in methods[cls.name].items():
+                base = overridden(cls, name)
+                if base is not None and shape(base) == shape(f):
+                    found.append(f"{path.name}:{f.lineno} {cls.name}.{name}")
+    return found
+
+
 def test_every_definition_is_used():
     modules = sorted(SRC.glob("*.py"))
     others = sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py") if p not in modules)
@@ -101,3 +132,18 @@ def test_the_guard_sees_an_unused_local(tmp_path):
                    "    def inner():\n        return q\n    spare = [y for y in xs]\n    return inner\n\n\n"
                    "class A:\n    def m(self):\n        kept = 1\n        return kept\n")
     assert unused_locals([lib]) == ["lib.py:2 f: r", "lib.py:3 f: total", "lib.py:8 f: spare"]
+
+
+def test_no_redundant_overrides():
+    redundant = redundant_overrides(sorted(SRC.glob("*.py")))
+    assert not redundant, "same as the base-class method: " + ", ".join(redundant)
+
+
+def test_the_guard_sees_a_redundant_override(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class Base:\n    def f(self, a):\n        return str(a)\n\n    def g(self):\n        return 1\n\n\n"
+                   "class Mid(Base):\n    def g(self):\n        return 2\n\n\n"
+                   "class Leaf(Mid):\n    def f(self, a):\n        return str(a)\n\n    def g(self):\n        return 1\n\n"
+                   "    def h(self, b):\n        return str(b)\n\n\n"
+                   "class Other(dict):\n    def get(self, k):\n        return str(k)\n")
+    assert redundant_overrides([lib]) == ["lib.py:15 Leaf.f"]
