@@ -40,6 +40,21 @@ def _lookup(table: dict, name: str, kind: str):
         raise UnknownName(f"no {kind} named {name!r} (workspace has: {known})") from None
 
 
+def _naming_objects(named, run):
+    """run(); if it raises BadElement and so does the support of one of the
+    (name, object) pairs, the first such error is raised naming its object
+    (`object T, degree 0, vertex 1: factoring ...`)."""
+    try:
+        return run()
+    except BadElement:
+        for name, x in named:
+            try:
+                compact_support(x)
+            except BadElement as e:
+                raise BadElement(f"object {name}, {e}") from None
+        raise
+
+
 def _sp_payload(comp):
     if comp.is_all:
         return "all"
@@ -116,17 +131,15 @@ def _cmd_spectrum(ws, args):
 
 def _cmd_support(ws, args):
     x = _lookup(ws.objects, args.name, "object")
-    try:
-        s = compact_support(x)
-    except BadElement as e:
-        raise BadElement(f"object {args.name}, {e}") from None
+    s = _naming_objects([(args.name, x)], lambda: compact_support(x))
     lines = [f"support of {args.name}"] + [f"  {v}: {s.at(v)}" for v in ws.quiver.vertices]
     return lines, {"object": args.name, "support": _support_payload(s)}, 0
 
 
 def _resolve_support(ws, args):
     if args.from_name is not None:
-        return compact_support(_lookup(ws.objects, args.from_name, "object"))
+        x = _lookup(ws.objects, args.from_name, "object")
+        return _naming_objects([(args.from_name, x)], lambda: compact_support(x))
     if args.set_spec in ws.supports:
         return ws.supports[args.set_spec]
     return parse_support(args.set_spec, ws.quiver, ws.ring, "--set")
@@ -137,7 +150,7 @@ def _cmd_ideal(ws, args):
     src = args.from_name if args.from_name is not None else args.set_spec
     if args.member is not None:
         x = _lookup(ws.objects, args.member, "object")
-        verdict = ideal_membership(x, s)
+        verdict = _naming_objects([(args.member, x)], lambda: ideal_membership(x, s))
         sx = compact_support(x)
         lines = [
             "MEMBER" if verdict else "NOT MEMBER",
@@ -165,7 +178,7 @@ def _cmd_ideal(ws, args):
 def _cmd_aisle(ws, args):
     if args.gen:
         xs = [_lookup(ws.objects, n, "object") for n in args.gen]
-        f = filtration_from_objects(xs)
+        f = _naming_objects(zip(args.gen, xs), lambda: filtration_from_objects(xs))
         lines = [f"filtration generated by {', '.join(args.gen)}"] + _filtration_lines(f)
         return lines, {"generators": list(args.gen), "filtration": _filtration_payload(f)}, 0
     x = _lookup(ws.objects, args.member, "object")

@@ -172,7 +172,8 @@ def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
 
 def _chom(x: ComplexRQ, y: ComplexRQ) -> ChomData:
     """`chom_complex` for complexes whose terms have free fibers.  A fiber's
-    relations are those among its hom generators, kernel_basis of kmat."""
+    relations are those among its hom generators, kernel_basis of kmat;
+    over a domain kmat's columns are independent, so there are none."""
     q, r = x.quiver, x.ring
     projs = {i: projective_rep(q, r, i) for i in q.vertices}
     boxed = {(i, m): rep_box(x.terms[m], projs[i]) for i in q.vertices for m in x.degrees}
@@ -195,7 +196,10 @@ def _chom(x: ComplexRQ, y: ComplexRQ) -> ChomData:
         fibers = {}
         for i in q.vertices:
             spaces = [hd[(i, a, m)] for m in summands[(i, a)]]
-            fibers[i] = FGModule(r, Matrix.direct_sum(r, [kernel_basis(h.kmat) for h in spaces if h.gens]))
+            if r.is_domain:
+                fibers[i] = FGModule.free(r, sum(h.gens for h in spaces))
+            else:
+                fibers[i] = FGModule(r, Matrix.direct_sum(r, [kernel_basis(h.kmat) for h in spaces if h.gens]))
         arrows = {}
         for name, i, j in q.arrows:
             iota = proj_precompose(q, r, name)

@@ -280,18 +280,19 @@ def _dense(ring, rows, cols) -> Matrix:
 class _Worker:
     """Mutable elimination state: a's rows, with the row operations
     accumulated in u's rows and the column operations in v's columns, each a
-    dict {j: nonzero x}.  Given no u and v the worker runs diagonal-only:
-    each operation touches only a."""
+    dict {j: nonzero x}, both starting at the identity.  Without transforms
+    the worker runs diagonal-only: each operation touches only a."""
 
-    def __init__(self, m: Matrix, u: Matrix = None, v: Matrix = None):
+    def __init__(self, m: Matrix, transforms: bool = False):
         self.ring = m.ring
         plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
         self.add, self.mul = (operator.add, operator.mul) if plain else (m.ring.add, m.ring.mul)
         self.a = _sparse(m.entries)
         self.rows, self.cols = m.rows, m.cols
-        self.u = _sparse(u.entries) if u is not None else None
-        self.v = _sparse(zip(*v.entries)) if v is not None else None
-        self.by_row = (self.a,) if u is None else (self.a, self.u)
+        one = m.ring.one()
+        self.u = [{i: one} for i in range(m.rows)] if transforms else None
+        self.v = [{j: one} for j in range(m.cols)] if transforms else None
+        self.by_row = (self.a, self.u) if transforms else (self.a,)
 
     def axpy(self, dst, items, c):
         """dst[j] += c * y for each (j, y) in items, dropping the zeros this makes."""
@@ -341,7 +342,7 @@ def smith_normal_form(m: Matrix):
     r = m.ring
     if not m.rows or not m.cols:
         return m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols)
-    w = _Worker(m, Matrix.identity(r, m.rows), Matrix.identity(r, m.cols))
+    w = _Worker(m, transforms=True)
     _eliminate(w)
     return _canonical_diagonal(w)
 

@@ -421,9 +421,9 @@ def untranslate_classification(form) -> QSupport:
 # a result inside the bounds but missing from the universe raises
 # UniverseNotClosed.  The bounds are `within`, which must be a pure function
 # of the fingerprint: its verdicts on the shifted sums of each member pair
-# are memoized in the cache per `within` object, so calls sharing a cache
-# and one `within` sum each pair once, and a new lambda on every call gets
-# no reuse.
+# and on the tensor products of each member are memoized in the cache per
+# `within` object, so calls sharing a cache and one `within` sum each pair
+# and tensor each member once, and a new lambda on every call gets no reuse.
 
 
 def _fp_normalize(fp):
@@ -578,20 +578,16 @@ class _ClosureState:
                 for p in self.pair_sums(min(px, py), max(px, py)):
                     self.add(p)
             # tensor with every universe element
-            inside, outside = self.cached(("tensor", px), lambda: self.tensor_row(x))
-            for p in inside:
-                if p not in self.found and self.within(u.unpacked[p]):
-                    self.add(p)
-            for fp in outside:
-                if self.within(fp):
-                    raise UniverseNotClosed(f"tensor product produced an object outside the universe: {fp}")
+            for p in self.tensor_admitted(px, x):
+                self.add(p)
 
     def pair_sums(self, px, py):
         """The shifted sums of the members px <= py that lie in the universe
         and that within admits, packed; computed once per cache and within.
 
         Every sum outside the universe is offered to within, once per call;
-        if within admits one, nothing is stored.
+        if within admits one, nothing is stored.  `tensor_admitted` stores
+        within's verdicts on tensor products the same way.
         """
         key = ("sum", self.within_key, px, py)
         hit = self.cache.get(key)
@@ -610,6 +606,20 @@ class _ClosureState:
                     raise UniverseNotClosed(f"direct sum produced an object outside the universe: {fp}")
         self.cache[key] = out = tuple(out)
         return out
+
+    def tensor_admitted(self, px, x):
+        """The products of the member px (fingerprint x) with the universe
+        that lie in it and that within admits, packed; computed once per
+        cache and within.  Each product outside the universe is offered to
+        within; if within admits one, nothing is stored."""
+        key = ("tensor-in", self.within_key, px)
+        if key not in self.cache:
+            inside, outside = self.cached(("tensor", px), lambda: self.tensor_row(x))
+            for fp in outside:
+                if self.within(fp):
+                    raise UniverseNotClosed(f"tensor product produced an object outside the universe: {fp}")
+            self.cache[key] = tuple(p for p in inside if self.within(self.u.unpacked[p]))
+        return self.cache[key]
 
     def tensor_row(self, x):
         """The distinct nonzero products of x with the universe: packed
@@ -683,9 +693,10 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
     bounds the oracle's scope: fingerprints outside it are ignored rather
     than demanded of the universe (default: the universe's own degree span
     and fiber dimensions).  It must be a hashable, pure function of the
-    fingerprint: its verdicts on the shifted sums of member pairs are
-    memoized per cache and `within` object, so pass the same object to
-    every call that shares a cache; a new lambda on each call gets no reuse.  `cache` is a plain
+    fingerprint: its verdicts on the shifted sums of member pairs and on
+    the tensor products of members are memoized per cache and `within`
+    object, so pass the same object to every call that shares a cache; a
+    new lambda on each call gets no reuse.  `cache` is a plain
     dict; pass the same one to successive calls over the same universe to
     share its fingerprints, the summand splits, the pair sums, the cheap
     tensor fingerprints and the expensive cone sweeps.  The cache is tied to

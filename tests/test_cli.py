@@ -275,14 +275,18 @@ def test_oversized_prime_window_exits_2(capsys, tmp_path):
 
 def test_oversized_integer_factoring_exits_with_the_cap(capsys, tmp_path):
     # N = (10^9+7)(10^9+9) has no prime factor up to the trial-division cap
-    # 10^6: `support` factors it and `--set` asks whether it is prime, and
-    # both ran on without end before the cap; each now answers within 10 s
+    # 10^6: `support`, `ideal --from`, `ideal --member` and `aisle --gen`
+    # factor it, naming the object, and `--set` asks whether it is prime;
+    # each answers within 10 s
     n = (10**9 + 7) * (10**9 + 9)
     ws = tmp_path / "zbig.yaml"
     ws.write_text(f"ring: Z\nquiver: {{vertices: [1], arrows: []}}\n"
-                  f"objects:\n  T:\n    degrees: {{0: {{1: [[{n}]]}}}}\n")
-    cases = [(("support", str(ws), "T"), 2,
-              f"ERR 2: object T, degree 0, vertex 1: factoring {n} would trial-divide past the cap 10^6\n"),
+                  f"objects:\n  S:\n    degrees: {{0: {{1: [[2]]}}}}\n  T:\n    degrees: {{0: {{1: [[{n}]]}}}}\n")
+    capped = f"ERR 2: object T, degree 0, vertex 1: factoring {n} would trial-divide past the cap 10^6\n"
+    cases = [(("support", str(ws), "T"), 2, capped),
+             (("ideal", str(ws), "--from", "T"), 2, capped),
+             (("ideal", str(ws), "--set", "1: all", "--member", "T"), 2, capped),
+             (("aisle", str(ws), "--gen", "S", "T"), 2, capped),
              (("ideal", str(ws), "--set", f"1: [{n}]"), 1,
               f"ERR 1: --set/1: deciding whether {n} is prime would trial-divide past the cap 10^6\n")]
     for argv, code, err in cases:

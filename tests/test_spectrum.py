@@ -413,16 +413,27 @@ def test_closure_direct_sum_outside_universe_raises():
         thick_closure_bruteforce([U1], universe, within=lambda fp: True)
 
 
-def test_closure_tensor_product_outside_universe_raises():
-    # (P1 + U2) box itself is P1 + 3 U2: one copy at vertex 1, so within
+def _one_copy_at_vertex_1(fp):
+    # (P1 + U2) box itself is P1 + 3 U2: one copy at vertex 1, so this
     # allows it, while every shifted sum of two copies is out of scope
+    return _fp_span(fp) <= 1 and all(rank <= 1 for _, key, rank, _ in fp if key == "1")
+
+
+def test_closure_tensor_product_outside_universe_raises():
     x = _sums([P1, U2])
-
-    def within(fp):
-        return _fp_span(fp) <= 1 and all(rank <= 1 for _, key, rank, _ in fp if key == "1")
-
     with pytest.raises(UniverseNotClosed, match="tensor product"):
-        thick_closure_bruteforce([x], [zero_complex(A2, F2), x], within=within)
+        thick_closure_bruteforce([x], [zero_complex(A2, F2), x], within=_one_copy_at_vertex_1)
+
+
+def test_closure_tensor_product_outside_universe_raises_on_every_call():
+    # a refused call stores no verdict, so a second call on the cache refuses too
+    x = _sums([P1, U2])
+    universe, cache, messages = [zero_complex(A2, F2), x], {}, []
+    for _ in range(2):
+        with pytest.raises(UniverseNotClosed, match="tensor product") as err:
+            thick_closure_bruteforce([x], universe, within=_one_copy_at_vertex_1, cache=cache)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_closure_generator_outside_universe_raises():
@@ -545,24 +556,40 @@ def test_closure_sum_verdicts_do_not_leak_between_within_objects():
         thick_closure_bruteforce([U1], universe, within=lambda fp: True, cache=cache)
 
 
+def test_closure_tensor_verdicts_do_not_leak_between_within_objects():
+    # _one_copy_each refuses (P1 + U2) box itself; a later within that
+    # admits it must still see it, though both calls share one cache
+    x = _sums([P1, U2])
+    universe, cache = [zero_complex(A2, F2), x], {}
+    assert len(thick_closure_bruteforce([x], universe, within=_one_copy_each, cache=cache)) == 2
+    with pytest.raises(UniverseNotClosed, match="tensor product"):
+        thick_closure_bruteforce([x], universe, within=_one_copy_at_vertex_1, cache=cache)
+
+
 def test_closure_offers_each_sum_outside_the_universe_once_per_cache():
     # every call below reaches the whole universe by the cheap steps, so no
-    # cone is offered; tensor products are offered again on every call
+    # cone is offered; each sum outside the universe is offered once, and
+    # sums and tensor products outside it are offered by the first call only
     universe = _small_universe()
     fps = [_fp_normalize(homology_fingerprint(x)) for x in universe]
     products = {_fp_box(a, b) for a in fps for b in fps}
     offered = Counter()
+    by_call = []
 
     def within(fp):
         offered[fp] += 1
+        by_call[-1].add(fp)
         return _one_copy_each(fp)
 
     p1u1, p1u1u2 = universe[4], universe[7]
     cache = {}
     for gens in ([p1u1], [P1], [p1u1u2], [P1, U2], [p1u1]):
+        by_call.append(set())
         assert len(thick_closure_bruteforce(gens, universe, within=within, cache=cache)) == len(universe)
     sums = {fp: n for fp, n in offered.items() if fp not in fps and fp not in products}
     assert sums and max(sums.values()) == 1
+    first = by_call[0] - set(fps)
+    assert first & products and all(not (call - set(fps)) for call in by_call[1:])
 
 
 def test_packed_fingerprints_match_tuple_arithmetic():
