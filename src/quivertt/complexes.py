@@ -19,6 +19,13 @@ Complexes are cohomological, sparse dictionaries degree -> representation.
 The shift is (X[1])^n = X^{n+1} with differential negated per shift.  All
 block orderings (tensor summands, Kan path copies, resolution terms) are
 pinned so equal inputs give byte-equal outputs.
+
+The builders skip work whose answer is known.  A free fiber is built with no
+elimination: `FGModule.free` knows its invariant factors, and `rep_direct_sum`
+uses it at every vertex where no summand's fiber has a relation.
+`box_tensor`, `cone` and `direct_sum_complexes` read a missing differential
+or chain-map part as a zero block (None in `Matrix.blocks`, or one
+`Matrix.zeros`), with no zero morphism built over every vertex.
 """
 
 from __future__ import annotations
@@ -127,10 +134,15 @@ def rep_free(quiver: Quiver, ring: Ring, ranks: dict, arrows: dict) -> Represent
 
 
 def rep_direct_sum(reps: list) -> Representation:
+    """The direct sum; a vertex where no summand's fiber has a relation gets
+    a free fiber, with nothing to eliminate."""
     assert reps
     q, r = reps[0].quiver, reps[0].ring
-    fibers = {v: FGModule(r, Matrix.direct_sum(r, [rep.fibers[v].presentation for rep in reps]))
-              for v in q.vertices}
+    fibers = {}
+    for v in q.vertices:
+        pres = [rep.fibers[v].presentation for rep in reps]
+        fibers[v] = (FGModule(r, Matrix.direct_sum(r, pres)) if any(p.cols for p in pres)
+                     else FGModule.free(r, sum(p.rows for p in pres)))
     arrows = {name: Matrix.direct_sum(r, [rep.arrows[name] for rep in reps]) for name, _, _ in q.arrows}
     return _trusted(Representation, q, r, fibers, arrows)
 
@@ -304,7 +316,12 @@ def direct_sum_complexes(xs: list) -> ComplexRQ:
     q, r = xs[0].quiver, xs[0].ring
     degrees = sorted({n for x in xs for n in x.degrees})
     terms = {n: rep_direct_sum([x.term(n) for x in xs]) for n in degrees}
-    diffs = {n: {v: Matrix.direct_sum(r, [x.diff(n).mats[v] for x in xs]) for v in q.vertices}
+
+    def diff_mat(x, n, v):
+        d = x.diffs.get(n)
+        return d.mats[v] if d is not None else Matrix.zeros(r, x.term(n + 1).gens(v), x.term(n).gens(v))
+
+    diffs = {n: {v: Matrix.direct_sum(r, [diff_mat(x, n, v) for x in xs]) for v in q.vertices}
              for n in degrees if n + 1 in terms}
     return _complex(q, r, terms, diffs)
 
@@ -350,12 +367,13 @@ def cone(f: ComplexMorphism) -> ComplexRQ:
     for n in degrees:
         if n + 1 not in terms:
             continue
+        da, db, fp = a.diffs.get(n + 1), b.diffs.get(n), f.parts.get(n + 1)
         mats = {}
         for v in q.vertices:
-            da = a.diff(n + 1).mats[v].neg()
-            db = b.diff(n).mats[v]
-            fv = f.part(n + 1).mats[v]
-            mats[v] = Matrix.blocks(r, [[da, None], [fv, db]], [da.rows, db.rows], [da.cols, db.cols])
+            grid = [[None if da is None else da.mats[v].neg(), None],
+                    [None if fp is None else fp.mats[v], None if db is None else db.mats[v]]]
+            mats[v] = Matrix.blocks(r, grid, [a.term(n + 2).gens(v), b.term(n + 1).gens(v)],
+                                    [a.term(n + 1).gens(v), b.term(n).gens(v)])
         diffs[n] = mats
     return _complex(q, r, terms, diffs)
 
@@ -604,12 +622,15 @@ def box_tensor(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
             tgt_dims = [x.terms[p].gens(v) * y.terms[qq].gens(v) for p, qq in tgt]
             grid = [[None] * len(src) for _ in tgt]
             for ci, (p, qq) in enumerate(src):
-                if (p + 1, qq) in tgt:
+                # a missing d^p or d^qq is a zero block; a present one has
+                # its target term, so its summand is in tgt
+                dx, dy = x.diffs.get(p), y.diffs.get(qq)
+                if dx is not None:
                     ri = tgt.index((p + 1, qq))
-                    grid[ri][ci] = x.diff(p).mats[v].kron(Matrix.identity(r, y.terms[qq].gens(v)))
-                if (p, qq + 1) in tgt:
+                    grid[ri][ci] = dx.mats[v].kron(Matrix.identity(r, y.terms[qq].gens(v)))
+                if dy is not None:
                     ri = tgt.index((p, qq + 1))
-                    blk = Matrix.identity(r, x.terms[p].gens(v)).kron(y.diff(qq).mats[v])
+                    blk = Matrix.identity(r, x.terms[p].gens(v)).kron(dy.mats[v])
                     grid[ri][ci] = blk if p % 2 == 0 else blk.neg()
             mats[v] = Matrix.blocks(r, grid, tgt_dims, src_dims)
         diffs[n] = mats
@@ -998,9 +1019,10 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
     for m in span:
         if m not in terms or m + 1 not in terms:
             continue
-        top_d = block_map(b0_blocks, x.diff(m).mats) if m in degrees and m + 1 in degrees else None
+        d_top, d_bot = x.diffs.get(m), x.diffs.get(m + 1)
+        top_d = block_map(b0_blocks, d_top.mats) if d_top is not None else None
         phi_next = phi(x.terms[m + 1]) if m + 1 in degrees else None
-        bot_d = block_map(b1_blocks, x.diff(m + 1).mats) if (m + 1 in degrees and m + 2 in degrees) else None
+        bot_d = block_map(b1_blocks, d_bot.mats) if d_bot is not None else None
         mats = {}
         for v in q.vertices:
             grid = [[top_d[v] if top_d else None, phi_next[v] if phi_next else None],

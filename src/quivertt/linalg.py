@@ -30,7 +30,8 @@ store and one pivot step, which updates a row only where the pivot row is
 nonzero.  The Smith worker keeps a's rows, u's rows and v's columns that
 way: a row operation runs over the source row's nonzeros, a column operation
 touches only the rows that hold that column, and the pivot search and the
-divisor-chain check read only the nonzeros of the rows left.  Skipping is
+divisor-chain check read only the nonzeros of the rows left; a unit pivot
+ends that check with no scan, since a unit divides everything.  Skipping is
 exact, since x + c*0 = x and zero is the only falsy canonical element.
 Integer rings skip the dispatch: when `ring.modulus_int` is set (0 for Z, p
 for Fp, n for Z/n) the product runs on plain ints and reduces once at the
@@ -44,7 +45,10 @@ Blocks are assembled only here.  `Matrix.blocks` builds a block matrix from a
 grid (None is a zero block), `Matrix.direct_sum` a block diagonal and
 `Matrix.from_entries` a matrix from a dict of its entries.  The tensor's
 total complex, cones, the internal hom and the projective resolution all go
-through them, and no other module fills a grid of zeros.
+through them, and no other module fills a grid of zeros.  `Matrix.kron`
+builds a row at a time and multiplies only where it must: a zero entry of
+the left factor adds a shared zero row, and a 1 copies the right factor's
+row, since elements are canonical and 1*b is b.
 
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x], valuation
@@ -137,8 +141,9 @@ class Matrix:
 
     @staticmethod
     def identity(ring, n: int) -> "Matrix":
-        z, o = ring.zero(), ring.one()
-        return Matrix(ring, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        zrow = (ring.zero(),) * n
+        one = (ring.one(),)
+        return Matrix(ring, n, n, tuple(zrow[:i] + one + zrow[i + 1:] for i in range(n)))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -215,20 +220,27 @@ class Matrix:
                       tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; block (i, j) is self[i][j] * other."""
+        """Kronecker product; block (i, j) is self[i][j] * other.  Built a row
+        at a time: a zero entry of self adds a shared zero row and a 1 adds
+        other's row as it is (exact, since elements are canonical and 1*b is
+        b), so only the other entries multiply."""
         self._check(other)
         r = self.ring
-        rows, cols = self.rows * other.rows, self.cols * other.cols
-        out = [[r.zero()] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i][j]
-                if r.is_zero(a):
-                    continue
-                for s in range(other.rows):
-                    for t in range(other.cols):
-                        out[i * other.rows + s][j * other.cols + t] = r.mul(a, other.entries[s][t])
-        return Matrix(r, rows, cols, tuple(tuple(row) for row in out))
+        one, mul = r.one(), r.mul
+        zrow = (r.zero(),) * other.cols
+        out = []
+        for arow in self.entries:
+            for brow in other.entries:
+                row = []
+                for a in arow:
+                    if not a:
+                        row += zrow
+                    elif a == one:
+                        row += brow
+                    else:
+                        row += [mul(a, b) for b in brow]
+                out.append(tuple(row))
+        return Matrix(r, self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def select_columns(self, idxs) -> "Matrix":
         return Matrix(self.ring, self.rows, len(idxs), tuple(tuple(row[j] for j in idxs) for row in self.entries))
@@ -377,9 +389,11 @@ def _eliminate(w: _Worker):
                         break
                 else:
                     # the pivot must divide the rest of the block for the
-                    # divisor chain; the lowest row holding an offender is
-                    # added to the pivot row
+                    # divisor chain, as a unit does with no scan; the lowest
+                    # row holding an offender is added to the pivot row
                     p = a[t][t]
+                    if r.is_unit(p):
+                        break
                     offender = next((i for i in range(t + 1, w.rows)
                                      if any(r.divide(x, p) is None for x in a[i].values())), None)
                     if offender is None:

@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import BadElement, RingMismatch, UnsupportedRing
-from .linalg import Matrix, cokernel_presentation
+from .linalg import ElementaryDivisors, Matrix, cokernel_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +959,13 @@ class FGModule:
 
     @staticmethod
     def free(ring: Ring, rank: int) -> "FGModule":
-        return FGModule(ring, Matrix.zeros(ring, rank, 0))
+        """R^rank, presented with no relations; its invariant factors are
+        known, so nothing is eliminated."""
+        m = FGModule.__new__(FGModule)
+        m.ring = ring
+        m.presentation = Matrix.zeros(ring, rank, 0)
+        m.divisors = ElementaryDivisors((), rank)
+        return m
 
     @property
     def gens(self) -> int:

@@ -120,6 +120,67 @@ def test_direct_sum_adds_fibers():
     assert fibers_of(homology(two, 0)) == {"1": "R^2", "2": "R^2"}
 
 
+@pytest.mark.parametrize("text", ["Z", "Q", "Fp(5)", "Zmod(12)", "Zloc(3)", "FpX(3)"])
+def test_direct_sum_of_mixed_fibers_matches_elimination(text, monkeypatch):
+    # a vertex where no summand has a relation gets FGModule.free; one with
+    # a relation (6 is R/(6) over Z, a unit or zero on some rings) eliminates
+    ring = parse_ring(text)
+    six = Matrix.from_rows(ring, [[6]])
+    free = rep_free(A2, ring, {"1": 2, "2": 1}, {"a": Matrix.from_rows(ring, [[1, -1]])})
+    torsion_1 = Representation(A2, ring, {"1": FGModule(ring, six), "2": FGModule.free(ring, 1)},
+                               {"a": Matrix.zeros(ring, 1, 1)})
+    torsion_2 = Representation(A2, ring, {"1": FGModule.free(ring, 1), "2": FGModule(ring, six)},
+                               {"a": Matrix.from_rows(ring, [[1]])})
+    calls = []
+    orig = complexes.FGModule.__init__
+
+    def counted(self, *args):
+        calls.append(args)
+        orig(self, *args)
+
+    # one elimination per vertex where some summand's fiber has a relation
+    for reps, eliminations in (([free, torsion_1, free], 1), ([torsion_2, free], 1),
+                               ([free, free], 0), ([torsion_1, torsion_2], 2)):
+        monkeypatch.setattr(complexes.FGModule, "__init__", counted)
+        calls.clear()
+        got = complexes.rep_direct_sum(reps)
+        monkeypatch.undo()
+        assert len(calls) == eliminations
+        for v in A2.vertices:
+            pres = Matrix.direct_sum(ring, [rep.fibers[v].presentation for rep in reps])
+            want = FGModule(ring, pres)
+            assert got.fibers[v].presentation == pres
+            assert (got.fibers[v].divisors, got.fibers[v].iso_key()) == (want.divisors, want.iso_key())
+        assert got.arrows["a"] == Matrix.direct_sum(ring, [rep.arrows["a"] for rep in reps])
+        got.validate()
+    if text == "Z":
+        assert str(complexes.rep_direct_sum([free, torsion_1, free]).fibers["1"]) == "R^4 + R/(6)"
+
+
+def test_builders_read_missing_degrees_as_zero_blocks(monkeypatch):
+    # x has terms in degrees 0 and 2 and no differential, y = R -2-> R parked
+    # at vertex 1, and f: x -> x is the identity in degree 0 only
+    x = direct_sum_complexes([unit_complex(A2, Z), shift_complex(stalk_complex(projective_rep(A2, Z, 1)), -2)])
+    y = i_times(koszul_complex(Z, [2]), A2, 1)
+    f = ComplexMorphism(x, x, {0: rep_mor_identity(x.terms[0])})
+
+    def refuse(*args):
+        raise AssertionError("a zero morphism was built for a missing degree")
+
+    monkeypatch.setattr(complexes, "rep_mor_zero", refuse)
+    built = box_tensor(x, y), cone(f), direct_sum_complexes([x, y])
+    monkeypatch.undo()
+    for c in built:
+        c.validate()
+    tensor, c, total = built
+    # P(1) is R at vertex 1, so both summands of x carry H(y) = R/(2) there
+    assert homology_fingerprint(tensor) == ((0, "1", 0, ("2",)), (2, "1", 0, ("2",)))
+    # the cone kills degree 0 and leaves P(1) in degrees 1 and 2
+    assert homology_fingerprint(c) == ((1, "1", 1, ()), (1, "2", 1, ()), (2, "1", 1, ()), (2, "2", 1, ()))
+    # x + y: H(y) = R/(2) joins the unit's R at vertex 1 in degree 0
+    assert homology_fingerprint(total) == ((0, "1", 1, ("2",)), (0, "2", 1, ()), (2, "1", 1, ()), (2, "2", 1, ()))
+
+
 def test_zero_complex_is_zero():
     z = zero_complex(A2, Z)
     assert z.is_zero and is_acyclic(z)

@@ -662,6 +662,33 @@ def test_blocks_and_direct_sum_match_entrywise_assembly(ring):
     assert Matrix.blocks(ring, [[], []], [2, 1], []) == Matrix.zeros(ring, 3, 0)
 
 
+def entrywise_kron(a, b):
+    """Kronecker product, entry (i, j) as a[i // b.rows][j // b.cols] * b[i % b.rows][j % b.cols]."""
+    r = a.ring
+    return tuple(tuple(r.mul(a.entries[i // b.rows][j // b.cols], b.entries[i % b.rows][j % b.cols])
+                       for j in range(a.cols * b.cols)) for i in range(a.rows * b.rows))
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_kron_matches_entrywise_product(ring):
+    # kron copies a row for an entry 1 and multiplies only for the others,
+    # so units other than 1 (-1, and 2 where it is a unit) must multiply
+    rng = random.Random(29)
+    one = ring.one()
+    units = [u for u in (ring.neg(one), ring.from_int(2)) if u != one and ring.is_unit(u)]
+    assert units
+    elems = sample_elements(ring, rng) + units * 3
+    mats = [Matrix.identity(ring, n) for n in (0, 1, 3)]
+    mats += [Matrix(ring, rows, cols, tuple(tuple(rng.choice(elems) for _ in range(cols)) for _ in range(rows)))
+             for rows, cols in ((0, 2), (2, 0), (1, 1), (2, 3), (3, 2), (3, 3))]
+    mats.append(Matrix.from_entries(ring, 2, 2, {(0, 0): units[0], (1, 1): one}))
+    for a in mats:
+        for b in mats:
+            got = a.kron(b)
+            assert (got.rows, got.cols) == (a.rows * b.rows, a.cols * b.cols)
+            assert got.entries == entrywise_kron(a, b), (a, b)
+
+
 def test_blocks_refuse_wrong_shapes_and_mixed_rings():
     two = Matrix.identity(Z, 2)
     with pytest.raises(ShapeMismatch):

@@ -191,6 +191,20 @@ def test_fgmodule_literally_free_flag():
     assert not FGModule(Z, zmat([[2]])).is_literally_free
 
 
+@pytest.mark.parametrize("text", ["Z", "Q", "Fp(5)", "Zmod(12)", "Zloc(3)", "FpX(3)"])
+def test_free_module_matches_its_eliminated_presentation(text):
+    # FGModule.free sets the invariant factors it knows; the constructor
+    # reads them off the empty presentation
+    ring = parse_ring(text)
+    for n in (0, 1, 4):
+        fast, slow = FGModule.free(ring, n), FGModule(ring, Matrix.zeros(ring, n, 0))
+        assert fast.ring is ring
+        assert fast.presentation == slow.presentation
+        assert fast.divisors == slow.divisors
+        assert fast.iso_key() == slow.iso_key() == (n, ())
+        assert fast == slow and str(fast) == str(slow)
+
+
 # --- arithmetic spot checks --------------------------------------------------
 
 

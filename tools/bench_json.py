@@ -9,7 +9,11 @@ For each workload and seed this runs, in every checkout given by `--run`,
 
     python3 bench/run.py --workload <w> --seed <s> --seconds 15 --trace 0
 
-and reads the JSON object on its last stdout line.  With several checkouts
+and reads the JSON object on its last stdout line.  Before the first run,
+each checkout's `src/` is byte-compiled into its own `__pycache__`, where
+those runs read it, so that no timed run compiles the package (with
+PYTHONDONTWRITEBYTECODE set, nothing else writes that bytecode before the
+workload imports the package).  With several checkouts
 the runs alternate between them, and the one that goes first changes from
 seed to seed, so that a drift of host speed falls on all of them alike.
 Each output file holds the checkout's commit, the host, every run's
@@ -93,12 +97,22 @@ def cli_commands() -> list:
     return json.loads(proc.stdout) + [["rigidity", "workspaces/affine_d5_f2.yaml", "U"]]
 
 
-def cli_env(root: Path, cache: Path) -> dict:
-    """The environment of a checkout's CLI runs, its bytecode compiled into cache."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env.update(PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=str(cache))
+def compile_src(root: Path, env: dict) -> None:
+    """Byte-compile a checkout's src/ where a run under env reads it."""
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=root, env=env, check=True,
                    capture_output=True, timeout=600)
+
+
+def writing_env() -> dict:
+    """This process's environment, with bytecode writing allowed."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+
+def cli_env(root: Path, cache: Path) -> dict:
+    """The environment of a checkout's CLI runs, its bytecode compiled into cache."""
+    env = writing_env()
+    env.update(PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=str(cache))
+    compile_src(root, env)
     return env
 
 
@@ -167,6 +181,8 @@ def main(argv=None) -> int:
         return cli_main([out for _, out in args.run], roots, host)
     args.workloads = args.workloads or ["verify", "closure", "rings"]
     args.seeds = args.seeds or [1, 2, 3, 4, 5]
+    for root in roots:
+        compile_src(root, writing_env())
     runs = {(k, w): [] for k in range(len(roots)) for w in args.workloads}
     for w in args.workloads:
         for i, s in enumerate(args.seeds):
