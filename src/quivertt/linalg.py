@@ -166,6 +166,8 @@ class Matrix:
 
     def neg(self) -> "Matrix":
         r = self.ring
+        if r.modulus_int == 2:
+            return self  # -a = a in characteristic 2, and matrices are immutable
         return Matrix(r, self.rows, self.cols, tuple(tuple(r.neg(a) for a in row) for row in self.entries))
 
     def scale(self, c) -> "Matrix":
@@ -253,8 +255,8 @@ class Matrix:
         return Matrix(r, self.rows, self.cols, tuple(tuple(r.canon(fn(e)) for e in row) for row in self.entries))
 
     def is_zero(self) -> bool:
-        r = self.ring
-        return all(r.is_zero(e) for row in self.entries for e in row)
+        # Ring.is_zero is `not a`: zero is the only falsy canonical element
+        return not any(map(any, self.entries))
 
     def __str__(self):
         f = self.ring.format_elem

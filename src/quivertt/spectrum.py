@@ -420,10 +420,11 @@ def untranslate_classification(form) -> QSupport:
 # Results outside the universe's stated bounds are skipped as out of scope;
 # a result inside the bounds but missing from the universe raises
 # UniverseNotClosed.  The bounds are `within`, which must be a pure function
-# of the fingerprint: its verdicts on the shifted sums of each member pair
-# and on the tensor products of each member are memoized in the cache per
-# `within` object, so calls sharing a cache and one `within` sum each pair
-# and tensor each member once, and a new lambda on every call gets no reuse.
+# of the fingerprint: its verdicts are memoized in the cache per `within`
+# object, on the tensor products of each member and on the shifted sums of
+# each member pair, kept in one row per member that `drain` reads once per
+# new member.  Calls sharing a cache and one `within` sum each pair and
+# tensor each member once, and a new lambda on every call gets no reuse.
 
 
 def _fp_normalize(fp):
@@ -565,7 +566,7 @@ class _ClosureState:
 
     def drain(self):
         """Run the cheap steps until no member is left on the worklist."""
-        u = self.u
+        u, sums = self.u, self.cached(("sums", self.within_key), dict)
         while self.todo:
             px = self.todo.pop()
             x = u.unpacked[px]
@@ -574,8 +575,12 @@ class _ClosureState:
                 self.add(u.packed.get(rest, 0))  # rest () is packed only if the universe holds 0
             # shifted direct sums, which also stand in for cones of zero maps
             self.done.append(px)
+            row = sums.setdefault(px, {})
             for py in self.done:
-                for p in self.pair_sums(min(px, py), max(px, py)):
+                hit = row.get(py)
+                if hit is None:
+                    hit = row[py] = sums.setdefault(py, {})[px] = self.pair_sums(min(px, py), max(px, py))
+                for p in hit:
                     self.add(p)
             # tensor with every universe element
             for p in self.tensor_admitted(px, x):
@@ -583,16 +588,13 @@ class _ClosureState:
 
     def pair_sums(self, px, py):
         """The shifted sums of the members px <= py that lie in the universe
-        and that within admits, packed; computed once per cache and within.
+        and that within admits, packed.  `drain` runs this once per cache and
+        within, storing the tuple in both members' rows.
 
         Every sum outside the universe is offered to within, once per call;
         if within admits one, nothing is stored.  `tensor_admitted` stores
         within's verdicts on tensor products the same way.
         """
-        key = ("sum", self.within_key, px, py)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
         u, out = self.u, []
         shifts = [j * u.stride for j in range(u.span + 1)]
         for cand in {px + (py << k) for k in shifts} | {(px << k) + py for k in shifts}:
@@ -604,8 +606,7 @@ class _ClosureState:
                 fp = u.unpack(cand)
                 if self.within(fp):
                     raise UniverseNotClosed(f"direct sum produced an object outside the universe: {fp}")
-        self.cache[key] = out = tuple(out)
-        return out
+        return tuple(out)
 
     def tensor_admitted(self, px, x):
         """The products of the member px (fingerprint x) with the universe
@@ -698,7 +699,8 @@ def thick_closure_bruteforce(generators, universe, within=None, max_maps=4096, c
     object, so pass the same object to every call that shares a cache; a
     new lambda on each call gets no reuse.  `cache` is a plain
     dict; pass the same one to successive calls over the same universe to
-    share its fingerprints, the summand splits, the pair sums, the cheap
+    share its fingerprints, the summand splits, the pair sums (one row per
+    member, keyed by the other member of the pair), the cheap
     tensor fingerprints and the expensive cone sweeps.  The cache is tied to
     one universe by object identity: given a universe whose elements are
     not the very objects it holds, it is emptied first.

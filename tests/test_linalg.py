@@ -269,6 +269,27 @@ def random_matrix(ring, rng, rows, cols):
     return Matrix(ring, rows, cols, tuple(tuple(rng.choice(elems) for _ in range(cols)) for _ in range(rows)))
 
 
+@pytest.mark.parametrize("ring", SIX_RINGS + (PrimeField(2), PrimeField(3)), ids=str)
+def test_neg_and_is_zero_match_entrywise(ring):
+    # the reference is the ring's own neg and equality with zero, entry by entry
+    rng, zero = random.Random(7), ring.zero()
+    cases = []
+    for rows, cols in ((0, 3), (3, 0), (0, 0), (1, 1), (3, 4), (5, 2)):
+        cases.append(Matrix.zeros(ring, rows, cols))
+        cases += [random_matrix(ring, rng, rows, cols) for _ in range(4)]
+        if rows and cols:
+            single = [[zero] * cols for _ in range(rows)]
+            single[rng.randrange(rows)][rng.randrange(cols)] = ring.one()
+            cases.append(Matrix(ring, rows, cols, tuple(map(tuple, single))))
+    for m in cases:
+        neg = m.neg()
+        assert (neg.rows, neg.cols) == (m.rows, m.cols)
+        assert neg.entries == tuple(tuple(ring.neg(a) for a in row) for row in m.entries)
+        assert m.is_zero() == all(a == zero for row in m.entries for a in row)
+        assert m.sub(m).is_zero()
+    assert any(m.is_zero() for m in cases) and not all(m.is_zero() for m in cases)
+
+
 def snf_cokernel(m, d):
     """Cokernel presentation read off the Smith form by hand."""
     r = m.ring

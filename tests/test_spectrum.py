@@ -1,5 +1,6 @@
 """Points, supports, ideals, and the classification translations."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -58,7 +59,7 @@ from quivertt import (
 )
 from quivertt.rings import sp_closed_contains, sp_points
 from quivertt.samples import random_perfect_complex, random_q_support
-from quivertt.spectrum import _fp_box, _fp_normalize, _fp_span, _Universe
+from quivertt.spectrum import _ClosureState, _fp_box, _fp_normalize, _fp_span, _Universe
 
 Z = Integers()
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
@@ -590,6 +591,59 @@ def test_closure_offers_each_sum_outside_the_universe_once_per_cache():
     assert sums and max(sums.values()) == 1
     first = by_call[0] - set(fps)
     assert first & products and all(not (call - set(fps)) for call in by_call[1:])
+
+
+def _closure_calls():
+    universe = _small_universe()
+    return universe, [[x] for x in universe] + [[U1, U2], [P1, U2], []]
+
+
+def _recording_within(log):
+    def within(fp):
+        log.append(repr(fp))
+        return _one_copy_each(fp)
+
+    return within
+
+
+def test_closure_sums_each_member_pair_once_per_cache(monkeypatch):
+    universe, calls = _closure_calls()
+    want = [thick_closure_bruteforce(g, universe, within=_one_copy_each) for g in calls]
+    runs = Counter()
+    real = _ClosureState.pair_sums
+
+    def counted(self, px, py):
+        runs[px, py] += 1
+        return real(self, px, py)
+
+    monkeypatch.setattr(_ClosureState, "pair_sums", counted)
+    cache = {}
+    assert [thick_closure_bruteforce(g, universe, within=_one_copy_each, cache=cache) for g in calls] == want
+    assert runs and max(runs.values()) == 1 and all(px <= py for px, py in runs)
+    first = sum(runs.values())
+    assert [thick_closure_bruteforce(g, universe, within=_one_copy_each, cache=cache) for g in calls] == want
+    assert sum(runs.values()) == first  # a repeated call reads every pair from its rows
+
+    # a second within object on the same cache sums the pairs again and gets its own verdicts
+    log = []
+    within = _recording_within(log)
+    assert [thick_closure_bruteforce(g, universe, within=within, cache=cache) for g in calls] == want
+    assert sum(runs.values()) == 2 * first and log
+    with pytest.raises(UniverseNotClosed, match="direct sum"):
+        thick_closure_bruteforce([U1], universe, within=lambda fp: True, cache=cache)
+
+
+def test_closure_offers_within_the_same_sequence():
+    # the order and multiplicity of within's calls on one shared cache, pinned
+    # as recorded before member-pair sums moved into per-member rows
+    universe, calls = _closure_calls()
+    log, cache = [], {}
+    within = _recording_within(log)
+    for gens in calls + calls[::-1]:
+        thick_closure_bruteforce(gens, universe, within=within, cache=cache)
+    assert len(log) == 122
+    digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+    assert digest == "96e90fb5d2b5819ca41873525fe61cf92e488279a85d879bfea319d7a55a15ed"
 
 
 def test_packed_fingerprints_match_tuple_arithmetic():

@@ -7,10 +7,11 @@
 
 For each workload and seed this runs, in every checkout given by `--run`,
 
-    python3 bench/run.py --workload <w> --seed <s> --seconds 15 --trace 0
+    python3 bench/run.py --workload <w> --seed <s> --seconds <run_seconds> --trace 0
 
-and reads the JSON object on its last stdout line.  Before the first run,
-each checkout's `src/` is byte-compiled into its own `__pycache__`, where
+with `run_seconds` read from `BENCHMARK.json` in the checkout this script
+lives in, and reads the JSON object on its last stdout line.  Before the
+first run, each checkout's `src/` is byte-compiled into its own `__pycache__`, where
 those runs read it, so that no timed run compiles the package (with
 PYTHONDONTWRITEBYTECODE set, nothing else writes that bytecode before the
 workload imports the package).  With several checkouts
@@ -18,8 +19,12 @@ the runs alternate between them, and the one that goes first changes from
 seed to seed, so that a drift of host speed falls on all of them alike.
 Each output file holds the checkout's commit, the host, every run's
 end-to-end metrics, and per workload and metric the median and the
-quartiles over the seeds.  The run length is fixed, so that every file
-this writes is comparable with every other.
+quartiles over the seeds.  The run length is the benchmark's own, so that
+every file this writes is comparable with every other and with the
+benchmark's runs.  `BENCH_1.json` to `BENCH_7.json` ran at 15 s: since
+`peak_rss_mb` grows with the number of batches a run keeps and `item_max_ms`
+is a max over all of them, those two metrics there are not comparable with
+runs at 30 s.
 
 With `--cli` it times CLI commands instead: the text-mode command list that
 the goldens derive (`cases_for` in tests/test_golden_cli.py, read from the
@@ -58,9 +63,7 @@ def commit_of(root: Path) -> str:
     return head + ("+dirty" if dirty else "")
 
 
-SECONDS = 15
 ROUNDS = 5
-COMMAND = f"python3 bench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0"
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -82,6 +85,8 @@ def summary(values: list) -> dict:
 
 
 HERE = Path(__file__).resolve().parent.parent
+SECONDS = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
+COMMAND = f"python3 bench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0"
 CLI_COMMAND = "python3 -m quivertt <argv>"
 LIST_CASES = ("import json, sys; sys.path[:0] = ['src', 'tests']\n"
               "from test_golden_cli import WORKSPACES, cases_for\n"
