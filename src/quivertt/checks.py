@@ -14,6 +14,7 @@ from .complexes import (
     box_tensor,
     cone,
     direct_sum_complexes,
+    ensure_perfect,
     eval_vertex,
     homology_fingerprint,
     homology_sweep,
@@ -26,7 +27,7 @@ from .complexes import (
     unit_complex,
 )
 from .errors import QuiverTTError
-from .homs import ChainMapSpace, chom_rep, hom_space, is_rigid, rigidity_report
+from .homs import ChainMapSpace, _unit_with_counit, chom_complex, chom_rep, hom_space, is_rigid
 from .quivers import build_quiver, paths, point_quiver
 from .rings import Integers, PrimeField, primes_upto, sp_all
 from .samples import (
@@ -210,16 +211,16 @@ def check_rigidity_witness(rng):
     """The source vertex unit is the stock non-rigid object; the unit is rigid."""
     ring = _pick_ring(rng)
     u1 = _vertex_unit(_A2, ring, 1)
-    u = unit_complex(_A2, ring)
-    report = rigidity_report(u1)
-    if report["rigid"]:
+    r1 = ensure_perfect(u1)
+    if is_rigid(r1):
         return False, "source vertex unit passed the rigidity test"
-    if not is_rigid(u):
+    if not is_rigid(unit_complex(_A2, ring)):
         return False, "tensor unit failed the rigidity test"
-    # the probes' targets: chom(r1, U) for "U", chom(r1, r1) for "x"
-    if not is_acyclic(report["maps"]["U"].target):
+    # the targets of the evaluation maps against the unit and against r1
+    w, _ = _unit_with_counit(_A2, ring)
+    if not is_acyclic(chom_complex(r1, w).complex):
         return False, "chom against the unit is not acyclic"
-    if _fp(report["maps"]["x"].target) != _fp(u1):
+    if _fp(chom_complex(r1, r1).complex) != _fp(u1):
         return False, "self chom is not the object back"
     return True, f"over {ring}"
 

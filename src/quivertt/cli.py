@@ -13,9 +13,9 @@ import json
 import sys
 
 from .checks import run_suite
-from .complexes import homology_sweep
+from .complexes import box_tensor, ensure_perfect, homology_sweep
 from .errors import BadElement, QuiverTTError, UnknownName, WorkspaceError
-from .homs import rigidity_report
+from .homs import _unit_with_counit, chom_complex, is_rigid
 from .spectrum import (
     compact_support,
     ideal_generators,
@@ -192,12 +192,12 @@ def _cmd_aisle(ws, args):
 
 
 def _cmd_rigidity(ws, args):
-    report = rigidity_report(_lookup(ws.objects, args.name, "object"))
-    # the self probe's evaluation map runs chom(x, U) tensor x -> chom(x, x)
-    ev = report["maps"]["x"]
-    left = _homology_table(ev.source)
-    right = _homology_table(ev.target)
-    rigid = report["rigid"]
+    x = ensure_perfect(_lookup(ws.objects, args.name, "object"))
+    rigid = is_rigid(x)
+    # the two sides of the evaluation map chom(x, U) tensor x -> chom(x, x)
+    w, _ = _unit_with_counit(x.quiver, x.ring)
+    left = _homology_table(box_tensor(chom_complex(x, w).complex, x))
+    right = _homology_table(chom_complex(x, x).complex)
     lines = ["RIGID" if rigid else "NOT RIGID"]
     lines.append("hom against the unit, tensored back:")
     lines += _table_lines(left)
@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--member", metavar="NAME", help="object to test against --filt")
     p.add_argument("--filt", metavar="NAME_OR_FILE", help="filtration name or YAML file")
 
-    p = add("rigidity", "rigidity verdict with both evaluation sides", _cmd_rigidity)
+    p = add("rigidity", "rigidity verdict (every arrow map a quasi-isomorphism) with both evaluation sides",
+            _cmd_rigidity)
     p.add_argument("name")
 
     p = add("filtsys", "check vertex sets as a filtration system of the unit", _cmd_filtsys)

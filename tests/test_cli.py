@@ -130,7 +130,7 @@ def test_rigidity_reports(capsys):
 
 
 def test_rigidity_of_the_unit_on_affine_d5(capsys):
-    # the goldens skip rigidity on this workspace (about 2 s a run)
+    # the goldens cover this run too; here its lines are spelled out
     code, out, _ = run(capsys, "rigidity", D5, "U")
     assert code == 0
     assert out.splitlines() == [

@@ -4,8 +4,7 @@ Each case runs `cli.main` in text and in `--json` mode and compares the exit
 code and stdout with `tests/golden/<workspace>.json`.  The case list is
 derived from the workspaces themselves (each object, every vertex as its own
 filtration-system part), so a new object gets covered without editing this
-file.  `rigidity` is skipped on affine_d5_f2.yaml, where one run takes about
-2 s (1.95-2.42 s as a subprocess for object U); tests/test_cli.py runs it on U.
+file.
 
 Regenerate the goldens after an intended report change with
 
@@ -26,7 +25,6 @@ from quivertt.workspace import load_workspace
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 WORKSPACES = sorted((ROOT / "workspaces").glob("*.yaml"))
-SLOW_RIGIDITY = {"affine_d5_f2.yaml"}
 
 
 def cases_for(path: Path):
@@ -38,8 +36,7 @@ def cases_for(path: Path):
     for name in names:
         out.append(["support", rel, name])
         out.append(["ideal", rel, "--from", name])
-        if path.name not in SLOW_RIGIDITY:
-            out.append(["rigidity", rel, name])
+        out.append(["rigidity", rel, name])
     out.append(["aisle", rel, "--gen", *names])
     out.append(["filtsys", rel, *ws.quiver.vertices])
     out.append(["verify", rel, "--cases", "16"])

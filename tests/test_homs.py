@@ -1,44 +1,53 @@
 """Hom spaces, the internal hom, evaluation maps, rigidity."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from quivertt import (
     ChainMapSpace,
+    ComplexRQ,
     FGModule,
     Integers,
     Matrix,
     NotPerfect,
     PrimeField,
+    RepMorphism,
     ShapeMismatch,
     box_tensor,
     build_quiver,
     chom_rep,
     complex_r,
     cone,
+    direct_sum_complexes,
     ensure_perfect,
     evaluation_map,
     eval_vertex,
     hom_space,
     homology,
     homology_fingerprint,
+    i_times,
     internal_hom,
     is_acyclic,
     is_rigid,
     kernel_basis,
+    koszul_complex,
     parse_ring,
     projective_rep,
     rep_box,
+    rep_free,
     rigidity_report,
     shift_complex,
     stalk_complex,
     unit_complex,
     unit_restriction,
 )
-from quivertt.homs import _unit_with_counit
+from quivertt.homs import _arrow_witness, _unit_with_counit
 from quivertt.samples import random_acyclic_quiver, random_free_rep, random_perfect_complex, random_point_complex
+from quivertt.workspace import load_workspace
 
+ROOT = Path(__file__).resolve().parent.parent
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
 A3 = build_quiver([1, 2, 3], ["a: 1 -> 2", "b: 2 -> 3"])
 F2 = PrimeField(2)
@@ -250,10 +259,91 @@ def test_unit_augmentation_is_a_quasi_isomorphism(text):
 
 
 def test_parked_torsion_is_rigid_over_point():
-    from quivertt import i_times, koszul_complex, point_quiver
+    from quivertt import point_quiver
 
     k2 = koszul_complex(Integers(), [2])
     assert is_rigid(i_times(k2, point_quiver(), "pt"))
+
+
+# --- rigidity from the arrow maps against the evaluation-map oracle --------------
+
+KRONECKER = build_quiver([1, 2], ["a: 1 -> 2", "b: 1 -> 2"])
+TRIANGLE = build_quiver([1, 2, 3], ["a: 1 -> 2", "b: 2 -> 3", "c: 1 -> 3"])
+ORACLE_RINGS = ("Fp(2)", "Fp(3)", "Z", "Q", "Zmod(7)", "Zloc(3)", "FpX(2)")
+
+
+def constant_complex(q, point, scale=None):
+    """The point complex at every vertex, each arrow c times the identity, c = scale.get(arrow, 1)."""
+    r, scale = point.ring, scale or {}
+    terms = {}
+    for n, rep in point.terms.items():
+        g = rep.gens("pt")
+        terms[n] = rep_free(q, r, {v: g for v in q.vertices},
+                            {name: Matrix.identity(r, g).scale(r.from_int(scale.get(name, 1))) for name, _, _ in q.arrows})
+    diffs = {n: RepMorphism(terms[n], terms[n + 1], {v: d.mats["pt"] for v in q.vertices})
+             for n, d in point.diffs.items()}
+    return ComplexRQ(q, r, terms, diffs)
+
+
+def oracle_objects(ring, rng):
+    """Samples, constant complexes with one arrow scaled by 0, -1 or 2, and an
+    acyclic summand parked at one vertex; small enough for the oracle."""
+    point = random_point_complex(ring, rng)
+    while is_acyclic(point) or sum(rep.gens("pt") for rep in point.terms.values()) > 3:
+        point = random_point_complex(ring, rng)
+    one = complex_r(ring, {0: FGModule.free(ring, 1)}, {})
+    q = random_acyclic_quiver(rng, 3)
+    out = []
+    while len(out) < 3:
+        x = random_perfect_complex(random_acyclic_quiver(rng, 3), ring, rng, pieces=1)
+        if sum(rep.gens(v) for rep in x.terms.values() for v in x.quiver.vertices) <= 8:
+            out.append(x)
+    last = q.arrows[-1][0]
+    out += [constant_complex(q, point), constant_complex(q, point, {last: 0})]
+    v = rng.choice(q.vertices)
+    out.append(direct_sum_complexes([constant_complex(q, point), i_times(koszul_complex(ring, [ring.one()]), q, v)]))
+    out.append(constant_complex(KRONECKER, one))
+    out += [constant_complex(KRONECKER, one, {name: c}) for (name, _, _), c in zip(KRONECKER.arrows, (0, -1))]
+    # the triangle costs the oracle most, so each ring scales one of its arrows
+    k = ORACLE_RINGS.index(str(ring))
+    out.append(constant_complex(TRIANGLE, one, {TRIANGLE.arrows[k % 3][0]: (0, -1, 2)[k % 3]}))
+    return out
+
+
+@pytest.mark.parametrize("text", ORACLE_RINGS)
+def test_rigidity_criterion_matches_the_evaluation_oracle(text):
+    ring = parse_ring(text)
+    verdicts = []
+    for x in oracle_objects(ring, random.Random(f"rigidity oracle:{text}")):
+        rigid = is_rigid(x)
+        assert rigid == rigidity_report(x)["rigid"], (text, str(x))
+        verdicts.append(rigid)
+    assert True in verdicts and False in verdicts
+
+
+def test_rigidity_criterion_matches_the_oracle_over_zmod30():
+    # the perfect Z/30 object of tests/test_cli.py's rigidity bound
+    r = parse_ring("Zmod(30)")
+    ranks = {"1": 2, "2": 3, "3": 1}
+    terms = {n: rep_free(A3, r, ranks, {}) for n in (-1, 0)}
+    d = {"1": [[0, 12], [0, 0]], "2": [[16, 0, 2], [0, 0, 0], [12, 0, 0]], "3": [[2]]}
+    x = ComplexRQ(A3, r, terms, {-1: RepMorphism(terms[-1], terms[0],
+                                                 {v: Matrix.from_rows(r, rows) for v, rows in d.items()})})
+    assert is_rigid(x) is rigidity_report(x)["rigid"] is False
+
+
+def test_arrow_witness_names_the_first_failing_arrow_and_degree():
+    for ring in (F2, Z):
+        assert _arrow_witness(ensure_perfect(vertex_unit(A2, ring, 1))) == ("a", 0)
+        assert _arrow_witness(ensure_perfect(vertex_unit(A2, ring, 2))) == ("a", 0)
+    one = complex_r(Z, {0: FGModule.free(Z, 1)}, {})
+    assert _arrow_witness(constant_complex(A3, one, {"b": 2})) == ("b", 0)
+    assert _arrow_witness(constant_complex(A3, one, {"b": -1})) is None
+    # x(a) = 0 on R in degree 1: the cone's first homology sits in degree 0,
+    # where H^0(x(a)) is an isomorphism of zero modules; it fails in degree 1
+    assert _arrow_witness(constant_complex(A2, shift_complex(one, -1), {"a": 0})) == ("a", 1)
+    d5 = load_workspace(str(ROOT / "workspaces" / "affine_d5_f2.yaml"))
+    assert _arrow_witness(d5.objects["U"]) is None
 
 
 # --- chain map spaces --------------------------------------------------------------

@@ -28,8 +28,7 @@ runs at 30 s.
 
 With `--cli` it times CLI commands instead: the text-mode command list that
 the goldens derive (`cases_for` in tests/test_golden_cli.py, read from the
-checkout this script lives in), plus `rigidity workspaces/affine_d5_f2.yaml
-U`, which the goldens skip.  Each of ROUNDS rounds runs every command once
+checkout this script lives in).  Each of ROUNDS rounds runs every command once
 in each checkout, as `python3 -m quivertt <argv>` from the checkout's root
 with its `src/` on PYTHONPATH, and alternates which checkout goes first, as
 the workload mode does.  Each checkout's `src/` is byte-compiled first,
@@ -94,12 +93,12 @@ LIST_CASES = ("import json, sys; sys.path[:0] = ['src', 'tests']\n"
 
 
 def cli_commands() -> list:
-    """The goldens' text-mode argv lists, then the rigidity run they skip."""
+    """The goldens' text-mode argv lists."""
     proc = subprocess.run([sys.executable, "-c", LIST_CASES], cwd=HERE, capture_output=True, text=True,
                           timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"cannot list the golden commands:\n{proc.stderr}")
-    return json.loads(proc.stdout) + [["rigidity", "workspaces/affine_d5_f2.yaml", "U"]]
+    return json.loads(proc.stdout)
 
 
 def compile_src(root: Path, env: dict) -> None:
