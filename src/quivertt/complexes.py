@@ -21,8 +21,12 @@ block orderings (tensor summands, Kan path copies, resolution terms) are
 pinned so equal inputs give byte-equal outputs.
 
 The builders skip work whose answer is known.  A free fiber is built with no
-elimination: `FGModule.free` knows its invariant factors, and `rep_direct_sum`
-uses it at every vertex where no summand's fiber has a relation.
+elimination: `FGModule.free` knows its invariant factors, is one shared
+module per ring instance and rank, and `rep_direct_sum` uses it at every
+vertex where no summand's fiber has a relation.  `rep_zero` is likewise one
+object per quiver and ring instance, and `homology_fibers` builds H^n from
+the Smith divisors it read (`FGModule.from_divisors`), not by eliminating
+their diagonal again.
 `box_tensor`, `cone` and `direct_sum_complexes` read a missing differential
 or chain-map part as a zero block (None in `Matrix.blocks`, or one
 `Matrix.zeros`), with no zero morphism built over every vertex.
@@ -30,7 +34,6 @@ or chain-map part as a zero block (None in `Matrix.blocks`, or one
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
@@ -113,9 +116,13 @@ class Representation:
         return all(f.is_literally_free for f in self.fibers.values())
 
 
-@lru_cache(maxsize=4096)
 def rep_zero(quiver: Quiver, ring: Ring) -> Representation:
-    """The zero representation, one shared object per (quiver, ring)."""
+    """The zero representation, one shared object per quiver and ring
+    instance (`Ring.shared`)."""
+    return ring.shared(_rep_zero, quiver)
+
+
+def _rep_zero(ring: Ring, quiver: Quiver) -> Representation:
     zero = FGModule.free(ring, 0)
     fibers = {v: zero for v in quiver.vertices}
     arrows = {n: Matrix.zeros(ring, 0, 0) for n, _, _ in quiver.arrows}
@@ -697,7 +704,7 @@ def _fibers(x: ComplexRQ, n: int, below: dict) -> tuple:
         rank_in, divs = below[v]
         here[v] = _smith(x, n, v)
         f = cur.gens(v) - rank_in - here[v][0]
-        out[v] = FGModule(r, Matrix.from_entries(r, len(divs) + f, len(divs), {(i, i): d for i, d in enumerate(divs)}))
+        out[v] = FGModule.from_divisors(r, divs, f)
     rest = [v for v in live if v not in out]
     if rest:
         out.update((v, h) for v, (_, h) in _homology_parts(x, n, rest).items())

@@ -1,10 +1,10 @@
 """Exact matrices and Smith normal form over the supported ring tier.
 
-Matrices are immutable and carry their ring; all arithmetic goes through the
-ring object, so the same code runs over Z, fields, p-local integers, Z/n and
-F_p[x].  Z/n runs the Euclidean loop on its own residues: the norm of a is
-gcd(a, n), and dividing by b's canonical associate g = gcd(b, n) leaves a
-remainder r < g, so gcd(r, n) < g and every entry stays in [0, n).
+Matrices carry their ring; all arithmetic goes through the ring object, so
+the same code runs over Z, fields, p-local integers, Z/n and F_p[x].  Z/n
+runs the Euclidean loop on its own residues: the norm of a is gcd(a, n), and
+dividing by b's canonical associate g = gcd(b, n) leaves a remainder r < g,
+so gcd(r, n) < g and every entry stays in [0, n).
 
 Each of the two questions asked here is answered by one elimination, picked
 once by the ring kind.  Invariant factors (`rank`, `cokernel_presentation`,
@@ -50,6 +50,14 @@ builds a row at a time and multiplies only where it must: a zero entry of
 the left factor adds a shared zero row, and a 1 copies the right factor's
 row, since elements are canonical and 1*b is b.
 
+Matrices are immutable by convention, not enforced: nothing assigns to a
+field once it is built.  So a value whose content is known is built once and
+shared: `zeros` and `identity` give one object per ring instance and shape,
+and an empty result (no rows or no columns) of `from_entries`, `blocks`,
+`direct_sum` or `kron` is that shared zero matrix, after the same ring and
+shape checks.  The memo lives on the ring instance (`Ring.shared`), so it
+dies with its ring and a shared value's .ring is the ring asked for.
+
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x], valuation
 over the p-locals, gcd with n over Z/n), ties broken by lowest row then lowest
@@ -67,8 +75,13 @@ from math import gcd
 from .errors import RingMismatch, ShapeMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Matrix:
+    """Rows of canonical elements over ring, equal and hashed by value.
+    Immutable by convention, as complexes are, so the init is a plain
+    slotted one, not a frozen one's guarded set per field; shared values
+    (see the module docstring) are memoized on their ring instance."""
+
     ring: object
     rows: int
     cols: int
@@ -85,12 +98,14 @@ class Matrix:
 
     @staticmethod
     def zeros(ring, rows: int, cols: int) -> "Matrix":
-        z = ring.zero()
-        return Matrix(ring, rows, cols, ((z,) * cols,) * rows)
+        """The zero matrix, one per ring instance and shape; its rows are one tuple."""
+        return ring.shared(_zeros, rows, cols)
 
     @staticmethod
     def from_entries(ring, rows: int, cols: int, entries: dict) -> "Matrix":
         """The rows x cols matrix with entries[(i, j)] at (i, j), zero elsewhere."""
+        if not entries:
+            return Matrix.zeros(ring, rows, cols)
         out = [[ring.zero()] * cols for _ in range(rows)]
         for (i, j), e in entries.items():
             out[i][j] = e
@@ -122,7 +137,8 @@ class Matrix:
                 out += (sum(row, ()) for row in zip(*parts))
             else:
                 out += ((),) * rd
-        return Matrix(ring, sum(row_dims), sum(col_dims), tuple(out))
+        rows, cols = sum(row_dims), sum(col_dims)
+        return Matrix(ring, rows, cols, tuple(out)) if rows and cols else Matrix.zeros(ring, rows, cols)
 
     @staticmethod
     def direct_sum(ring, mats) -> "Matrix":
@@ -137,13 +153,13 @@ class Matrix:
             pre, post = (z,) * off, (z,) * (cols - off - m.cols)
             out += (pre + row + post for row in m.entries)
             off += m.cols
-        return Matrix(ring, len(out), cols, tuple(out))
+        rows = len(out)
+        return Matrix(ring, rows, cols, tuple(out)) if rows and cols else Matrix.zeros(ring, rows, cols)
 
     @staticmethod
     def identity(ring, n: int) -> "Matrix":
-        zrow = (ring.zero(),) * n
-        one = (ring.one(),)
-        return Matrix(ring, n, n, tuple(zrow[:i] + one + zrow[i + 1:] for i in range(n)))
+        """The n x n identity, one per ring instance and size."""
+        return ring.shared(_identity, n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -228,6 +244,8 @@ class Matrix:
         b), so only the other entries multiply."""
         self._check(other)
         r = self.ring
+        if not (self.rows and other.rows and self.cols and other.cols):
+            return Matrix.zeros(r, self.rows * other.rows, self.cols * other.cols)
         one, mul = r.one(), r.mul
         zrow = (r.zero(),) * other.cols
         out = []
@@ -261,6 +279,16 @@ class Matrix:
     def __str__(self):
         f = self.ring.format_elem
         return "[" + "; ".join(" ".join(f(e) for e in row) for row in self.entries) + "]"
+
+
+def _zeros(ring, rows: int, cols: int) -> Matrix:
+    return Matrix(ring, rows, cols, ((ring.zero(),) * cols,) * rows)
+
+
+def _identity(ring, n: int) -> Matrix:
+    zrow = (ring.zero(),) * n
+    one = (ring.one(),)
+    return Matrix(ring, n, n, tuple(zrow[:i] + one + zrow[i + 1:] for i in range(n)))
 
 
 @dataclass(frozen=True)

@@ -344,6 +344,23 @@ class Ring:
     def __str__(self):
         return self.label
 
+    # -- shared values ----------------------------------------------------------
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def shared(self, build, *args):
+        """build(self, *args), built once per ring instance and arguments and
+        shared by every caller, so immutable by convention.  The memo lives in
+        this instance's __dict__: it dies with the ring, and an equal ring
+        built apart gets its own values."""
+        key = (build, *args)
+        memo = self._memo
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build(self, *args)
+        return value
+
 
 @dataclass(frozen=True)
 class PrimeField(Ring):
@@ -958,14 +975,19 @@ class FGModule:
         self.divisors = cokernel_presentation(presentation)
 
     @staticmethod
+    def from_divisors(ring: Ring, divisors: tuple, free_rank: int) -> "FGModule":
+        """R^free_rank + R/(d_1) + ... + R/(d_k), presented by d_1, ..., d_k
+        on the diagonal over free_rank zero rows.  The divisors must be
+        canonical non-units in chain order, as `cokernel_presentation` gives
+        them; they are the answer, so nothing is eliminated.  With no
+        divisors this is `free`."""
+        return _from_divisors(ring, divisors, free_rank) if divisors else FGModule.free(ring, free_rank)
+
+    @staticmethod
     def free(ring: Ring, rank: int) -> "FGModule":
-        """R^rank, presented with no relations; its invariant factors are
-        known, so nothing is eliminated."""
-        m = FGModule.__new__(FGModule)
-        m.ring = ring
-        m.presentation = Matrix.zeros(ring, rank, 0)
-        m.divisors = ElementaryDivisors((), rank)
-        return m
+        """R^rank, presented with no relations: one module per ring instance
+        and rank, shared by every caller (`Ring.shared`)."""
+        return ring.shared(_from_divisors, (), rank)
 
     @property
     def gens(self) -> int:
@@ -999,6 +1021,15 @@ class FGModule:
             parts.append("R" if self.free_rank == 1 else f"R^{self.free_rank}")
         parts.extend(f"R/({f(d)})" for d in self.divisors.divisors)
         return " + ".join(parts) if parts else "0"
+
+
+def _from_divisors(ring: Ring, divisors: tuple, free_rank: int) -> FGModule:
+    m = FGModule.__new__(FGModule)
+    m.ring = ring
+    m.presentation = Matrix.from_entries(ring, len(divisors) + free_rank, len(divisors),
+                                         {(i, i): d for i, d in enumerate(divisors)})
+    m.divisors = ElementaryDivisors(divisors, free_rank)
+    return m
 
 
 def module_support(m: FGModule) -> SpClosedSet:

@@ -419,6 +419,33 @@ def test_homology_fibers_of_a_mixed_smith_diagonal():
     assert [str(homology_fibers(x, n)["pt"]) for n in (-1, 0, 1)] == ["R", "R + R/(2) + R/(6)", "R/(3)"]
 
 
+def test_homology_fibers_are_built_from_their_known_divisors():
+    # the diagonal path builds H^n from the divisors it read, with no second
+    # elimination: eliminating its presentation again must give the same
+    # divisors, and the module must be the H^n that `homology` finds
+    rings = ("Z", "Q", "Fp(5)", "Zloc(3)", "FpX(3)")
+    samples = [(label, x) for label, x in _one_path_samples() if label in rings]
+    for text, gens in (("Z", ["2", "4"]), ("Z", ["6"]), ("Q", ["2", "3"]), ("Fp(5)", ["2"]),
+                       ("Zloc(3)", ["3", "9"]), ("FpX(3)", ["x", "x^2+x"])):
+        ring = parse_ring(text)
+        samples.append((text, koszul_complex(ring, [ring.parse_elem(g) for g in gens])))
+    chains = set()
+    for label, x in samples:
+        r = x.ring
+        for n in x.degrees:
+            h = homology(x, n)
+            for v, fib in homology_fibers(x, n).items():
+                ds, f = fib.divisors.divisors, fib.free_rank
+                elim = FGModule(r, fib.presentation)
+                assert fib.presentation == Matrix.from_entries(r, len(ds) + f, len(ds),
+                                                               {(i, i): d for i, d in enumerate(ds)})
+                assert fib.presentation == elim.presentation and fib.divisors == elim.divisors, (label, n, v)
+                assert fib.iso_key() == elim.iso_key() == h.fibers[v].iso_key(), (label, n, v)
+                if len(set(ds)) > 1:
+                    chains.add(label)
+    assert chains == {"Z", "Zloc(3)", "FpX(3)"}
+
+
 def test_homology_fibers_keep_the_invalid_complex_check(monkeypatch):
     # a trusted free complex with d^0 d^-1 = [1] != 0, on the diagonal path
     def refuse(x, n, vertices):

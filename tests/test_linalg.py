@@ -1,6 +1,7 @@
 """Exact normal forms: certificates are multiplied out, never trusted."""
 
 import hashlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from quivertt import (
     Rationals,
     cokernel_presentation,
     kernel_basis,
+    parse_ring,
     rank,
     smith_normal_form,
     solve,
@@ -734,3 +736,107 @@ def test_from_entries_and_select_rows(ring):
     assert m.entries == ((ring.zero(), one), (ring.zero(), ring.zero()), (ring.neg(one), ring.zero()))
     assert m.select_rows([2, 0]).entries == (m.entries[2], m.entries[0])
     assert m.select_rows([]) == Matrix.zeros(ring, 0, 2)
+
+
+# --- shared values ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_zeros_and_identity_are_one_object_per_ring_instance(ring):
+    twin = parse_ring(ring.label)
+    assert twin == ring and twin is not ring
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        z, t = Matrix.zeros(ring, rows, cols), Matrix.zeros(twin, rows, cols)
+        assert Matrix.zeros(ring, rows, cols) is z and z.ring is ring
+        assert Matrix.zeros(twin, rows, cols) is t and t.ring is twin
+        assert t is not z and t == z
+    for n in (0, 1, 3):
+        e, t = Matrix.identity(ring, n), Matrix.identity(twin, n)
+        assert Matrix.identity(ring, n) is e and e.ring is ring
+        assert Matrix.identity(twin, n) is t and t.ring is twin
+        assert t is not e and t == e
+    assert Matrix.zeros(ring, 2, 3) is not Matrix.zeros(ring, 3, 2)
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_empty_results_are_the_shared_zeros(ring):
+    def zero(rows, cols):
+        return Matrix.zeros(ring, rows, cols)
+
+    a = random_matrix(ring, random.Random(41), 2, 3)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        assert Matrix.from_entries(ring, rows, cols, {}) is zero(rows, cols)
+    assert Matrix.blocks(ring, [], [], [2, 1]) is zero(0, 3)
+    assert Matrix.blocks(ring, [[], []], [2, 1], []) is zero(3, 0)
+    assert Matrix.blocks(ring, [[None, zero(0, 3)]], [0], [2, 3]) is zero(0, 5)
+    assert Matrix.blocks(ring, [[zero(2, 0)], [None]], [2, 1], [0]) is zero(3, 0)
+    assert Matrix.blocks(ring, [[a.select_columns([]), None]], [2], [0, 0]) is zero(2, 0)
+    assert Matrix.direct_sum(ring, []) is zero(0, 0)
+    assert Matrix.direct_sum(ring, [zero(2, 0), a.select_columns([])]) is zero(4, 0)
+    assert Matrix.direct_sum(ring, [zero(0, 2), a.select_rows([])]) is zero(0, 5)
+    # empty factors built apart from the shared ones, on either side
+    for b in (zero(0, 2), zero(2, 0), zero(0, 0), a.select_rows([]), a.select_columns([])):
+        assert a.kron(b) is zero(2 * b.rows, 3 * b.cols)
+        assert b.kron(a) is zero(b.rows * 2, b.cols * 3)
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_empty_blocks_of_the_wrong_ring_or_shape_are_refused(ring):
+    other = next(r for r in SIX_RINGS if r != ring)
+    for blk, rd, cd in ((Matrix.zeros(other, 0, 2), 0, 2), (Matrix.zeros(other, 2, 0), 2, 0)):
+        with pytest.raises(RingMismatch):
+            Matrix.blocks(ring, [[blk]], [rd], [cd])
+        with pytest.raises(RingMismatch):
+            Matrix.direct_sum(ring, [Matrix.zeros(ring, 1, 0), blk])
+        with pytest.raises(RingMismatch):
+            Matrix.identity(ring, 2).kron(blk)
+        with pytest.raises(RingMismatch):
+            blk.kron(Matrix.identity(ring, 2))
+    with pytest.raises(RingMismatch):
+        Matrix.direct_sum(ring, [Matrix.zeros(other, 0, 0)])
+    with pytest.raises(ShapeMismatch):
+        Matrix.blocks(ring, [[Matrix.zeros(ring, 0, 3)]], [0], [2])
+    with pytest.raises(ShapeMismatch):
+        Matrix.blocks(ring, [[Matrix.zeros(ring, 2, 0)]], [1], [0])
+    with pytest.raises(ShapeMismatch):
+        Matrix.blocks(ring, [[None, None]], [2], [0])
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_matrix_compares_and_hashes_by_value(ring):
+    one, zero = ring.one(), ring.zero()
+    a = Matrix(ring, 2, 2, ((one, zero), (zero, one)))
+    b = Matrix.identity(parse_ring(ring.label), 2)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, Matrix.identity(ring, 2)}) == 1
+    assert a != Matrix.zeros(ring, 2, 2) and Matrix.zeros(ring, 0, 2) != Matrix.zeros(ring, 2, 0)
+    other = next(r for r in SIX_RINGS if r != ring)
+    assert Matrix.zeros(ring, 1, 1) != Matrix.zeros(other, 1, 1)
+    assert a != (ring, 2, 2, a.entries) and a != a.entries
+    assert repr(a) == f"Matrix(ring={ring!r}, rows=2, cols=2, entries={a.entries!r})"
+
+
+@pytest.mark.parametrize("n", (12, 30))
+def test_zmod_kernel_columns_generate_the_kernel(n):
+    # over Z/n the kernel is not free: a nonzero diagonal entry d adds the
+    # column of v times n / gcd(d, n).  The columns must lie in the kernel,
+    # and their Z/n-span, grown by adding columns, must hold every kernel
+    # vector found by brute force over (Z/n)^cols.
+    ring = IntegersMod(n)
+    rng = random.Random(f"zmod-kernel:{n}")
+    elems = [0, 0, 1, 2, 3, 4, 5, 6, n // 2, n - 2]
+    mats = [mat(ring, [[2]]), mat(ring, [[n // 2, 0]]), mat(ring, [[2, 3], [4, 6]]), Matrix.zeros(ring, 2, 3)]
+    mats += [mat(ring, [[rng.choice(elems) for _ in range(cols)] for _ in range(rows)])
+             for rows in (1, 2, 3) for cols in (1, 2, 3)]
+    for m in mats:
+        k = kernel_basis(m)
+        assert k.rows == m.cols and m.mul(k).is_zero(), m
+        gens = list(zip(*k.entries))
+        span, frontier = {(0,) * m.cols}, [(0,) * m.cols]
+        while frontier:
+            grown = {tuple((x + y) % n for x, y in zip(s, g)) for s in frontier for g in gens} - span
+            span |= grown
+            frontier = list(grown)
+        kernel = {y for y in itertools.product(range(n), repeat=m.cols)
+                  if all(sum(a * b for a, b in zip(row, y)) % n == 0 for row in m.entries)}
+        assert kernel == span, m

@@ -1,6 +1,8 @@
 """Coefficient ring tier, primes, and module supports."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -203,6 +205,29 @@ def test_free_module_matches_its_eliminated_presentation(text):
         assert fast.divisors == slow.divisors
         assert fast.iso_key() == slow.iso_key() == (n, ())
         assert fast == slow and str(fast) == str(slow)
+
+
+@pytest.mark.parametrize("text", ["Z", "Q", "Fp(5)", "Zmod(12)", "Zloc(3)", "FpX(3)"])
+def test_free_modules_are_one_object_per_ring_instance(text):
+    ring, twin = parse_ring(text), parse_ring(text)
+    assert ring == twin and ring is not twin
+    for n in (0, 1, 4):
+        m, t = FGModule.free(ring, n), FGModule.free(twin, n)
+        assert FGModule.free(ring, n) is m and m.ring is ring
+        assert FGModule.free(twin, n) is t and t.ring is twin
+        assert t is not m and t == m
+        assert m.presentation is Matrix.zeros(ring, n, 0)
+        assert FGModule.from_divisors(ring, (), n) is m
+    assert FGModule.free(ring, 1) is not FGModule.free(ring, 4)
+
+
+def test_shared_values_die_with_their_ring():
+    ring = parse_ring("Zmod(12)")
+    values = [FGModule.free(ring, 2), Matrix.identity(ring, 3), Matrix.zeros(ring, 2, 5)]
+    dead = weakref.ref(ring)
+    del ring, values
+    gc.collect()
+    assert dead() is None
 
 
 # --- arithmetic spot checks --------------------------------------------------

@@ -3,6 +3,7 @@
     python3 tools/bench_json.py --run . BENCH_2.json
     python3 tools/bench_json.py --run ../parent BENCH_1.json --run . BENCH_2.json
     python3 tools/bench_json.py --run . out.json --workloads verify rings --seeds 1 2 3
+    python3 tools/bench_json.py --held-out --run ../parent HELD_1.json --run . HELD_2.json --workloads verify
     python3 tools/bench_json.py --cli --run ../parent CLI_1.json --run . CLI_2.json
 
 For each workload and seed this runs, in every checkout given by `--run`,
@@ -10,7 +11,9 @@ For each workload and seed this runs, in every checkout given by `--run`,
     python3 bench/run.py --workload <w> --seed <s> --seconds <run_seconds> --trace 0
 
 with `run_seconds` read from `BENCHMARK.json` in the checkout this script
-lives in, and reads the JSON object on its last stdout line.  Before the
+lives in, and reads the JSON object on its last stdout line.  With
+`--held-out` every run also gets `--held-out`, so each workload draws its
+held-out pool, and the output files record that they did.  Before the
 first run, each checkout's `src/` is byte-compiled into its own `__pycache__`, where
 those runs read it, so that no timed run compiles the package (with
 PYTHONDONTWRITEBYTECODE set, nothing else writes that bytecode before the
@@ -65,9 +68,9 @@ def commit_of(root: Path) -> str:
 ROUNDS = 5
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, held_out: bool) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"] + ["--held-out"] * held_out
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
@@ -175,13 +178,14 @@ def main(argv=None) -> int:
                     help="a source checkout to run and the JSON file to write for it; repeatable")
     ap.add_argument("--workloads", nargs="+", help="default: verify closure rings")
     ap.add_argument("--seeds", nargs="+", type=int, help="default: 1 2 3 4 5")
+    ap.add_argument("--held-out", action="store_true", help="run each workload on its held-out pool")
     ap.add_argument("--cli", action="store_true", help="time the CLI commands instead of the workloads")
     args = ap.parse_args(argv)
     roots = [Path(root).resolve() for root, _ in args.run]
     host = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
     if args.cli:
-        if args.workloads or args.seeds:
-            ap.error("--workloads and --seeds do not apply to --cli")
+        if args.workloads or args.seeds or args.held_out:
+            ap.error("--workloads, --seeds and --held-out do not apply to --cli")
         return cli_main([out for _, out in args.run], roots, host)
     args.workloads = args.workloads or ["verify", "closure", "rings"]
     args.seeds = args.seeds or [1, 2, 3, 4, 5]
@@ -192,14 +196,15 @@ def main(argv=None) -> int:
         for i, s in enumerate(args.seeds):
             order = list(range(len(roots)))
             for k in order[i % len(order):] + order[:i % len(order)]:
-                runs[k, w].append(run_once(roots[k], w, s))
+                runs[k, w].append(run_once(roots[k], w, s, args.held_out))
                 print(f"{roots[k]} {w} seed {s}: "
                       + " ".join(f"{m}={v:.4g}" for m, v in runs[k, w][-1]["metrics"].items()),
                       file=sys.stderr, flush=True)
     for k, (root, (_, out)) in enumerate(zip(roots, args.run)):
         doc = {
             "commit": commit_of(root),
-            "command": COMMAND,
+            "command": COMMAND + " --held-out" * args.held_out,
+            "held_out": args.held_out,
             "host": host,
             "workloads": {},
         }
