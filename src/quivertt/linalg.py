@@ -45,10 +45,12 @@ Blocks are assembled only here.  `Matrix.blocks` builds a block matrix from a
 grid (None is a zero block), `Matrix.direct_sum` a block diagonal and
 `Matrix.from_entries` a matrix from a dict of its entries.  The tensor's
 total complex, cones, the internal hom and the projective resolution all go
-through them, and no other module fills a grid of zeros.  `Matrix.kron`
-builds a row at a time and multiplies only where it must: a zero entry of
-the left factor adds a shared zero row, and a 1 copies the right factor's
-row, since elements are canonical and 1*b is b.
+through them.  The one other place that writes a matrix entry by entry is
+`homs.MapSpace`: it starts each naturality row as a list of zeros and writes
+the row's coefficients into it.  `Matrix.kron` builds a row at a time and
+multiplies only where it must: a zero entry of the left factor adds a shared
+zero row, and a 1 copies the right factor's row, since elements are
+canonical and 1*b is b.
 
 Matrices are immutable by convention, not enforced: nothing assigns to a
 field once it is built.  So a value whose content is known is built once and

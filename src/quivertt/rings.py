@@ -16,6 +16,9 @@ arithmetic on them, including the Euclidean structure used by the Smith form:
 Zmod(n) is not a domain, but it is Euclidean enough for the Smith form: the
 norm of a is gcd(a, n), and division by b goes through b's canonical
 associate gcd(b, n), so its remainder has a smaller norm (see linalg).
+Fp(p) is Zmod(p) at a prime modulus, printed Fp(p): the same code, where
+every nonzero element is a unit.  Z, Q and Zloc add, negate and multiply
+with Python's own operators; Zmod, Fp and FpX reduce their results.
 """
 
 from __future__ import annotations
@@ -278,14 +281,16 @@ class Ring:
         """Canonical form of an element, validating membership."""
         raise NotImplementedError
 
+    # Python's own operators, right for Z, Q and Zloc; rings whose elements
+    # must be reduced override them
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -363,74 +368,6 @@ class Ring:
 
 
 @dataclass(frozen=True)
-class PrimeField(Ring):
-    p: int
-
-    def __post_init__(self):
-        if not is_prime_int(self.p):
-            raise UnsupportedRing(f"Fp needs a prime, got {self.p}")
-
-    is_field = True
-
-    @property
-    def modulus_int(self):
-        return self.p
-
-    @property
-    def label(self):
-        return f"Fp({self.p})"
-
-    def from_int(self, k):
-        return k % self.p
-
-    def canon(self, a):
-        if not isinstance(a, int):
-            raise BadElement(f"not an element of {self.label}: {a!r}")
-        return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-    def norm(self, a):
-        return 1
-
-    def divmod_(self, a, b):
-        return (a * pow(b, -1, self.p)) % self.p, 0
-
-    def canonical_associate(self, a):
-        if a % self.p == 0:
-            return 1, 0
-        return self.inv(a), 1
-
-    def is_prime_elem(self, a):
-        return False
-
-    def prime_factors(self, a):
-        return []
-
-    def maximal_prime_window(self, bound):
-        return []
-
-    def parse_elem(self, s):
-        return int(s) % self.p
-
-    def elem_sort_key(self, a):
-        return (a,)
-
-
-@dataclass(frozen=True)
 class Rationals(Ring):
     is_field = True
     label = "Q"
@@ -444,15 +381,6 @@ class Rationals(Ring):
         if isinstance(a, Fraction):
             return a
         raise BadElement(f"not a rational: {a!r}")
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a):
         return a != 0
@@ -499,15 +427,6 @@ class Integers(Ring):
         if not isinstance(a, int):
             raise BadElement(f"not an integer: {a!r}")
         return a
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -575,15 +494,6 @@ class IntegersLocalized(Ring):
                 raise BadElement(f"{a} has denominator divisible by {self.p}")
             return a
         raise BadElement(f"not an element of {self.label}: {a!r}")
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def _val(self, a):
         return _p_valuation(a.numerator, self.p)
@@ -719,6 +629,22 @@ class IntegersMod(Ring):
 
 
 @dataclass(frozen=True)
+class PrimeField(IntegersMod):
+    """Zmod(p) at a prime p, printed Fp(p).  Only the label, and so equality,
+    differ from Zmod(p)'s: Fp(p) != Zmod(p)."""
+
+    is_field = True
+
+    def __post_init__(self):
+        if not is_prime_int(self.n):
+            raise UnsupportedRing(f"Fp needs a prime, got {self.n}")
+
+    @property
+    def label(self):
+        return f"Fp({self.n})"
+
+
+@dataclass(frozen=True)
 class PolyOverPrimeField(Ring):
     p: int
 
@@ -736,7 +662,7 @@ class PolyOverPrimeField(Ring):
     def canon(self, a):
         if isinstance(a, int):
             return self.from_int(a)
-        if isinstance(a, tuple):
+        if isinstance(a, tuple) and all(isinstance(c, int) for c in a):
             return _poly_trim(c % self.p for c in a)
         raise BadElement(f"not a polynomial over F_{self.p}: {a!r}")
 

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from quivertt import (
     PolyOverPrimeField,
     PrimeField,
     Rationals,
+    RingMismatch,
     UnsupportedRing,
     enumerate_primes,
     module_support,
@@ -262,10 +264,48 @@ def test_poly_parse_format_roundtrip():
     assert [r.format_elem(g) for g in r.prime_factors(r.parse_elem("x^2+x"))] == ["x", "x+1"]
 
 
+@pytest.mark.parametrize("a", [(1.5, 2), (Fraction(1, 2),), (1, "2"), 1.0, Fraction(1)])
+def test_poly_canon_refuses_inexact_coefficients(a):
+    r = PolyOverPrimeField(3)
+    with pytest.raises(BadElement, match=r"^not a polynomial over F_3: "):
+        r.canon(a)
+    assert r.canon((4, 2, 3)) == (1, 2) and r.canon(5) == (2,)
+
+
 def test_prime_field_inverse():
     f = PrimeField(7)
     for a in range(1, 7):
         assert f.mul(f.from_int(a), f.inv(f.from_int(a))) == f.one()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 101, 10007))
+def test_prime_field_is_zmod_at_a_prime(p):
+    # Fp(p) computes what Zmod(p) computes, on reduced and unreduced ints
+    # alike; only its label, and so its equality, differ
+    f, z = PrimeField(p), IntegersMod(p)
+    rng = random.Random(p)
+    ks = [0, p, -p, p - 1, 2 * p + 1] + [rng.randint(-3 * p, 3 * p) for _ in range(12)]
+    units = [k for k in ks if k % p]
+    for name in ("is_field", "is_domain", "modulus_int"):
+        assert getattr(f, name) == getattr(z, name), name
+    for k in ks:
+        for name in ("from_int", "canon", "neg", "is_unit", "canonical_associate", "is_prime_elem",
+                     "prime_factors", "format_elem", "elem_sort_key"):
+            assert getattr(f, name)(k) == getattr(z, name)(k), (name, k)
+        assert f.parse_elem(str(k)) == z.parse_elem(str(k)), k
+        for b in ks:
+            for name in ("add", "mul", "sub"):
+                assert getattr(f, name)(k, b) == getattr(z, name)(k, b), (name, k, b)
+        for b in units:
+            for name in ("divmod_", "divide"):
+                assert getattr(f, name)(k, b) == getattr(z, name)(k, b), (name, k, b)
+    for u in units:
+        assert (f.inv(u), f.norm(u)) == (z.inv(u), z.norm(u)), u
+    for bound in (0, 10, 100):
+        assert f.maximal_prime_window(bound) == z.maximal_prime_window(bound) == []
+    assert f != z and f.label != z.label == f"Zmod({p})" and f.label == f"Fp({p})"
+    with pytest.raises(RingMismatch, match=rf"^mixed rings Fp\({p}\) and Zmod\({p}\)$"):
+        Matrix.identity(f, 2).mul(Matrix.identity(z, 2))
 
 
 def monic_polys(p, deg):
