@@ -45,7 +45,7 @@ from .errors import (
 )
 from .linalg import (Matrix, cokernel_presentation, diagonal_of, is_split_mono, kernel_basis, rank,
                      smith_normal_form, solve, solve_kernel)
-from .quivers import Quiver, paths, point_quiver, vertex_set
+from .quivers import Quiver, path_positions, paths, point_quiver, vertex_set
 from .rings import FGModule, IntegersMod, Ring, check_same_ring, int_prime_factors
 
 
@@ -212,7 +212,10 @@ class ComplexRQ:
     fibers, arrows and matrices below them once `_setup` has run.  So two
     invariants are memoized on the object: `perfect` and the support of its
     homology (`_support`, one `QSupport` filled by the spectrum module's
-    `compact_support`).
+    `compact_support`).  Only the builder that made the object may preset
+    `_perfect`, and only to a verdict it knows: `projective_resolution` sets
+    True, `shift_complex` copies its input's, and `direct_sum_complexes` and
+    `cone` set True when every input's is already True.
     """
 
     __slots__ = ("quiver", "ring", "terms", "diffs", "_perfect", "_support")
@@ -313,7 +316,9 @@ def shift_complex(x: ComplexRQ, k: int) -> ComplexRQ:
     """(X[k])^n = X^{n+k}; the differential picks up (-1)^k."""
     diffs = {n - k: d.mats if k % 2 == 0 else {v: m.neg() for v, m in d.mats.items()}
              for n, d in x.diffs.items()}
-    return _complex(x.quiver, x.ring, {n - k: rep for n, rep in x.terms.items()}, diffs)
+    out = _complex(x.quiver, x.ring, {n - k: rep for n, rep in x.terms.items()}, diffs)
+    out._perfect = x._perfect  # the same terms
+    return out
 
 
 def direct_sum_complexes(xs: list) -> ComplexRQ:
@@ -330,7 +335,7 @@ def direct_sum_complexes(xs: list) -> ComplexRQ:
 
     diffs = {n: {v: Matrix.direct_sum(r, [diff_mat(x, n, v) for x in xs]) for v in q.vertices}
              for n in degrees if n + 1 in terms}
-    return _complex(q, r, terms, diffs)
+    return _perfect_if(_complex(q, r, terms, diffs), xs)
 
 
 class ComplexMorphism:
@@ -382,7 +387,15 @@ def cone(f: ComplexMorphism) -> ComplexRQ:
             mats[v] = Matrix.blocks(r, grid, [a.term(n + 2).gens(v), b.term(n + 1).gens(v)],
                                     [a.term(n + 1).gens(v), b.term(n).gens(v)])
         diffs[n] = mats
-    return _complex(q, r, terms, diffs)
+    return _perfect_if(_complex(q, r, terms, diffs), (a, b))
+
+
+def _perfect_if(out: ComplexRQ, parts) -> ComplexRQ:
+    """out, its `perfect` preset to True when every part's is known True: each
+    term of out is a direct sum of terms of the parts.  Otherwise it stays lazy."""
+    if all(x._perfect for x in parts):
+        out._perfect = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +405,11 @@ def cone(f: ComplexMorphism) -> ComplexRQ:
 def projective_rep(q: Quiver, ring: Ring, i) -> Representation:
     """P(i): paths out of i, arrows acting by concatenation."""
     i = q.check_vertex(i)
-    base = {v: paths(q, i, v) for v in q.vertices}
-    fibers = {v: FGModule.free(ring, len(base[v])) for v in q.vertices}
+    pos = {v: path_positions(q, i, v) for v in q.vertices}
+    fibers = {v: FGModule.free(ring, len(pos[v])) for v in q.vertices}
     one = ring.one()
-    arrows = {name: Matrix.from_entries(ring, len(base[t]), len(base[s]),
-                                        {(base[t].index(p + (name,)), col): one for col, p in enumerate(base[s])})
+    arrows = {name: Matrix.from_entries(ring, len(pos[t]), len(pos[s]),
+                                        {(pos[t][p + (name,)], col): one for p, col in pos[s].items()})
               for name, s, t in q.arrows}
     return _trusted(Representation, q, ring, fibers, arrows)
 
@@ -429,9 +442,9 @@ def proj_precompose(q: Quiver, ring: Ring, arrow_name) -> RepMorphism:
     one = ring.one()
     mats = {}
     for v in q.vertices:
-        rows, cols = paths(q, i, v), paths(q, j, v)
+        rows, cols = path_positions(q, i, v), path_positions(q, j, v)
         mats[v] = Matrix.from_entries(ring, len(rows), len(cols),
-                                      {(rows.index((arrow_name,) + p), c): one for c, p in enumerate(cols)})
+                                      {(rows[(arrow_name,) + p], c): one for p, c in cols.items()})
     return _trusted(RepMorphism, pj, pi, mats)
 
 
@@ -940,16 +953,30 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
     """A perfect complex with the same homology at every degree and vertex.
 
     Fibers are freed first (length-one resolutions exist over the regular
-    tier), then the two-term projective resolution of representations
+    tier), then the standard two-term projective resolution of
+    representations (Ringel, J. Algebra 1976)
 
         0 -> sum_a P(t(a)) x X_{s(a)} -> sum_i P(i) x X_i -> X -> 0
 
     is applied termwise and totalized.  Refused over Z/n for composite n
     unless n is square-free and every fiber of x is already literally free;
     Z/p is a field and resolves like F_p.
-    The result is built through `_complex` and not validated again, like
-    every internal builder.  Only the complex is built: the augmentation
-    back to x has one reader, the unit's in `homs`, which builds it there.
+
+    Term m is B0 = sum_i P(i) x X^m_i in vertex order, then B1 = sum_a
+    P(t(a)) x X^(m+1)_(s(a)) in arrow order; in a block P(i) x R^g the path
+    with index k in `path_positions` holds rows k*g .. k*g + g - 1.  Each
+    arrow matrix and each differential is one `Matrix.from_entries`, its
+    entries placed from those positions: the differential is P(i) x d on
+    B0, phi: B1 -> B0 (p x z to p x X_a(z) minus (a then p) x z), and
+    -P(t) x d on B1.  The output is perfect by construction, so its
+    `perfect` is preset; it is built through `_complex` and not validated
+    again.  Only the complex is built: the augmentation back to x has one
+    reader, the unit's in `homs`, which builds it there.
+
+    It stays the standard resolution, not a minimal one, though a minimal
+    one can be much smaller: the samples draw chain-map coefficients from
+    spaces built over it, so changing it would change `verify`'s cases and
+    the benchmark's pinned pools.
     """
     q, r = x.quiver, x.ring
     if isinstance(r, IntegersMod) and not r.is_field:
@@ -959,93 +986,71 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
     x = _free_fiber_replacement(x)
     if x.is_zero:
         return x
+    vs, arrows, one = q.vertices, q.arrows, r.one()
+    minus_one = r.neg(one)
+    pos = {(i, v): path_positions(q, i, v) for i in vs for v in vs}
 
-    vorder = list(q.vertices)
-    aorder = list(q.arrows)
-    # (generator vertex, path start) per block: P(i) x X_i in B0, P(t(a)) x X_{s(a)} in B1
-    b0_blocks = [(i, i) for i in vorder]
-    b1_blocks = [(s, t) for _, s, t in aorder]
-    projs = {v: projective_rep(q, r, v) for v in vorder}
+    def place(ents, k, d, row, col, sign):
+        """I_k x d (negated when sign) with its corner at (row, col)."""
+        nz = [(w, z, r.neg(e) if sign else e) for w, drow in enumerate(d.entries) for z, e in enumerate(drow) if e]
+        for p in range(k):
+            for w, z, e in nz:
+                ents[row + p * d.rows + w, col + p * d.cols + z] = e
 
-    def b0_of(term: Representation) -> Representation:
-        return rep_direct_sum([_proj_tensor(projs[i], term.gens(i)) for i in vorder])
-
-    def b1_of(term: Representation) -> Representation:
-        parts = [_proj_tensor(projs[t], term.gens(s)) for _, s, t in aorder]
-        return rep_direct_sum(parts) if parts else rep_zero(q, r)
-
-    def block_map(blocks, f_mats) -> dict:
-        # blockwise P(start) x f_g
-        return {v: Matrix.direct_sum(r, [Matrix.identity(r, len(paths(q, start, v))).kron(f_mats[g])
-                                         for g, start in blocks]) for v in q.vertices}
-
-    def phi(term: Representation) -> dict:
-        """B1 -> B0: p x z maps to p x X_a(z) minus (a then p) x z."""
-        minus_one = r.neg(r.one())
-        out = {}
-        for v in q.vertices:
-            rdims = [len(paths(q, i, v)) * term.gens(i) for i in vorder]
-            cdims = [len(paths(q, t, v)) * term.gens(s) for _, s, t in aorder]
-            # the P(t) and P(s) blocks of an arrow are distinct rows (the
-            # quiver is acyclic) and each arrow has its own columns, so no
-            # entry is written twice
-            ents = {}
-            coff = 0
-            for name, s, t in aorder:
-                pt_list = paths(q, t, v)
-                ps_list = paths(q, s, v)
-                gs = term.gens(s)
-                a_mat = term.arrows[name]
-                roff_t = sum(rdims[:vorder.index(t)])
-                roff_s = sum(rdims[:vorder.index(s)])
-                gt = term.gens(t)
-                for pi, p in enumerate(pt_list):
-                    col0 = coff + pi * gs
-                    for z in range(gs):
-                        # p x X_a(z) in the P(t) block
-                        for w in range(gt):
-                            val = a_mat.entries[w][z]
-                            if not r.is_zero(val):
-                                ents[(roff_t + pi * gt + w, col0 + z)] = val
-                        # minus (name then p) x z in the P(s) block
-                        ents[(roff_s + ps_list.index((name,) + p) * gs + z, col0 + z)] = minus_one
-                coff += len(pt_list) * gs
-            out[v] = Matrix.from_entries(r, sum(rdims), sum(cdims), ents)
-        return out
-
-    degrees = x.degrees
-    b0 = {n: b0_of(x.terms[n]) for n in degrees}
-    b1 = {n: b1_of(x.terms[n]) for n in degrees}
-    zero = rep_zero(q, r)
-    terms, diffs = {}, {}
-    span = sorted(set(degrees) | {n - 1 for n in degrees})
+    span = sorted(set(x.degrees) | {n - 1 for n in x.degrees})
+    at, terms = {}, {}  # at[m][v]: (first row of each block of term m at v, rank)
     for m in span:
-        t = rep_direct_sum([b0.get(m, zero), b1.get(m + 1, zero)])
-        if not t.is_zero_gens():
-            terms[m] = t
-    for m in span:
-        if m not in terms or m + 1 not in terms:
+        b0, b1 = x.term(m), x.term(m + 1)
+        blocks = [(i, b0.gens(i)) for i in vs] + [(t, b1.gens(s)) for _, s, t in arrows]
+        at[m] = {}
+        for v in vs:
+            firsts, k = [], 0
+            for start, g in blocks:
+                firsts.append(k)
+                k += len(pos[start, v]) * g
+            at[m][v] = firsts, k
+        if not any(k for _, k in at[m].values()):
             continue
-        d_top, d_bot = x.diffs.get(m), x.diffs.get(m + 1)
-        top_d = block_map(b0_blocks, d_top.mats) if d_top is not None else None
-        phi_next = phi(x.terms[m + 1]) if m + 1 in degrees else None
-        bot_d = block_map(b1_blocks, d_bot.mats) if d_bot is not None else None
         mats = {}
-        for v in q.vertices:
-            grid = [[top_d[v] if top_d else None, phi_next[v] if phi_next else None],
-                    [None, bot_d[v].neg() if bot_d else None]]
-            mats[v] = Matrix.blocks(r, grid, [b0.get(m + 1, zero).gens(v), b1.get(m + 2, zero).gens(v)],
-                                    [b0.get(m, zero).gens(v), b1.get(m + 1, zero).gens(v)])
-        diffs[m] = mats
-    return _complex(q, r, terms, diffs)
-
-
-def _proj_tensor(p: Representation, n: int) -> Representation:
-    """P(i) tensor a free module of rank n."""
-    q, r = p.quiver, p.ring
-    fibers = {v: FGModule.free(r, p.gens(v) * n) for v in q.vertices}
-    arrows = {name: p.arrows[name].kron(Matrix.identity(r, n)) for name, _, _ in q.arrows}
-    return _trusted(Representation, q, r, fibers, arrows)
+        for name, s, t in arrows:
+            ents = {}
+            for (start, g), col0, row0 in zip(blocks, at[m][s][0], at[m][t][0]):
+                tgt = pos[start, t]
+                for p, k in pos[start, s].items():
+                    row, col = row0 + tgt[p + (name,)] * g, col0 + k * g
+                    for z in range(g):
+                        ents[row + z, col + z] = one
+            mats[name] = Matrix.from_entries(r, at[m][t][1], at[m][s][1], ents)
+        terms[m] = _trusted(Representation, q, r, {v: FGModule.free(r, at[m][v][1]) for v in vs}, mats)
+    diffs = {}
+    for m in terms:
+        if m + 1 not in terms:
+            continue
+        d_top, d_bot, nxt = x.diffs.get(m), x.diffs.get(m + 1), x.terms.get(m + 1)
+        diffs[m] = {}
+        for v in vs:
+            (cols, ncols), (rows, nrows) = at[m][v], at[m + 1][v]
+            ents = {}
+            if d_top is not None:
+                for k, i in enumerate(vs):
+                    place(ents, len(pos[i, v]), d_top.mats[i], rows[k], cols[k], False)
+            for k, (name, s, t) in enumerate(arrows, len(vs)):
+                if d_bot is not None:
+                    place(ents, len(pos[t, v]), d_bot.mats[s], rows[k], cols[k], True)
+                if nxt is None:
+                    continue
+                # phi on the B1 block of a: p x X_a(z) in the P(t) block,
+                # minus (a then p) x z in the P(s) block
+                gs, ps, row_s = nxt.gens(s), pos[s, v], rows[vs.index(s)]
+                place(ents, len(pos[t, v]), nxt.arrows[name], rows[vs.index(t)], cols[k], False)
+                for p, k_p in pos[t, v].items():
+                    row, col = row_s + ps[(name,) + p] * gs, cols[k] + k_p * gs
+                    for z in range(gs):
+                        ents[row + z, col + z] = minus_one
+            diffs[m][v] = Matrix.from_entries(r, nrows, ncols, ents)
+    out = _complex(q, r, terms, diffs)
+    out._perfect = True
+    return out
 
 
 def ensure_perfect(x: ComplexRQ) -> ComplexRQ:

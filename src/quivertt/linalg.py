@@ -44,8 +44,9 @@ rows; neither runs elimination.
 Blocks are assembled only here.  `Matrix.blocks` builds a block matrix from a
 grid (None is a zero block), `Matrix.direct_sum` a block diagonal and
 `Matrix.from_entries` a matrix from a dict of its entries.  The tensor's
-total complex, cones, the internal hom and the projective resolution all go
-through them.  The one other place that writes a matrix entry by entry is
+total complex, cones and the internal hom go through them; the projective
+resolution is a `from_entries` builder, one call per arrow matrix and per
+differential, its entries placed from path positions.  The one other place that writes a matrix entry by entry is
 `homs.MapSpace`: it starts each naturality row as a list of zeros and writes
 the row's coefficients into it.  `Matrix.kron` builds a row at a time and
 multiplies only where it must: a zero entry of the left factor adds a shared

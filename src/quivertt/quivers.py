@@ -142,6 +142,14 @@ def _paths_cached(q: Quiver, i: str, j: str) -> tuple:
     return tuple(sorted(found))
 
 
+@lru_cache(maxsize=4096)
+def path_positions(q: Quiver, i: str, j: str) -> dict:
+    """{path: its index in `paths(q, i, j)`} for vertex names i, j of q: the
+    row of each path in every path-indexed basis, one shared dict per
+    (q, i, j), read and never mutated."""
+    return {p: k for k, p in enumerate(_paths_cached(q, i, j))}
+
+
 def full_subquiver(q: Quiver, vs: frozenset) -> Quiver:
     keep = [v for v in q.vertices if v in vs]
     arrows = [(n, s, t) for n, s, t in q.arrows if s in vs and t in vs]

@@ -49,7 +49,7 @@ from quivertt import (
     zero_complex,
 )
 from quivertt.complexes import ComplexMorphism, Representation, RepMorphism, rep_mor_identity
-from quivertt.samples import random_acyclic_quiver, random_perfect_complex, random_point_complex
+from quivertt.samples import random_acyclic_quiver, random_free_rep, random_perfect_complex, random_point_complex
 
 Z = Integers()
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
@@ -728,6 +728,155 @@ def test_ensure_perfect_random_battery():
         x = random_perfect_complex(A3, Z, rng)
         assert x.perfect
         assert homology_fingerprint(ensure_perfect(x)) == homology_fingerprint(x)
+
+
+RESOLVING_RINGS = ("Z", "Q", "Fp(2)", "Fp(5)", "Zloc(3)", "FpX(3)", "Zmod(6)")
+
+
+def _reference_resolution(x):
+    """The standard resolution assembled block by block: P(i) x R^g from
+    `projective_rep` arrows kron identities, each term's arrows and each
+    block of the differential by `Matrix.direct_sum`, phi's P(s) part from
+    `proj_precompose`, and each differential by `Matrix.blocks`.
+    ({m: (ranks, arrows)}, {m: {v: differential}}) for the nonzero terms."""
+    q, r = x.quiver, x.ring
+    x = complexes._free_fiber_replacement(x)
+    vs = q.vertices
+    projs = {v: projective_rep(q, r, v) for v in vs}
+
+    def ident(n):
+        return Matrix.identity(r, n)
+
+    def b0(n):  # (path start, multiplicity) of sum_i P(i) x X^n_i
+        return [(i, x.term(n).gens(i)) for i in vs]
+
+    def b1(n):  # ... of sum_a P(t(a)) x X^n_(s(a))
+        return [(t, x.term(n).gens(s)) for _, s, t in q.arrows]
+
+    def rank(blocks, v):
+        return sum(projs[start].gens(v) * g for start, g in blocks)
+
+    def id_kron(blocks, mats, v):  # blockwise P(start) x f at v
+        return Matrix.direct_sum(r, [ident(projs[start].gens(v)).kron(f) for (start, _), f in zip(blocks, mats)])
+
+    terms, diffs = {}, {}
+    for m in sorted(set(x.degrees) | {n - 1 for n in x.degrees}):
+        blocks = b0(m) + b1(m + 1)
+        if any(rank(blocks, v) for v in vs):
+            arrows = {name: Matrix.direct_sum(r, [projs[start].arrows[name].kron(ident(g)) for start, g in blocks])
+                      for name, _, _ in q.arrows}
+            terms[m] = ({v: rank(blocks, v) for v in vs}, arrows)
+    for m in terms:
+        if m + 1 not in terms:
+            continue
+        d_top, d_bot, nxt = x.diffs.get(m), x.diffs.get(m + 1), x.terms.get(m + 1)
+        diffs[m] = {}
+        for v in vs:
+            top = bot = phi = None
+            if d_top is not None:
+                top = id_kron(b0(m), [d_top.mats[i] for i in vs], v)
+            if d_bot is not None:
+                bot = id_kron(b1(m + 2), [d_bot.mats[s] for _, s, _ in q.arrows], v).neg()
+            if nxt is not None:
+                grid = [[None] * len(q.arrows) for _ in vs]
+                for k, (name, s, t) in enumerate(q.arrows):
+                    grid[vs.index(t)][k] = ident(projs[t].gens(v)).kron(nxt.arrows[name])
+                    pre = complexes.proj_precompose(q, r, name).mats[v]
+                    grid[vs.index(s)][k] = pre.kron(ident(nxt.gens(s))).neg()
+                phi = Matrix.blocks(r, grid, [projs[i].gens(v) * nxt.gens(i) for i in vs],
+                                    [projs[t].gens(v) * nxt.gens(s) for _, s, t in q.arrows])
+            diffs[m][v] = Matrix.blocks(r, [[top, phi], [None, bot]],
+                                        [rank(b0(m + 1), v), rank(b1(m + 2), v)],
+                                        [rank(b0(m), v), rank(b1(m + 1), v)])
+    return terms, diffs
+
+
+def _resolution_inputs(text):
+    """Free stalks, multi-degree perfect sums with differentials, and (off
+    Z/n) complexes with relations in their fibers, over one ring."""
+    ring = parse_ring(text)
+    rng = random.Random(f"resolution:{text}")
+    out = []
+    for _ in range(3):
+        q = random_acyclic_quiver(rng, 4)
+        out.append(stalk_complex(random_free_rep(q, ring, rng)))
+        out.append(random_perfect_complex(q, ring, rng, pieces=3))
+    out.append(shift_complex(unit_complex(A3, ring), 1))
+    # R -> R^2 copied over the two paths 1 -> 3 of a triangle: non-square
+    # differentials at vertices with several paths from one start
+    tri = build_quiver([1, 2, 3], ["a: 1 -> 2", "b: 2 -> 3", "c: 1 -> 3"])
+    line = complex_r(ring, {-1: FGModule.free(ring, 1), 0: FGModule.free(ring, 2)},
+                     {-1: Matrix.from_rows(ring, [[1], [2]])})
+    out.append(kan_extend(line, tri, 1, "left"))
+    if text.startswith("Zmod"):
+        return out
+    c = ring.parse_elem("x" if text.startswith("FpX") else "2")
+    tors = FGModule(ring, Matrix.from_rows(ring, [[c]]))
+    free = FGModule.free(ring, 1)
+    # a torsion fiber under a free one, and a two-term complex onto it
+    rep = Representation(A3, ring, {"1": free, "2": tors, "3": tors},
+                         {"a": Matrix.identity(ring, 1), "b": Matrix.identity(ring, 1)})
+    out.append(stalk_complex(rep))
+    const = rep_free(A3, ring, {"1": 1, "2": 1, "3": 1}, {"a": Matrix.identity(ring, 1), "b": Matrix.identity(ring, 1)})
+    d = RepMorphism(const, rep, {v: Matrix.identity(ring, 1) for v in A3.vertices})
+    out.append(ComplexRQ(A3, ring, {-1: const, 0: rep}, {-1: d}))
+    if text == "Z":
+        out.append(load_workspace(WS / "z_a3.yaml").objects["T6"])
+    return out
+
+
+@pytest.mark.parametrize("text", RESOLVING_RINGS)
+def test_one_pass_resolution_matches_the_block_assembly(text):
+    for x in _resolution_inputs(text):
+        res = projective_resolution(x)
+        terms, diffs = _reference_resolution(x)
+        assert sorted(res.terms) == sorted(terms)
+        for m, (ranks, arrows) in terms.items():
+            rep = res.terms[m]
+            assert all(rep.fibers[v].is_literally_free for v in x.quiver.vertices)
+            assert {v: rep.gens(v) for v in x.quiver.vertices} == ranks
+            assert rep.arrows == arrows
+        for m, mats in diffs.items():
+            assert res.diff(m).mats == mats, (text, m)
+        assert set(res.diffs) <= set(diffs)
+
+
+def _projective_verdict(x):
+    return all(complexes._rep_is_projective(t) for t in x.terms.values())
+
+
+@pytest.mark.parametrize("text", RESOLVING_RINGS + ("Zmod(12)",))
+def test_preset_perfect_verdicts_match_the_split_mono_test(text):
+    ring = parse_ring(text)
+    rng = random.Random(f"verdict:{text}")
+    if text == "Zmod(12)":
+        # Z/12 is not regular: park free point complexes, perfect but lazy
+        xs = [direct_sum_complexes([i_times(random_point_complex(ring, rng), A3, v) for v in A3.vertices])
+              for _ in range(2)]
+    else:
+        xs = [projective_resolution(x) for x in (stalk_complex(random_free_rep(A3, ring, rng)),
+                                                 random_perfect_complex(A3, ring, rng), unit_complex(A3, ring))]
+        for x in xs:
+            assert x._perfect is True and _projective_verdict(x)
+    for x in xs:
+        for k in (-1, 0, 3):
+            sx = shift_complex(x, k)
+            assert sx._perfect is x._perfect
+    total = direct_sum_complexes(xs)
+    assert total._perfect is (True if text != "Zmod(12)" else None)
+    assert total.perfect == _projective_verdict(total)
+    x = xs[0]
+    f = ComplexMorphism(x, x, {n: rep_mor_identity(rep) for n, rep in x.terms.items()})
+    c = cone(f)
+    assert c._perfect is x._perfect
+    assert c.perfect == _projective_verdict(c)
+    # an input that is not perfect leaves the verdict lazy, and the lazy test says no
+    bad = stalk_complex(unit_restriction(A3, ring, ("1",)))  # the simple at the source
+    for y in (direct_sum_complexes([x, bad]), cone(ComplexMorphism(bad, bad, {0: rep_mor_identity(bad.terms[0])}))):
+        assert y._perfect is None
+        assert not y.perfect and not _projective_verdict(y)
+    assert shift_complex(bad, 1)._perfect is None
+    assert not bad.perfect and shift_complex(bad, 1)._perfect is False
 
 
 # --- base change ----------------------------------------------------------------

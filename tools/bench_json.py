@@ -22,7 +22,14 @@ the runs alternate between them, and the one that goes first changes from
 seed to seed, so that a drift of host speed falls on all of them alike.
 Each output file holds the checkout's commit, the host, every run's
 end-to-end metrics, and per workload and metric the median and the
-quartiles over the seeds.  The run length is the benchmark's own, so that
+quartiles over the seeds.  With two or more checkouts it also prints to
+stderr, for each workload and end-to-end metric of `BENCHMARK.json`, each
+later checkout against the first (`verdict`): both medians, the first's
+quartile spread, the seeds on which the later one did better (a tie counts
+for neither), whether the gain rule holds (at least 9 wins in 10 and a
+median gap wider than that spread) and whether the median is worse than the
+first's by more than the metric's bound.  The JSON files do not record it.
+The run length is the benchmark's own, so that
 every file this writes is comparable with every other and with the
 benchmark's runs.  `BENCH_1.json` to `BENCH_7.json` ran at 15 s: since
 `peak_rss_mb` grows with the number of batches a run keeps and `item_max_ms`
@@ -87,12 +94,46 @@ def summary(values: list) -> dict:
 
 
 HERE = Path(__file__).resolve().parent.parent
-SECONDS = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((HERE / "BENCHMARK.json").read_text())
+SECONDS = BENCHMARK["run_seconds"]
 COMMAND = f"python3 bench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0"
 CLI_COMMAND = "python3 -m quivertt <argv>"
 LIST_CASES = ("import json, sys; sys.path[:0] = ['src', 'tests']\n"
               "from test_golden_cli import WORKSPACES, cases_for\n"
               "print(json.dumps([a for p in WORKSPACES for a in cases_for(p) if '--json' not in a]))")
+
+
+def verdict(base: dict, new: dict, better: str, bound: float) -> dict:
+    """One metric of a later checkout against the first; base and new map
+    seed -> value.  A win is a seed where new is strictly better; the gain
+    rule needs wins on at least 9 in 10 paired seeds and a median gap, in
+    the better direction, wider than base's quartile spread; `regressed` is
+    new's median worse than base's by more than bound times base's."""
+    sign = 1 if better == "lower" else -1
+    seeds = sorted(base.keys() & new.keys())
+    wins = sum(sign * (base[s] - new[s]) > 0 for s in seeds)
+    b, n = summary(list(base.values())), summary(list(new.values()))
+    gap = sign * (b["median"] - n["median"])
+    return {"base": b["median"], "new": n["median"], "spread": b["iqr"], "wins": wins, "pairs": len(seeds),
+            "gain": bool(seeds) and 10 * wins >= 9 * len(seeds) and gap > b["iqr"],
+            "regressed": -gap > bound * abs(b["median"])}
+
+
+def print_verdicts(roots: list, runs: dict, workloads: list) -> None:
+    """`verdict` for each later checkout, workload and end-to-end metric, on stderr."""
+    for k in range(1, len(roots)):
+        for w in workloads:
+            for spec in BENCHMARK["end_to_end"]:
+                m = spec["name"]
+                base, new = ({r["seed"]: r["metrics"][m] for r in runs[j, w] if m in r["metrics"]} for j in (0, k))
+                if not (base and new):
+                    continue
+                v = verdict(base, new, spec["better"], spec["bound"])
+                print(f"{roots[k]} vs {roots[0]} {w} {m}: median {v['base']:.4g} -> {v['new']:.4g}, "
+                      f"first's spread {v['spread']:.4g}, won {v['wins']}/{v['pairs']}, "
+                      f"gain rule {'holds' if v['gain'] else 'fails'}, "
+                      f"{'worse than' if v['regressed'] else 'within'} the {spec['bound']:.0%} bound",
+                      file=sys.stderr)
 
 
 def cli_commands() -> list:
@@ -215,6 +256,7 @@ def main(argv=None) -> int:
                 "summary": {m: summary([r["metrics"][m] for r in rs]) for m in rs[0]["metrics"]},
             }
         Path(out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print_verdicts(roots, runs, args.workloads)
     return 0
 
 
