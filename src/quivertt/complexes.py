@@ -27,9 +27,12 @@ vertex where no summand's fiber has a relation.  `rep_zero` is likewise one
 object per quiver and ring instance, and `homology_fibers` builds H^n from
 the Smith divisors it read (`FGModule.from_divisors`), not by eliminating
 their diagonal again.
-`box_tensor`, `cone` and `direct_sum_complexes` read a missing differential
-or chain-map part as a zero block (None in `Matrix.blocks`, or one
-`Matrix.zeros`), with no zero morphism built over every vertex.
+Every reader reads a missing differential or chain-map part as the shared
+zero block: `ComplexRQ.diff(n, v)` and `ComplexMorphism.part(n, v)` return
+the stored matrix at v, or the one `Matrix.zeros` of its shape.  The
+`box_tensor` and `cone` grids put None there instead, and the Smith readers
+of `homology_fibers` skip the degree; none builds a zero morphism over
+every vertex.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
 )
 from .linalg import (Matrix, cokernel_presentation, diagonal_of, is_split_mono, kernel_basis, rank,
                      smith_normal_form, solve, solve_kernel)
-from .quivers import Quiver, path_positions, paths, point_quiver, vertex_set
+from .quivers import Quiver, path_positions, point_quiver, vertex_set
 from .rings import FGModule, IntegersMod, Ring, check_same_ring, int_prime_factors
 
 
@@ -191,11 +194,6 @@ class RepMorphism:
         return all(m.is_zero() for m in self.mats.values())
 
 
-def rep_mor_zero(source: Representation, target: Representation) -> RepMorphism:
-    mats = {v: Matrix.zeros(source.ring, target.gens(v), source.gens(v)) for v in source.quiver.vertices}
-    return _trusted(RepMorphism, source, target, mats)
-
-
 def rep_mor_identity(rep: Representation) -> RepMorphism:
     mats = {v: Matrix.identity(rep.ring, rep.gens(v)) for v in rep.quiver.vertices}
     return _trusted(RepMorphism, rep, rep, mats)
@@ -254,11 +252,12 @@ class ComplexRQ:
     def term(self, n) -> Representation:
         return self.terms.get(n) or rep_zero(self.quiver, self.ring)
 
-    def diff(self, n) -> RepMorphism:
+    def diff(self, n, v) -> Matrix:
+        """d^n at vertex v: the shared zero block where x has no d^n."""
         d = self.diffs.get(n)
         if d is not None:
-            return d
-        return rep_mor_zero(self.term(n), self.term(n + 1))
+            return d.mats[v]
+        return Matrix.zeros(self.ring, self.term(n + 1).gens(v), self.term(n).gens(v))
 
     @property
     def is_zero(self) -> bool:
@@ -328,12 +327,7 @@ def direct_sum_complexes(xs: list) -> ComplexRQ:
     q, r = xs[0].quiver, xs[0].ring
     degrees = sorted({n for x in xs for n in x.degrees})
     terms = {n: rep_direct_sum([x.term(n) for x in xs]) for n in degrees}
-
-    def diff_mat(x, n, v):
-        d = x.diffs.get(n)
-        return d.mats[v] if d is not None else Matrix.zeros(r, x.term(n + 1).gens(v), x.term(n).gens(v))
-
-    diffs = {n: {v: Matrix.direct_sum(r, [diff_mat(x, n, v) for x in xs]) for v in q.vertices}
+    diffs = {n: {v: Matrix.direct_sum(r, [x.diff(n, v) for x in xs]) for v in q.vertices}
              for n in degrees if n + 1 in terms}
     return _perfect_if(_complex(q, r, terms, diffs), xs)
 
@@ -350,11 +344,12 @@ class ComplexMorphism:
         self.target = target
         self.parts = dict(sorted(parts.items()))
 
-    def part(self, n) -> RepMorphism:
+    def part(self, n, v) -> Matrix:
+        """The degree-n part at vertex v: the shared zero block where it is missing."""
         p = self.parts.get(n)
         if p is not None:
-            return p
-        return rep_mor_zero(self.source.term(n), self.target.term(n))
+            return p.mats[v]
+        return Matrix.zeros(self.source.ring, self.target.term(n).gens(v), self.source.term(n).gens(v))
 
     def validate(self):
         for n, p in self.parts.items():
@@ -362,10 +357,10 @@ class ComplexMorphism:
         # the square at degree n reads 0 = 0 unless a term sits in degree n or n + 1
         degrees = set(self.source.terms) | set(self.target.terms)
         for n in sorted(degrees | {n - 1 for n in degrees}):
-            left = self.target.diff(n).compose(self.part(n))
-            right = self.part(n + 1).compose(self.source.diff(n))
             for v in self.source.quiver.vertices:
-                if not _in_relations(left.mats[v].sub(right.mats[v]), self.target.term(n + 1).fibers[v].presentation):
+                left = self.target.diff(n, v).mul(self.part(n, v))
+                right = self.part(n + 1, v).mul(self.source.diff(n, v))
+                if not _in_relations(left.sub(right), self.target.term(n + 1).fibers[v].presentation):
                     raise ShapeMismatch(f"morphism does not commute with d at degree {n}, vertex {v}")
 
 
@@ -476,17 +471,18 @@ def eval_vertex(x: ComplexRQ, i) -> ComplexRQ:
     return _reindex(x, point_quiver(), {"pt": x.quiver.check_vertex(i)})
 
 
-def _copies_rep(q: Quiver, ring: Ring, fib: FGModule, slot_lists: dict, arrow_slot):
-    """Fibers fib^{slots(v)} with 0/1 block maps given by arrow_slot."""
-    fibers = {v: FGModule(ring, Matrix.identity(ring, len(slot_lists[v])).kron(fib.presentation))
+def _copies_rep(q: Quiver, ring: Ring, fib: FGModule, slots: dict, arrow_slot):
+    """Fibers fib^{slots(v)} with 0/1 block maps given by arrow_slot; slots[v]
+    is {slot: its position}, as `path_positions` gives it."""
+    fibers = {v: FGModule(ring, Matrix.identity(ring, len(slots[v])).kron(fib.presentation))
               for v in q.vertices}
     one = ring.one()
     arrows = {}
     for name, s, t in q.arrows:
-        rows, cols = slot_lists[t], slot_lists[s]
-        moved = {c: arrow_slot(name, s, t, slot) for c, slot in enumerate(cols)}
+        rows, cols = slots[t], slots[s]
+        moved = {c: arrow_slot(name, s, t, slot) for slot, c in cols.items()}
         pm = Matrix.from_entries(ring, len(rows), len(cols),
-                                 {(rows.index(tgt), c): one for c, tgt in moved.items() if tgt is not None})
+                                 {(rows[tgt], c): one for c, tgt in moved.items() if tgt is not None})
         arrows[name] = pm.kron(Matrix.identity(ring, fib.gens))
     return _trusted(Representation, q, ring, fibers, arrows)
 
@@ -502,12 +498,12 @@ def kan_extend(m: ComplexRQ, q: Quiver, i, side: str = "left") -> ComplexRQ:
         raise ShapeMismatch(f"side must be left or right, not {side!r}")
     i = q.check_vertex(i)
     if side == "left":
-        slots = {v: paths(q, i, v) for v in q.vertices}
+        slots = {v: path_positions(q, i, v) for v in q.vertices}
 
         def move(name, s, t, p):
             return p + (name,)
     else:
-        slots = {v: paths(q, v, i) for v in q.vertices}
+        slots = {v: path_positions(q, v, i) for v in q.vertices}
 
         def move(name, s, t, p):
             # component at target path pp pulls from source path (name,)+pp,
@@ -666,17 +662,16 @@ def _homology_parts(x: ComplexRQ, n: int, vertices) -> dict:
     cycles: the generator block of ker([d | next relations]); relations are
     boundaries, incoming relations and the relations among the generators."""
     r, cur, nxt = x.ring, x.terms[n], x.term(n + 1)
-    dn, dp = x.diff(n), x.diff(n - 1)
     out = {}
     for v in vertices:
         g = cur.gens(v)
-        block = dn.mats[v]
+        block = x.diff(n, v)
         nxt_pres = nxt.fibers[v].presentation
         if nxt_pres.cols:
             block = block.hstack(nxt_pres)
         K_full = kernel_basis(block)
         K = K_full.select_rows(range(g))
-        rel_cols = dp.mats[v]
+        rel_cols = x.diff(n - 1, v)
         cur_pres = cur.fibers[v].presentation
         if cur_pres.cols:
             rel_cols = rel_cols.hstack(cur_pres)
@@ -814,9 +809,8 @@ def homology_fingerprint(x: ComplexRQ):
                 out.append((n, v, fib.free_rank, tuple(fmt(d) for d in fib.divisors.divisors)))
         if not r.is_field:
             continue
-        dn, dp = x.diff(n), x.diff(n - 1)
         for name, s, t in q.arrows:
-            a, ds, dt = x.terms[n].arrows[name], dn.mats[s], dp.mats[t]
+            a, ds, dt = x.terms[n].arrows[name], x.diff(n, s), x.diff(n - 1, t)
             m = Matrix.blocks(r, [[a, dt], [ds, None]], [a.rows, ds.rows], [a.cols, dt.cols])
             # a vertex _fibers did not read has no generators in
             # degree n, so d_s^n has no columns and d_t^(n-1) no rows
@@ -922,8 +916,7 @@ def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
             a_next = x.term(m + 1).arrows[name]
             a_rel = lift_through(m + 1, t, a_next.mul(pres(m + 1, s)))
             # naturality defect of the generator-level differential
-            dm_t, dm_s = x.diff(m).mats[t], x.diff(m).mats[s]
-            defect = dm_t.mul(a_gen).sub(a_next.mul(dm_s))
+            defect = x.diff(m, t).mul(a_gen).sub(a_next.mul(x.diff(m, s)))
             n_blk = lift_through(m + 1, t, defect)
             grid = [[a_gen, None], [n_blk.neg(), a_rel]]
             arrows[name] = Matrix.blocks(r, grid,
@@ -936,8 +929,8 @@ def _free_fiber_replacement(x: ComplexRQ) -> ComplexRQ:
             continue
         mats = {}
         for v in q.vertices:
-            delta = x.diff(m).mats[v]
-            delta_next = x.diff(m + 1).mats[v]
+            delta = x.diff(m, v)
+            delta_next = x.diff(m + 1, v)
             p_next = pres(m + 1, v)
             delta_rel = lift_through(m + 2, v, delta_next.mul(p_next))
             h_blk = lift_through(m + 2, v, delta_next.mul(delta))

@@ -236,12 +236,11 @@ def _chom(x: ComplexRQ, y: ComplexRQ) -> ChomData:
                 src_hd = hd[(i, a, m)]
                 # post-compose with the differential of y
                 if m in ms_t and m + a + 1 in y.degrees:
-                    dy = y.diff(m + a)
-                    grid[ms_t.index(m)][ci] = _induced(src_hd, hd[(i, a + 1, m)], lambda v, f: dy.mats[v].mul(f))
+                    dy = {v: y.diff(m + a, v) for v in q.vertices}
+                    grid[ms_t.index(m)][ci] = _induced(src_hd, hd[(i, a + 1, m)], lambda v, f: dy[v].mul(f))
                 # pre-compose with the differential of x, sign (-1)^{a+1}
                 if m - 1 in ms_t:
-                    dx = x.diff(m - 1)
-                    pre = {v: dx.mats[v].kron(Matrix.identity(r, len(paths(q, i, v)))) for v in q.vertices}
+                    pre = {v: x.diff(m - 1, v).kron(Matrix.identity(r, len(paths(q, i, v)))) for v in q.vertices}
                     if a % 2 == 0:
                         pre = {v: p.neg() for v, p in pre.items()}
                     grid[ms_t.index(m - 1)][ci] = _induced(src_hd, hd[(i, a + 1, m - 1)], lambda v, f: f.mul(pre[v]))
@@ -327,7 +326,7 @@ def _eval_image(q, r, x, y, paths, aug, f, i, a, b, m, z):
     """Image matrices of one generator f (x-degree m = -a) against y-gen z."""
     g = {}
     for v in q.vertices:
-        aug_row = aug.part(0).mats[v]
+        aug_row = aug.part(0, v)
         srow = aug_row.mul(f[v])  # 1 x (xgens * paths)
         xg = x.terms[m].gens(v)
         plist = paths(q, i, v)
@@ -390,9 +389,9 @@ def _arrow_witness(x: ComplexRQ):
             n: _trusted(RepMorphism, xs.term(n), xt.term(n), {"pt": x.term(n).arrows[name]}) for n in x.degrees})
         for m, fibers in homology_sweep(cone(f)):
             if not fibers["pt"].is_zero_module:
-                cycles_s = kernel_basis(xs.diff(m).mats["pt"])
-                cycles_t = kernel_basis(xt.diff(m).mats["pt"])
-                image = x.term(m).arrows[name].mul(cycles_s).hstack(xt.diff(m - 1).mats["pt"])
+                cycles_s = kernel_basis(xs.diff(m, "pt"))
+                cycles_t = kernel_basis(xt.diff(m, "pt"))
+                image = x.term(m).arrows[name].mul(cycles_s).hstack(xt.diff(m - 1, "pt"))
                 return name, m if solve(image, cycles_t) is None else m + 1
     return None
 
@@ -454,8 +453,7 @@ class ChainMapSpace(MapSpace):
             equations += [(x.term(d).arrows[name], y.term(d).arrows[name], (d, t), (d, s))
                           for name, s, t in q.arrows]
             if d + 1 in degrees:
-                dx, dy = x.diff(d), y.diff(d)
-                equations += [(dx.mats[v], dy.mats[v], (d + 1, v), (d, v)) for v in q.vertices]
+                equations += [(x.diff(d, v), y.diff(d, v), (d + 1, v), (d, v)) for v in q.vertices]
         super().__init__(x.ring, blocks, equations)
 
     dim = MapSpace.gens

@@ -40,8 +40,22 @@ from .spectrum import (
 )
 
 
+class _StepChain:
+    """A chain constant outside the change points in `entries`."""
+
+    def at(self, n: int):
+        """The value of the last entry at or below n, tail_low when there is none."""
+        val = self.tail_low
+        for m, s in self.entries:
+            if m <= n:
+                val = s
+            else:
+                break
+        return val
+
+
 @dataclass(frozen=True)
-class Filtration:
+class Filtration(_StepChain):
     """Weakly decreasing chain of QSupports, constant outside the entries.
 
     entries hold the change points: (n, value) with strictly increasing n
@@ -55,19 +69,6 @@ class Filtration:
     entries: tuple
     tail_low: QSupport
     tail_high: QSupport
-
-    def at(self, n: int) -> QSupport:
-        val = self.tail_low
-        for m, s in self.entries:
-            if m <= n:
-                val = s
-            else:
-                break
-        return val
-
-    def levels(self):
-        """The change indices, for iteration by callers."""
-        return [n for n, _ in self.entries]
 
     def __str__(self):
         rows = [f"n<={self.entries[0][0] - 1 if self.entries else '*'}: {self.tail_low}"]
@@ -159,22 +160,13 @@ def filtration_from_objects(xs) -> Filtration:
 
 
 @dataclass(frozen=True)
-class SerreChain:
+class SerreChain(_StepChain):
     """Weakly decreasing chain of vertex subsets, constant outside entries."""
 
     quiver: Quiver
     entries: tuple  # (n, frozenset) change points
     tail_low: frozenset
     tail_high: frozenset
-
-    def at(self, n: int) -> frozenset:
-        val = self.tail_low
-        for m, s in self.entries:
-            if m <= n:
-                val = s
-            else:
-                break
-        return val
 
 
 def serre_chain(quiver: Quiver, entries, tail_low) -> SerreChain:

@@ -2,9 +2,12 @@
 
 A stdlib `ast` pass, like tests/test_imports.py: a definition under
 `src/quivertt/` is dead when no `Name`, `Attribute`, import alias or string
-constant in `src/`, `tests/` or `bench/` spells its name.  Its own `def` or
-`class` line does not count, since that binds the name rather than using it.
-Dunder names are exempt: the language calls them.
+constant in `src/`, `tests/` or `bench/` spells its name.  A method, a
+function defined in a class body, is used only where an `Attribute` or an
+import alias spells it: a bare `Name` of the same spelling is some local or
+module name, not the method.  Its own `def` or `class` line does not count,
+since that binds the name rather than using it.  Dunder names are exempt:
+the language calls them.
 
 A second pass flags unused locals: a name that a function (nested functions
 included) stores but never loads.  Names starting with `_` are exempt.
@@ -24,31 +27,40 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree):
-    """(name, line) of every function, method and class defined in tree."""
-    return [(node.name, node.lineno) for node in ast.walk(tree) if isinstance(node, DEFS)]
+    """(name, line, is_method) of every function, method and class defined in tree."""
+    methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, DEFS[:2])}
+    return [(node.name, node.lineno, id(node) in methods) for node in ast.walk(tree) if isinstance(node, DEFS)]
 
 
 def used_names(tree):
-    used = set()
+    """(names, attributes): the spellings of bare names and string constants,
+    and those of attributes and import aliases."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name.split(".")[-1])
+            attrs.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
-    return used
+            names.add(node.value)
+    return names, attrs
 
 
 def dead_definitions(modules, others):
     """'file:line name' for each definition in modules named nowhere in modules or others."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in list(modules) + list(others)}
-    used = set().union(*map(used_names, trees.values()))
+    names, attrs = set(), set()
+    for tree in trees.values():
+        n, a = used_names(tree)
+        names |= n
+        attrs |= a
     return [f"{path.name}:{line} {name}"
-            for path in modules for name, line in definitions(trees[path])
-            if name not in used and not (name.startswith("__") and name.endswith("__"))]
+            for path in modules for name, line, is_method in definitions(trees[path])
+            if name not in attrs and (is_method or name not in names)
+            and not (name.startswith("__") and name.endswith("__"))]
 
 
 def outermost_functions(node):
@@ -119,6 +131,16 @@ def test_the_guard_sees_a_dead_definition(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from lib import A\nA().used()\nnames = ['by_string']\n")
     assert dead_definitions([lib], [user]) == ["lib.py:5 spare"]
+
+
+def test_the_guard_sees_a_method_spelled_only_by_a_local(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("class A:\n    def levels(self):\n        pass\n\n    def read(self):\n        pass\n\n"
+                   "    def imported(self):\n        pass\n\n\n"
+                   "def helper():\n    levels = [1]\n    return levels\n")
+    user = tmp_path / "user.py"
+    user.write_text("from lib import A, helper, imported\nA().read()\nhelper()\n")
+    assert dead_definitions([lib], [user]) == ["lib.py:2 levels"]
 
 
 def test_no_unused_locals():

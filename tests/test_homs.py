@@ -387,7 +387,7 @@ def test_chain_map_space_kernel_follows_the_documented_row_order():
                 eqs += [(x.term(d).arrows[name], y.term(d).arrows[name], (d, t), (d, s))
                         for name, s, t in q.arrows]
                 if d + 1 in degrees:
-                    eqs += [(x.diff(d).mats[v], y.diff(d).mats[v], (d + 1, v), (d, v)) for v in q.vertices]
+                    eqs += [(x.diff(d, v), y.diff(d, v), (d + 1, v), (d, v)) for v in q.vertices]
             assert ChainMapSpace(x, y).kmat == reference_kernel(Z, blocks, eqs)
 
 
@@ -410,7 +410,7 @@ def test_chain_map_space_build_checks_the_coefficient_count():
     # Hom(U(1), U) = 0: one unknown, no generators, and build(()) is the zero map
     empty = ChainMapSpace(vertex_unit(A2, F2, 1), stalk_complex(unit_restriction(A2, F2, A2.vertices)))
     assert empty.dim == 0 and empty.kmat.rows == 1
-    assert empty.build(()).part(0).is_zero()
+    assert all(empty.build(()).part(0, v).is_zero() for v in A2.vertices)
     with pytest.raises(ShapeMismatch):
         empty.build((1,))
 
