@@ -13,9 +13,9 @@ import json
 import sys
 
 from .checks import run_suite
-from .complexes import box_tensor, ensure_perfect, homology_sweep
+from .complexes import box_tensor, ensure_perfect, homology_sweep, unit_complex
 from .errors import BadElement, QuiverTTError, UnknownName, WorkspaceError
-from .homs import _unit_with_counit, chom_complex, is_rigid
+from .homs import chom_complex, is_rigid
 from .spectrum import (
     compact_support,
     ideal_generators,
@@ -195,7 +195,7 @@ def _cmd_rigidity(ws, args):
     x = ensure_perfect(_lookup(ws.objects, args.name, "object"))
     rigid = is_rigid(x)
     # the two sides of the evaluation map chom(x, U) tensor x -> chom(x, x)
-    w, _ = _unit_with_counit(x.quiver, x.ring)
+    w = ensure_perfect(unit_complex(x.quiver, x.ring))
     left = _homology_table(box_tensor(chom_complex(x, w).complex, x))
     right = _homology_table(chom_complex(x, x).complex)
     lines = ["RIGID" if rigid else "NOT RIGID"]

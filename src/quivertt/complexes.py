@@ -521,18 +521,16 @@ def i_times(m: ComplexRQ, q: Quiver, i) -> ComplexRQ:
     return _reindex(m, q, {q.check_vertex(i): "pt"})
 
 
-def change_ring(x: ComplexRQ, ring: Ring, convert=None) -> ComplexRQ:
+def change_ring(x: ComplexRQ, ring: Ring) -> ComplexRQ:
     """Push every fiber presentation and matrix entry into another ring.
 
-    `convert` maps old entries to new ones and must be a ring homomorphism;
-    the default assumes integer entries and uses ring.from_int.  Homology
+    Entries are read as integers and mapped by ring.from_int.  Homology
     commutes with the base change only when the new ring is flat over the
     old one (a localization, the fraction field), which is the intended use.
     """
-    conv = convert if convert is not None else ring.from_int
 
     def push(m: Matrix) -> Matrix:
-        return m.map_entries(conv, ring=ring)
+        return m.map_entries(ring.from_int, ring=ring)
 
     terms = {}
     for n, rep in x.terms.items():
@@ -985,7 +983,7 @@ def projective_resolution(x: ComplexRQ) -> ComplexRQ:
 
     def place(ents, k, d, row, col, sign):
         """I_k x d (negated when sign) with its corner at (row, col)."""
-        nz = [(w, z, r.neg(e) if sign else e) for w, drow in enumerate(d.entries) for z, e in enumerate(drow) if e]
+        nz = [(w, z, r.neg(e) if sign else e) for w, z, e in d.nonzeros()]
         for p in range(k):
             for w, z, e in nz:
                 ents[row + p * d.rows + w, col + p * d.cols + z] = e

@@ -25,6 +25,8 @@ augmentation and `rigidity_report`'s evaluation maps.  The public
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .complexes import (
     ComplexMorphism,
     ComplexRQ,
@@ -70,58 +72,54 @@ class MapSpace:
         for key, rows, cols in blocks:
             self.shapes[key], self.offsets[key] = (rows, cols), n
             n += rows * cols
-        rows = []
+        ents, top = {}, 0
         for a_mat, b_mat, key_t, key_s in equations:
+            # row (rr, cc) of this equation is top + rr * s_cols + cc
             off_t, off_s = self.offsets[key_t], self.offsets[key_s]
             t_cols, s_cols = a_mat.rows, a_mat.cols
-            for rr in range(b_mat.rows):
+            for k, cc, val in a_mat.nonzeros():
+                for rr in range(b_mat.rows):
+                    ents[top + rr * s_cols + cc, off_t + rr * t_cols + k] = val
+            for rr, k, val in b_mat.nonzeros():
                 for cc in range(s_cols):
-                    row = [ring.zero()] * n
-                    for k in range(t_cols):
-                        val = a_mat.entries[k][cc]
-                        if not ring.is_zero(val):
-                            c = off_t + rr * t_cols + k
-                            row[c] = ring.add(row[c], val)
-                    for k in range(b_mat.cols):
-                        val = b_mat.entries[rr][k]
-                        if not ring.is_zero(val):
-                            c = off_s + k * s_cols + cc
-                            row[c] = ring.sub(row[c], val)
-                    rows.append(tuple(row))
-        self.kmat = kernel_basis(Matrix(ring, len(rows), n, tuple(rows)))
+                    ij = (top + rr * s_cols + cc, off_s + k * s_cols + cc)
+                    ents[ij] = ring.sub(ents[ij], val) if ij in ents else ring.neg(val)
+            top += b_mat.rows * s_cols
+        self.kmat = kernel_basis(Matrix.from_entries(ring, top, n, ents))
 
     @property
     def gens(self) -> int:
         return self.kmat.cols
 
-    def blocks_of(self, vec) -> dict:
-        """{key: matrix} read off a vector in storage order."""
-        out = {}
-        for key, (rows, cols) in self.shapes.items():
-            off = self.offsets[key]
-            out[key] = Matrix(self.ring, rows, cols,
-                              tuple(tuple(vec[off + rr * cols:off + (rr + 1) * cols]) for rr in range(rows)))
-        return out
+    def blocks_of(self, col: Matrix) -> dict:
+        """{key: matrix} read off a one-column matrix in storage order."""
+        keys = list(self.shapes)
+        starts = [self.offsets[key] for key in keys]
+        ents = {key: {} for key in keys}
+        for i, _, x in col.nonzeros():
+            # the last block starting at or before i; empty blocks hold no i
+            key = keys[bisect_right(starts, i) - 1]
+            ents[key][divmod(i - self.offsets[key], self.shapes[key][1])] = x
+        return {key: Matrix.from_entries(self.ring, rows, cols, ents[key])
+                for key, (rows, cols) in self.shapes.items()}
 
     def lift(self, l: int) -> dict:
         """The l-th generator, one matrix per block."""
-        return self.blocks_of([row[l] for row in self.kmat.entries])
+        return self.blocks_of(self.kmat.select_columns([l]))
 
     def express_cols(self, mats_list: list) -> Matrix:
         """Coordinates of several block families at once, one column each."""
         if not mats_list:
             return Matrix.zeros(self.ring, self.gens, 0)
-        vecs = []
-        for mats in mats_list:
-            vec = []
+        ents = {}
+        for c, mats in enumerate(mats_list):
             for key, shape in self.shapes.items():
                 m = mats[key]
                 if (m.rows, m.cols) != shape:
                     raise ShapeMismatch("morphism has the wrong shape for this hom module")
-                for row in m.entries:
-                    vec.extend(row)
-            vecs.append(vec)
-        out = solve(self.kmat, Matrix(self.ring, self.kmat.rows, len(vecs), tuple(zip(*vecs))))
+                off = self.offsets[key]
+                ents.update(((off + i * m.cols + j, c), x) for i, j, x in m.nonzeros())
+        out = solve(self.kmat, Matrix.from_entries(self.ring, self.kmat.rows, len(mats_list), ents))
         if out is None:
             raise ShapeMismatch("matrix family is not a morphism in this hom module")
         return out
@@ -160,15 +158,14 @@ def chom_rep(y: Representation, z: Representation) -> Representation:
 
 
 class ChomData:
-    __slots__ = ("complex", "summands", "hd", "offsets", "source", "target")
+    __slots__ = ("complex", "summands", "hd", "offsets", "source")
 
-    def __init__(self, complex_, summands, hd, offsets, source, target):
+    def __init__(self, complex_, summands, hd, offsets, source):
         self.complex = complex_
         self.summands = summands  # (i, a) -> ordered list of source degrees m
         self.hd = hd              # (i, a, m) -> MapSpace
         self.offsets = offsets    # (i, a, m) -> generator offset inside the fiber
         self.source = source
-        self.target = target
 
 
 def chom_complex(x: ComplexRQ, y: ComplexRQ) -> ChomData:
@@ -248,7 +245,7 @@ def _chom(x: ComplexRQ, y: ComplexRQ) -> ChomData:
             cdims = [hd[(i, a, m)].gens for m in ms]
             mats[i] = Matrix.blocks(r, grid, rdims, cdims)
         diffs[a] = mats
-    return ChomData(_complex(q, r, terms, diffs), summands, hd, offsets, x, y)
+    return ChomData(_complex(q, r, terms, diffs), summands, hd, offsets, x)
 
 
 def internal_hom(x: ComplexRQ, y: ComplexRQ) -> ComplexRQ:
@@ -313,8 +310,7 @@ def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) 
                             glist.append(_eval_image(q, r, x, y, paths, aug, f, i, a, b, m, z))
                     coeffs = ct.hd[(i, n, m)].express_cols(glist)
                     off = ct.offsets[(i, n, m)]
-                    ents.update(((off + w, ncols + c), e) for w, row in enumerate(coeffs.entries)
-                                for c, e in enumerate(row))
+                    ents.update(((off + w, ncols + c), e) for w, c, e in coeffs.nonzeros())
                     ncols += coeffs.cols
             mats[i] = Matrix.from_entries(r, t.term(n).gens(i), ncols, ents)
         if n in s.terms:
@@ -324,22 +320,19 @@ def _eval_parts(cu: ChomData, y: ComplexRQ, aug: ComplexMorphism, ct: ChomData) 
 
 def _eval_image(q, r, x, y, paths, aug, f, i, a, b, m, z):
     """Image matrices of one generator f (x-degree m = -a) against y-gen z."""
-    g = {}
+    g, odd = {}, (a * b) % 2 == 1
     for v in q.vertices:
-        aug_row = aug.part(0, v)
-        srow = aug_row.mul(f[v])  # 1 x (xgens * paths)
-        xg = x.terms[m].gens(v)
+        srow = aug.part(0, v).mul(f[v])  # 1 x (xgens * paths), column xi * len(plist) + pi
         plist = paths(q, i, v)
         yg_v = y.terms[b].gens(v)
-        cols = []
-        for xi in range(xg):
-            for pi, p in enumerate(plist):
-                scal = srow.entries[0][xi * len(plist) + pi]
-                act = y.terms[b].path_action(i, p)
-                cols.append(tuple(r.mul(scal, act.entries[w][z]) for w in range(yg_v)))
-        if (a * b) % 2 == 1:
-            cols = [tuple(r.neg(e) for e in c) for c in cols]
-        g[v] = Matrix(r, yg_v, len(cols), tuple(tuple(c[w] for c in cols) for w in range(yg_v)))
+        ents = {}
+        for _, c, scal in srow.nonzeros():
+            act = y.terms[b].path_action(i, plist[c % len(plist)])
+            for w in range(yg_v):
+                e = r.mul(scal, act[w, z])
+                if e:
+                    ents[w, c] = r.neg(e) if odd else e
+        g[v] = Matrix.from_entries(r, yg_v, x.terms[m].gens(v) * len(plist), ents)
     return g
 
 
@@ -461,8 +454,8 @@ class ChainMapSpace(MapSpace):
     def build(self, coeffs) -> ComplexMorphism:
         """Chain map from coefficients against the kernel basis, one per generator."""
         r = self.ring
-        vec = self.kmat.mul(Matrix(r, len(coeffs), 1, tuple((r.canon(c),) for c in coeffs)))
-        mats = self.blocks_of([row[0] for row in vec.entries])
+        column = {(l, 0): c for l, c in enumerate(map(r.canon, coeffs)) if c}
+        mats = self.blocks_of(self.kmat.mul(Matrix.from_entries(r, len(coeffs), 1, column)))
         vertices = self.source.quiver.vertices
         parts = {d: _trusted(RepMorphism, rep, self.target.term(d), {v: mats[(d, v)] for v in vertices})
                  for d, rep in self.source.terms.items()}

@@ -41,25 +41,28 @@ into ints and xor them.  An empty matrix (no rows or no columns) is already
 in Smith form with identity transforms, and its cokernel is free on its
 rows; neither runs elimination.
 
-Blocks are assembled only here.  `Matrix.blocks` builds a block matrix from a
-grid (None is a zero block), `Matrix.direct_sum` a block diagonal and
-`Matrix.from_entries` a matrix from a dict of its entries.  The tensor's
-total complex, cones and the internal hom go through them; the projective
-resolution is a `from_entries` builder, one call per arrow matrix and per
-differential, its entries placed from path positions.  The one other place that writes a matrix entry by entry is
-`homs.MapSpace`: it starts each naturality row as a list of zeros and writes
-the row's coefficients into it.  `Matrix.kron` builds a row at a time and
-multiplies only where it must: a zero entry of the left factor adds a shared
-zero row, and a 1 copies the right factor's row, since elements are
-canonical and 1*b is b.
+The storage format is this module's alone.  Outside it a matrix is read
+through `Matrix.nonzeros()`, which lists (i, j, x) for each nonzero entry
+row by row, through `m[i, j]`, or through `select_columns` and
+`select_rows`; and it is built only by the builders here, never field by
+field: `Matrix.blocks` builds a block matrix from a grid (None is a zero
+block), `Matrix.direct_sum` a block diagonal and `Matrix.from_entries` a
+matrix from a dict of its entries.  The tensor's total complex, cones and
+the internal hom go through them; the projective resolution and
+`homs.MapSpace`'s naturality system are `from_entries` builders, their
+entries placed from path positions and from the equations' nonzeros.
+`Matrix.kron` builds a row at a time and multiplies only where it must: a
+zero entry of the left factor adds a shared zero row, and a 1 copies the
+right factor's row, since elements are canonical and 1*b is b.
 
 Matrices are immutable by convention, not enforced: nothing assigns to a
 field once it is built.  So a value whose content is known is built once and
 shared: `zeros` and `identity` give one object per ring instance and shape,
-and an empty result (no rows or no columns) of `from_entries`, `blocks`,
-`direct_sum` or `kron` is that shared zero matrix, after the same ring and
-shape checks.  The memo lives on the ring instance (`Ring.shared`), so it
-dies with its ring and a shared value's .ring is the ring asked for.
+and every empty result (no rows or no columns) of every builder and every
+operation here is that shared zero matrix, after the same ring and shape
+checks: all of them return through one private builder, `_new`, which holds
+that rule.  The memo lives on the ring instance (`Ring.shared`), so it dies
+with its ring and a shared value's .ring is the ring asked for.
 
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x], valuation
@@ -97,7 +100,7 @@ class Matrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise ShapeMismatch("ragged rows")
-        return Matrix(ring, rows, cols, tuple(tuple(row) for row in data))
+        return _new(ring, rows, cols, map(tuple, data))
 
     @staticmethod
     def zeros(ring, rows: int, cols: int) -> "Matrix":
@@ -112,7 +115,7 @@ class Matrix:
         out = [[ring.zero()] * cols for _ in range(rows)]
         for (i, j), e in entries.items():
             out[i][j] = e
-        return Matrix(ring, rows, cols, tuple(map(tuple, out)))
+        return _new(ring, rows, cols, map(tuple, out))
 
     @staticmethod
     def blocks(ring, grid, row_dims, col_dims) -> "Matrix":
@@ -140,8 +143,7 @@ class Matrix:
                 out += (sum(row, ()) for row in zip(*parts))
             else:
                 out += ((),) * rd
-        rows, cols = sum(row_dims), sum(col_dims)
-        return Matrix(ring, rows, cols, tuple(out)) if rows and cols else Matrix.zeros(ring, rows, cols)
+        return _new(ring, sum(row_dims), sum(col_dims), out)
 
     @staticmethod
     def direct_sum(ring, mats) -> "Matrix":
@@ -156,8 +158,7 @@ class Matrix:
             pre, post = (z,) * off, (z,) * (cols - off - m.cols)
             out += (pre + row + post for row in m.entries)
             off += m.cols
-        rows = len(out)
-        return Matrix(ring, rows, cols, tuple(out)) if rows and cols else Matrix.zeros(ring, rows, cols)
+        return _new(ring, len(out), cols, out)
 
     @staticmethod
     def identity(ring, n: int) -> "Matrix":
@@ -168,6 +169,10 @@ class Matrix:
         i, j = ij
         return self.entries[i][j]
 
+    def nonzeros(self) -> list:
+        """(i, j, x) for each nonzero entry x at (i, j), row by row."""
+        return [(i, j, x) for i, row in enumerate(self.entries) for j, x in enumerate(row) if x]
+
     def _check(self, other):
         if self.ring != other.ring:
             raise RingMismatch(f"mixed rings {self.ring.label} and {other.ring.label}")
@@ -177,7 +182,7 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
         r = self.ring
-        return Matrix(r, self.rows, self.cols, tuple(
+        return _new(r, self.rows, self.cols, (
             tuple(r.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def sub(self, other: "Matrix") -> "Matrix":
@@ -187,12 +192,12 @@ class Matrix:
         r = self.ring
         if r.modulus_int == 2:
             return self  # -a = a in characteristic 2, and matrices are immutable
-        return Matrix(r, self.rows, self.cols, tuple(tuple(r.neg(a) for a in row) for row in self.entries))
+        return _new(r, self.rows, self.cols, (tuple(r.neg(a) for a in row) for row in self.entries))
 
     def scale(self, c) -> "Matrix":
         r = self.ring
         c = r.canon(c)
-        return Matrix(r, self.rows, self.cols, tuple(tuple(r.mul(c, a) for a in row) for row in self.entries))
+        return _new(r, self.rows, self.cols, (tuple(r.mul(c, a) for a in row) for row in self.entries))
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -218,7 +223,7 @@ class Matrix:
                     if arow[k]:
                         acc ^= brows[k]
                 out.append(tuple((acc >> j) & 1 for j in range(other.cols)))
-            return Matrix(r, self.rows, other.cols, tuple(out))
+            return _new(r, self.rows, other.cols, out)
         # sparse row accumulation over the nonzeros of other's rows, indexed once
         add, mul = (operator.add, operator.mul) if mod is not None else (r.add, r.mul)
         brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
@@ -231,14 +236,13 @@ class Matrix:
                     for j, b in brow:
                         acc[j] = add(acc[j], mul(a, b))
             out.append(tuple(x % mod for x in acc) if mod else tuple(acc))
-        return Matrix(r, self.rows, other.cols, tuple(out))
+        return _new(r, self.rows, other.cols, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
-        return Matrix(self.ring, self.rows, self.cols + other.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _new(self.ring, self.rows, self.cols + other.cols, map(operator.add, self.entries, other.entries))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i, j) is self[i][j] * other.  Built a row
@@ -247,8 +251,6 @@ class Matrix:
         b), so only the other entries multiply."""
         self._check(other)
         r = self.ring
-        if not (self.rows and other.rows and self.cols and other.cols):
-            return Matrix.zeros(r, self.rows * other.rows, self.cols * other.cols)
         one, mul = r.one(), r.mul
         zrow = (r.zero(),) * other.cols
         out = []
@@ -263,17 +265,17 @@ class Matrix:
                     else:
                         row += [mul(a, b) for b in brow]
                 out.append(tuple(row))
-        return Matrix(r, self.rows * other.rows, self.cols * other.cols, tuple(out))
+        return _new(r, self.rows * other.rows, self.cols * other.cols, out)
 
     def select_columns(self, idxs) -> "Matrix":
-        return Matrix(self.ring, self.rows, len(idxs), tuple(tuple(row[j] for j in idxs) for row in self.entries))
+        return _new(self.ring, self.rows, len(idxs), (tuple(row[j] for j in idxs) for row in self.entries))
 
     def select_rows(self, idxs) -> "Matrix":
-        return Matrix(self.ring, len(idxs), self.cols, tuple(self.entries[i] for i in idxs))
+        return _new(self.ring, len(idxs), self.cols, (self.entries[i] for i in idxs))
 
     def map_entries(self, fn, ring=None) -> "Matrix":
         r = ring if ring is not None else self.ring
-        return Matrix(r, self.rows, self.cols, tuple(tuple(r.canon(fn(e)) for e in row) for row in self.entries))
+        return _new(r, self.rows, self.cols, (tuple(r.canon(fn(e)) for e in row) for row in self.entries))
 
     def is_zero(self) -> bool:
         # Ring.is_zero is `not a`: zero is the only falsy canonical element
@@ -282,6 +284,14 @@ class Matrix:
     def __str__(self):
         f = self.ring.format_elem
         return "[" + "; ".join(" ".join(f(e) for e in row) for row in self.entries) + "]"
+
+
+def _new(ring, rows: int, cols: int, entries) -> Matrix:
+    """The matrix with rows the tuples in entries, or, with no rows or no columns,
+    the shared zero: every builder here returns through this one empty rule."""
+    if rows and cols:
+        return Matrix(ring, rows, cols, tuple(entries))
+    return Matrix.zeros(ring, rows, cols)
 
 
 def _zeros(ring, rows: int, cols: int) -> Matrix:
@@ -319,7 +329,7 @@ def _sparse(rows) -> list:
 def _dense(ring, rows, cols) -> Matrix:
     """The matrix of sparse rows, read at cols in order."""
     zeros = (ring.zero(),) * len(cols)
-    return Matrix(ring, len(rows), len(cols), tuple(tuple(map(row.get, cols, zeros)) for row in rows))
+    return _new(ring, len(rows), len(cols), (tuple(map(row.get, cols, zeros)) for row in rows))
 
 
 class _Worker:
@@ -446,7 +456,7 @@ def _canonical_diagonal(w: _Worker):
                 w.u[k] = {j: r.mul(unit, x) for j, x in w.u[k].items()}
     vt = _dense(r, w.v, range(w.cols))
     return (_dense(r, w.a, range(w.cols)), _dense(r, w.u, range(w.rows)),
-            Matrix(r, w.cols, w.cols, tuple(zip(*vt.entries))))
+            _new(r, w.cols, w.cols, zip(*vt.entries)))
 
 
 def diagonal_of(d: Matrix) -> list:
@@ -613,7 +623,7 @@ def solve_kernel(a: Matrix, b: Matrix):
     one = r.one()
     gens = [(j, annihilator_gen(r, diag[j]) if j < len(diag) else one) for j in range(a.cols)]
     gens = [(j, c) for j, c in gens if c]
-    kernel = Matrix(r, a.cols, len(gens), tuple(
+    kernel = _new(r, a.cols, len(gens), (
         tuple(row[j] if c == one else r.mul(c, row[j]) for j, c in gens) for row in v.entries))
     if not b.cols:
         return Matrix.zeros(r, a.cols, 0), kernel

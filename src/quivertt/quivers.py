@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import CyclicQuiver, DuplicateName, ShapeMismatch, UnknownVertex
+from .errors import CyclicQuiver, DuplicateName, ShapeMismatch, UnknownArrow, UnknownVertex
 
 
 class Quiver:
@@ -62,7 +62,7 @@ class Quiver:
         try:
             return self._arrow_by_name[name]
         except KeyError:
-            raise UnknownVertex(f"no arrow named {name}") from None
+            raise UnknownArrow(f"no arrow named {name}") from None
 
     def arrows_out(self, v):
         return tuple(self._out[v])

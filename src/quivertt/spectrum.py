@@ -170,18 +170,6 @@ def compact_support(x: ComplexRQ) -> QSupport:
     return x._support
 
 
-def big_support_compact(x: ComplexRQ) -> QSupport:
-    """Support via the residue-object test, evaluated for bounded complexes.
-
-    Tensoring with the residue object of (p, i) detects exactly whether p
-    lies in the support of the homology of the fiber at i, as long as that
-    homology is finitely generated, which it is for everything this data
-    model can express.  So the two support notions coincide here and we
-    compute the homology-side one.
-    """
-    return compact_support(x)
-
-
 def ideal_generators(s: QSupport) -> list:
     """Complexes generating the thick tensor ideal with support s.
 

@@ -8,6 +8,8 @@ guessing which layer complained.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .complexes import ComplexRQ, Representation, RepMorphism, _trusted
 from .errors import QuiverTTError, WorkspaceError
 from .linalg import Matrix
@@ -81,7 +83,23 @@ def _named_section(doc, key, where) -> dict:
     node = doc.get(key) or {}
     if not isinstance(node, dict):
         raise WorkspaceError(f"{where}/{key}: expected a mapping of names")
-    return {str(k): v for k, v in node.items()}
+    return _keyed(node.items(), str, f"{where}/{key}")
+
+
+def _items(pairs, norm, where):
+    """(norm(k), k, v) for each pair (k, v).  Two spellings of one key ("1" and
+    1, degrees 0 and "00") are refused: the later would silently replace the earlier."""
+    seen = {}
+    for k, v in pairs:
+        key = norm(k)
+        if key in seen:
+            raise WorkspaceError(f"{where}: keys {seen[key]!r} and {k!r} both name {key!r}")
+        seen[key] = k
+        yield key, k, v
+
+
+def _keyed(pairs, norm, where) -> dict:
+    return {key: v for key, _, v in _items(pairs, norm, where)}
 
 
 def _build_quiver(node, where) -> Quiver:
@@ -113,8 +131,8 @@ def _matrix(ring: Ring, rows, where) -> Matrix:
     if len(width) > 1:
         raise WorkspaceError(f"{where}: ragged rows {sorted(width)}")
     cols = width.pop() if width else 0
-    ents = tuple(tuple(_elem(ring, e, where) for e in row) for row in rows)
-    return Matrix(ring, len(rows), cols, ents)
+    ents = {(i, j): _elem(ring, e, where) for i, row in enumerate(rows) for j, e in enumerate(row)}
+    return Matrix.from_entries(ring, len(rows), cols, {ij: e for ij, e in ents.items() if e})
 
 
 # The most generators one fiber may have, and the most entries the implicit
@@ -165,7 +183,7 @@ def _int_key(k, where) -> int:
 def _build_term(node, q: Quiver, ring: Ring, where, budget) -> Representation:
     if not isinstance(node, dict):
         raise WorkspaceError(f"{where}: expected vertex: fiber entries")
-    node = {str(k): v for k, v in node.items()}
+    node = _keyed(node.items(), str, where)
     arrow_specs = node.pop("arrow_maps", None) or {}
     fibers = {}
     for v in q.vertices:
@@ -196,18 +214,17 @@ def _build_object(node, q: Quiver, ring: Ring, where, budget) -> ComplexRQ:
     unknown = set(node) - {"degrees", "differentials"}
     if unknown:
         raise WorkspaceError(f"{where}: unknown keys {sorted(unknown)}")
+    degree = partial(_int_key, where=where)
     terms = {}
-    for k, term_node in (node.get("degrees") or {}).items():
-        n = _int_key(k, where)
+    for n, k, term_node in _items((node.get("degrees") or {}).items(), degree, f"{where}/degrees"):
         terms[n] = _build_term(term_node, q, ring, f"{where}/degrees/{k}", budget)
     diffs = {}
-    for k, diff_node in (node.get("differentials") or {}).items():
-        n = _int_key(k, where)
+    for n, k, diff_node in _items((node.get("differentials") or {}).items(), degree, f"{where}/differentials"):
         if n not in terms or n + 1 not in terms:
             raise WorkspaceError(f"{where}/differentials/{k}: needs terms in degrees {n} and {n + 1}")
         if not isinstance(diff_node, dict):
             raise WorkspaceError(f"{where}/differentials/{k}: expected vertex: matrix entries")
-        diff_node = {str(kk): v for kk, v in diff_node.items()}
+        diff_node = _keyed(diff_node.items(), str, f"{where}/differentials/{k}")
         mats = {}
         for v in q.vertices:
             raw = diff_node.pop(v, None)
@@ -255,7 +272,7 @@ def parse_support(node, q: Quiver, ring: Ring, where) -> QSupport:
         node = _inline_support_map(node, where)
     if not isinstance(node, dict):
         raise WorkspaceError(f"{where}: expected vertex: 'all'|[g1, ...] entries")
-    node = {str(k): v for k, v in node.items()}
+    node = _keyed(node.items(), str, where)
     comps = {}
     for v in q.vertices:
         spec = node.pop(v, None)
@@ -267,7 +284,7 @@ def parse_support(node, q: Quiver, ring: Ring, where) -> QSupport:
 
 def _inline_support_map(text: str, where) -> dict:
     """The --set form: "1: all; 2: [2, 3]" with vertices separated by ';'."""
-    out = {}
+    out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -276,12 +293,9 @@ def _inline_support_map(text: str, where) -> dict:
             raise WorkspaceError(f"{where}: expected 'vertex: spec' in {chunk!r}")
         v, spec = chunk.split(":", 1)
         spec = spec.strip()
-        if spec.lower() == "all":
-            out[v.strip()] = "all"
-        else:
-            spec = spec.removeprefix("[").removesuffix("]")
-            out[v.strip()] = [g.strip() for g in spec.split(",") if g.strip()]
-    return out
+        gens = spec.removeprefix("[").removesuffix("]").split(",")
+        out.append((v.strip(), "all" if spec.lower() == "all" else [g.strip() for g in gens if g.strip()]))
+    return _keyed(out, str, where)  # a vertex given twice is refused, as in a mapping
 
 
 def parse_filtration(node, q: Quiver, ring: Ring, where) -> Filtration:

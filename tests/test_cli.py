@@ -210,6 +210,9 @@ def test_unreadable_inputs_exit_1(capsys, tmp_path):
     # inline --set with an unknown vertex is a parse problem, not a math one
     code, _, err = run(capsys, "ideal", Z_A3, "--set", "9: all")
     assert code == 1 and "unknown vertices" in err
+    # a vertex given twice is refused, not overwritten by its second spec
+    code, out, err = run(capsys, "ideal", Z_A3, "--set", "1: all; 1: [2]")
+    assert code == 1 and out == "" and err == "ERR 1: --set: keys '1' and '1' both name '1'\n"
 
 
 def test_oversized_ring_parameter_exits_1(capsys, tmp_path):

@@ -758,12 +758,26 @@ def test_zeros_and_identity_are_one_object_per_ring_instance(ring):
     assert Matrix.zeros(ring, 2, 3) is not Matrix.zeros(ring, 3, 2)
 
 
-@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+@pytest.mark.parametrize("ring", SIX_RINGS + (PrimeField(2),), ids=str)
 def test_empty_results_are_the_shared_zeros(ring):
     def zero(rows, cols):
         return Matrix.zeros(ring, rows, cols)
 
     a = random_matrix(ring, random.Random(41), 2, 3)
+    # every operation with an empty result; F2 takes mul's bit-packed path
+    assert a.select_rows([]) is zero(0, 3) and a.select_columns([]) is zero(2, 0)
+    assert a.mul(zero(3, 0)) is zero(2, 0) and zero(0, 2).mul(a) is zero(0, 3)
+    assert zero(0, 0).mul(zero(0, 4)) is zero(0, 4)
+    assert zero(0, 2).hstack(zero(0, 3)) is zero(0, 5) and zero(2, 0).hstack(zero(2, 0)) is zero(2, 0)
+    for rows, cols in ((0, 3), (2, 0), (0, 0)):
+        e = zero(rows, cols)
+        assert e.neg() is e and e.scale(ring.one()) is e and e.add(e) is e and e.sub(e) is e
+        assert e.map_entries(lambda x: x) is e
+        assert Matrix.zeros(Z, rows, cols).map_entries(int, ring=ring) is e
+    assert linalg._dense(ring, [], range(3)) is zero(0, 3) and linalg._dense(ring, [{}, {}], []) is zero(2, 0)
+    assert solve_kernel(Matrix.identity(ring, 3), zero(3, 0)) == (zero(3, 0), zero(3, 0))
+    assert solve_kernel(Matrix.identity(ring, 3), zero(3, 0))[1] is zero(3, 0)
+    assert solve_kernel(zero(2, 0), zero(2, 1))[1] is zero(0, 0)
     for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
         assert Matrix.from_entries(ring, rows, cols, {}) is zero(rows, cols)
     assert Matrix.blocks(ring, [], [], [2, 1]) is zero(0, 3)
@@ -774,10 +788,22 @@ def test_empty_results_are_the_shared_zeros(ring):
     assert Matrix.direct_sum(ring, []) is zero(0, 0)
     assert Matrix.direct_sum(ring, [zero(2, 0), a.select_columns([])]) is zero(4, 0)
     assert Matrix.direct_sum(ring, [zero(0, 2), a.select_rows([])]) is zero(0, 5)
-    # empty factors built apart from the shared ones, on either side
+    # empty factors on either side
     for b in (zero(0, 2), zero(2, 0), zero(0, 0), a.select_rows([]), a.select_columns([])):
         assert a.kron(b) is zero(2 * b.rows, 3 * b.cols)
         assert b.kron(a) is zero(b.rows * 2, b.cols * 3)
+
+
+@pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
+def test_nonzeros_agree_with_the_entries(ring):
+    rng = random.Random(43)
+    elems = [e for e in sample_elements(ring, rng) if e]
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 5), (6, 2)):
+        for m in (random_matrix(ring, rng, rows, cols), sparse_matrix(ring, rng, rows, cols, elems, 0.3),
+                  Matrix.zeros(ring, rows, cols)):
+            want = [(i, j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if not ring.is_zero(x)]
+            assert m.nonzeros() == want
+            assert Matrix.from_entries(ring, rows, cols, {(i, j): x for i, j, x in want}) == m
 
 
 @pytest.mark.parametrize("ring", SIX_RINGS, ids=str)

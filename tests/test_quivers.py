@@ -9,6 +9,8 @@ from quivertt import (
     DuplicateName,
     Integers,
     PrimeField,
+    UnknownArrow,
+    UnknownVertex,
     build_quiver,
     full_subquiver,
     is_dynkin,
@@ -17,6 +19,7 @@ from quivertt import (
     projective_rep,
     unit_restriction,
 )
+from quivertt.complexes import proj_precompose
 from quivertt.samples import random_acyclic_quiver
 
 A2 = build_quiver([1, 2], ["a: 1 -> 2"])
@@ -31,6 +34,14 @@ D5T = build_quiver(
 def test_build_orders_vertices():
     assert A2.vertices == ("1", "2")
     assert A2.arrows == (("a", "1", "2"),)
+
+
+def test_an_unknown_arrow_is_an_unknown_arrow():
+    for lookup in (lambda: A2.arrow("z"), lambda: proj_precompose(A2, Integers(), "z")):
+        with pytest.raises(UnknownArrow, match="no arrow named z") as err:
+            lookup()
+        assert not isinstance(err.value, UnknownVertex)
+    assert A2.arrow("a") == ("a", "1", "2")
 
 
 def test_build_rejects_cycle():

@@ -21,7 +21,6 @@ from quivertt import (
     UniverseNotClosed,
     UnknownVertex,
     UnsupportedRing,
-    big_support_compact,
     box_tensor,
     build_quiver,
     change_ring,
@@ -213,9 +212,9 @@ def window_hits(s, bound):
 
 def test_big_support_trivial_cases():
     u1 = ensure_perfect(stalk_complex(unit_restriction(A2, Z, ("1",))))
-    s = big_support_compact(u1)
+    s = compact_support(u1)
     assert s.at("1").is_all and s.at("2").is_empty
-    s2 = big_support_compact(parked_koszul(2, 1))
+    s2 = compact_support(parked_koszul(2, 1))
     assert str(s2.at("1")) == "{(2)}" and s2.at("2").is_empty
 
 
@@ -225,8 +224,7 @@ def test_big_support_matches_localization_oracle():
     for t in range(20):
         q = A2 if t % 2 == 0 else d4
         x = random_perfect_complex(q, Z, rng)
-        s = big_support_compact(x)
-        assert s == compact_support(x)
+        s = compact_support(x)
         assert window_hits(s, 7) == localization_hits(x, 7)
 
 

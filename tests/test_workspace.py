@@ -5,6 +5,7 @@ offending entry, because the CLI turns that into its parse-error exit code.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,32 @@ def test_parse_support_rejections(line):
     with pytest.raises(WorkspaceError, match="bad entry 'x'") as err:
         parse_support({"1": ["x"]}, q, ring, "here")
     assert str(err.value).count("here/1") == 1
+
+
+def test_two_spellings_of_one_key_are_refused(line):
+    # YAML keeps 0 and "00", or 1 and "1", apart; the loader reads them as
+    # one degree or one name, so a later one would silently replace the other
+    one = {"1": "free 1"}
+    square = {"degrees": {0: one, 1: one}}
+    for objects, where, spellings in (
+            ({"X": {"degrees": {0: one, "00": {"2": "free 1"}}}}, "objects/X/degrees", "0 and '00'"),
+            ({"X": {"degrees": {0: {1: "free 1", "1": "free 0"}}}}, "objects/X/degrees/0", "1 and '1'"),
+            ({1: {"degrees": {0: one}}, "1": {"degrees": {}}}, "objects", "1 and '1'"),
+            ({"X": dict(square, differentials={0: {"1": [[1]]}, "+0": {}})}, "objects/X/differentials", "0 and '+0'"),
+            ({"X": dict(square, differentials={0: {"1": [[1]], 1: [[1]]}})}, "objects/X/differentials/0",
+             "'1' and 1")):
+        with pytest.raises(WorkspaceError, match=f"^workspace/{where}: keys {re.escape(spellings)} both name "):
+            build_workspace(_doc({"objects": objects}))
+    with pytest.raises(WorkspaceError, match=r"^workspace/supports/S: keys 1 and '1' both name '1'$"):
+        build_workspace(_doc({"supports": {"S": {1: "all", "1": [2]}}}))
+    with pytest.raises(WorkspaceError, match=r"^workspace/filtrations: keys 2 and '2' both name '2'$"):
+        build_workspace(_doc({"filtrations": {2: {}, "2": {}}}))
+    q, ring = line
+    with pytest.raises(WorkspaceError, match=r"^--set: keys '1' and '1' both name '1'$"):
+        parse_support("1: all; 2: [3]; 1: [2]", q, ring, "--set")
+    # distinct keys still load, and one spelling of a key is kept as it was
+    ws = build_workspace(_doc({"objects": {"X": {"degrees": {"00": {1: "free 2"}, 1: {"2": "free 1"}}}}}))
+    assert ws.objects["X"].degrees == [0, 1] and ws.objects["X"].terms[0].gens("1") == 2
 
 
 def test_parse_filtration_shape(line):
