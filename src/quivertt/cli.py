@@ -66,10 +66,6 @@ def _support_payload(s) -> dict:
     return {v: _sp_payload(s.at(v)) for v in s.quiver.vertices}
 
 
-def _support_line(s) -> str:
-    return "; ".join(f"{v}: {s.at(v)}" for v in s.quiver.vertices)
-
-
 def _filtration_payload(f) -> dict:
     return {
         "tail_low": _support_payload(f.tail_low),
@@ -79,11 +75,11 @@ def _filtration_payload(f) -> dict:
 
 
 def _filtration_lines(f) -> list:
-    lines = [f"n < {f.entries[0][0]}: {_support_line(f.tail_low)}"] if f.entries else []
+    lines = [f"n < {f.entries[0][0]}: {f.tail_low}"] if f.entries else []
     for n, s in f.entries:
-        lines.append(f"n >= {n}: {_support_line(s)}")
+        lines.append(f"n >= {n}: {s}")
     if not f.entries:
-        lines.append(f"all n: {_support_line(f.tail_low)}")
+        lines.append(f"all n: {f.tail_low}")
     return lines
 
 
@@ -154,8 +150,8 @@ def _cmd_ideal(ws, args):
         sx = compact_support(x)
         lines = [
             "MEMBER" if verdict else "NOT MEMBER",
-            f"  ideal support:  {_support_line(s)}",
-            f"  object support: {_support_line(sx)}",
+            f"  ideal support:  {s}",
+            f"  object support: {sx}",
         ]
         payload = {
             "ideal": _support_payload(s),
@@ -169,7 +165,7 @@ def _cmd_ideal(ws, args):
     gen_payload = []
     for k, g in enumerate(gens):
         sg = compact_support(g)
-        lines.append(f"  g{k}: {_support_line(sg)}")
+        lines.append(f"  g{k}: {sg}")
         gen_payload.append(_support_payload(sg))
     payload = {"ideal": _support_payload(s), "generators": gen_payload}
     return lines, payload, 0

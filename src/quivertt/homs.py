@@ -330,8 +330,7 @@ def _eval_image(q, r, x, y, paths, aug, f, i, a, b, m, z):
             act = y.terms[b].path_action(i, plist[c % len(plist)])
             for w in range(yg_v):
                 e = r.mul(scal, act[w, z])
-                if e:
-                    ents[w, c] = r.neg(e) if odd else e
+                ents[w, c] = r.neg(e) if odd else e
         g[v] = Matrix.from_entries(r, yg_v, x.terms[m].gens(v) * len(plist), ents)
     return g
 

@@ -22,47 +22,50 @@ the worker shares.  Solutions and kernels (`solve`, `kernel_basis`) read
 pass on [a | b], back-substituted to the reduced row echelon form; otherwise
 one Smith form u*a*v = d, whose v gives the kernel and u and v the solution.
 
-Work follows the nonzeros.  `Matrix.mul` is one sparse row-accumulation
+A matrix stores its rows sparse, in the row-wise format of Duff, Erisman
+and Reid: one dict {j: nonzero x} per row.  No zero is stored: every builder
+and operation drops the zeros it makes (a vanishing product over Z/n, a
+cancelling sum), and skipping zeros is exact, since x + c*0 = x and zero is
+the only falsy canonical element.  `Matrix.mul` is one row-accumulation
 kernel for every ring: each row of the left factor adds a*b only for its
-nonzero a and the nonzero b of the matching right row.  Every elimination
-holds rows as dicts {j: nonzero x}.  Fields and the unit pass share one row
-store and one pivot step, which updates a row only where the pivot row is
-nonzero.  The Smith worker keeps a's rows, u's rows and v's columns that
-way: a row operation runs over the source row's nonzeros, a column operation
-touches only the rows that hold that column, and the pivot search and the
-divisor-chain check read only the nonzeros of the rows left; a unit pivot
-ends that check with no scan, since a unit divides everything.  Skipping is
-exact, since x + c*0 = x and zero is the only falsy canonical element.
-Integer rings skip the dispatch: when `ring.modulus_int` is set (0 for Z, p
-for Fp, n for Z/n) the product runs on plain ints and reduces once at the
-end for a nonzero modulus, and over Z the pivot step and the Smith worker
-add and multiply plain ints.  F_2 products (not elimination) still pack rows
-into ints and xor them.  An empty matrix (no rows or no columns) is already
-in Smith form with identity transforms, and its cokernel is free on its
-rows; neither runs elimination.
+nonzero a and the nonzero b of the matching right row; `Matrix.kron`
+multiplies only where it must, since a 1 copies the right factor's row.
+Eliminations work on copies of the stored rows.  Fields and the unit pass
+share one row store and one pivot step, which updates a row only where the
+pivot row is nonzero.  The Smith worker keeps a's rows, u's rows and v's
+columns as such dicts: a row operation runs over the source row's nonzeros,
+a column operation touches only the rows that hold that column, and the
+pivot search and the divisor-chain check read only the nonzeros of the rows
+left; a unit pivot ends that check with no scan.  Integer rings skip the
+dispatch: when `ring.modulus_int` is set (0 for Z, p for Fp, n for Z/n) the
+product runs on plain ints and reduces once at the end for a nonzero
+modulus, and over Z the pivot step and the Smith worker add and multiply
+plain ints.  F_2 products (not elimination) pack rows into ints and xor
+them.  An empty matrix (no rows or no columns) is already in Smith form with
+identity transforms, and its cokernel is free on its rows; neither runs
+elimination.
 
 The storage format is this module's alone.  Outside it a matrix is read
-through `Matrix.nonzeros()`, which lists (i, j, x) for each nonzero entry
-row by row, through `m[i, j]`, or through `select_columns` and
-`select_rows`; and it is built only by the builders here, never field by
-field: `Matrix.blocks` builds a block matrix from a grid (None is a zero
-block), `Matrix.direct_sum` a block diagonal and `Matrix.from_entries` a
-matrix from a dict of its entries.  The tensor's total complex, cones and
-the internal hom go through them; the projective resolution and
-`homs.MapSpace`'s naturality system are `from_entries` builders, their
-entries placed from path positions and from the equations' nonzeros.
-`Matrix.kron` builds a row at a time and multiplies only where it must: a
-zero entry of the left factor adds a shared zero row, and a 1 copies the
-right factor's row, since elements are canonical and 1*b is b.
+through `Matrix.nonzeros()`, which lists (i, j, x) for each nonzero entry,
+through `m[i, j]`, or through `select_columns` and `select_rows`; `.entries`
+is a dense view, built on the first read, for tests and tools.  A matrix is
+built only by the builders here, never field by field: `Matrix.blocks` from
+a grid of blocks (None is a zero block), `Matrix.direct_sum` a block
+diagonal and `Matrix.from_entries` from a dict of its entries, dropping the
+zeros given.  The tensor's total complex, cones and the internal hom go
+through them; the projective resolution and `homs.MapSpace`'s naturality
+system are `from_entries` builders.
 
-Matrices are immutable by convention, not enforced: nothing assigns to a
-field once it is built.  So a value whose content is known is built once and
-shared: `zeros` and `identity` give one object per ring instance and shape,
-and every empty result (no rows or no columns) of every builder and every
-operation here is that shared zero matrix, after the same ring and shape
-checks: all of them return through one private builder, `_new`, which holds
-that rule.  The memo lives on the ring instance (`Ring.shared`), so it dies
-with its ring and a shared value's .ring is the ring asked for.
+Matrices are immutable by convention, not enforced: once one is built,
+nothing writes to a stored row or assigns to a field but the dense view's
+first read.  So matrices share rows (`select_rows`, `direct_sum`, the one
+empty dict of a zero matrix's rows), and an elimination copies the rows it
+rewrites.  `zeros` and `identity` give one object per ring instance and
+shape, and every empty result (no rows or no columns) of every builder and
+operation here is that shared zero, after the same ring and shape checks:
+all of them return through one private builder, `_new`, which holds that
+rule.  The memo lives on the ring instance (`Ring.shared`), so it dies with
+its ring and a shared value's .ring is the ring asked for.
 
 The pivot rule is pinned for reproducibility: among nonzero candidates take
 the one of smallest norm (absolute value over Z, degree over F_p[x], valuation
@@ -75,23 +78,35 @@ pass before that worker picks by cost.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import RingMismatch, ShapeMismatch
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class Matrix:
-    """Rows of canonical elements over ring, equal and hashed by value.
-    Immutable by convention, as complexes are, so the init is a plain
-    slotted one, not a frozen one's guarded set per field; shared values
-    (see the module docstring) are memoized on their ring instance."""
+    """rows x cols over ring, row i the dict row_maps[i] {j: nonzero canonical
+    x}; no zero is stored, so equal matrices store equal dicts and compare and
+    hash by value.  Immutable by convention, so the init is a plain slotted one."""
 
     ring: object
     rows: int
     cols: int
-    entries: tuple
+    row_maps: tuple
+    _view: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        return hash((self.ring, self.rows, self.cols, tuple(frozenset(row.items()) for row in self.row_maps)))
+
+    @property
+    def entries(self) -> tuple:
+        """A read-only dense view: the rows as tuples, zeros filled in, built
+        on the first read and kept."""
+        if self._view is None:
+            z, cols = self.ring.zero(), range(self.cols)
+            self._view = tuple(tuple(row.get(j, z) for j in cols) for row in self.row_maps)
+        return self._view
 
     @staticmethod
     def from_rows(ring, data) -> "Matrix":
@@ -100,11 +115,11 @@ class Matrix:
         cols = len(data[0]) if rows else 0
         if any(len(row) != cols for row in data):
             raise ShapeMismatch("ragged rows")
-        return _new(ring, rows, cols, map(tuple, data))
+        return _new(ring, rows, cols, ({j: x for j, x in enumerate(row) if x} for row in data))
 
     @staticmethod
     def zeros(ring, rows: int, cols: int) -> "Matrix":
-        """The zero matrix, one per ring instance and shape; its rows are one tuple."""
+        """The zero matrix, one per ring instance and shape; its rows are one empty dict."""
         return ring.shared(_zeros, rows, cols)
 
     @staticmethod
@@ -112,10 +127,11 @@ class Matrix:
         """The rows x cols matrix with entries[(i, j)] at (i, j), zero elsewhere."""
         if not entries:
             return Matrix.zeros(ring, rows, cols)
-        out = [[ring.zero()] * cols for _ in range(rows)]
+        out = [{} for _ in range(rows)]
         for (i, j), e in entries.items():
-            out[i][j] = e
-        return _new(ring, rows, cols, map(tuple, out))
+            if e:
+                out[i][j] = e
+        return _new(ring, rows, cols, out)
 
     @staticmethod
     def blocks(ring, grid, row_dims, col_dims) -> "Matrix":
@@ -124,41 +140,33 @@ class Matrix:
         is built in one pass."""
         if len(grid) != len(row_dims) or any(len(brow) != len(col_dims) for brow in grid):
             raise ShapeMismatch("block grid does not match its dimensions")
-        z = ring.zero()
         out = []
         for brow, rd in zip(grid, row_dims):
-            parts = []
+            part = [{} for _ in range(rd)]
+            off = 0
             for blk, cd in zip(brow, col_dims):
-                if blk is None:
-                    parts.append(((z,) * cd,) * rd)
-                    continue
-                if blk.ring is not ring and blk.ring != ring:
-                    raise RingMismatch(f"mixed rings {ring.label} and {blk.ring.label}")
-                if (blk.rows, blk.cols) != (rd, cd):
-                    raise ShapeMismatch(f"block is {blk.rows}x{blk.cols}, wanted {rd}x{cd}")
-                parts.append(blk.entries)
-            if len(parts) == 1:
-                out += parts[0]
-            elif parts:
-                out += (sum(row, ()) for row in zip(*parts))
-            else:
-                out += ((),) * rd
+                if blk is not None:
+                    if blk.ring is not ring and blk.ring != ring:
+                        raise RingMismatch(f"mixed rings {ring.label} and {blk.ring.label}")
+                    if (blk.rows, blk.cols) != (rd, cd):
+                        raise ShapeMismatch(f"block is {blk.rows}x{blk.cols}, wanted {rd}x{cd}")
+                    for row, src in zip(part, blk.row_maps):
+                        row.update({off + j: x for j, x in src.items()} if off else src)
+                off += cd
+            out += part
         return _new(ring, sum(row_dims), sum(col_dims), out)
 
     @staticmethod
     def direct_sum(ring, mats) -> "Matrix":
         """The block diagonal of mats; the empty list gives a 0 x 0 matrix."""
-        cols = sum(m.cols for m in mats)
-        z = ring.zero()
         out = []
         off = 0
         for m in mats:
             if m.ring is not ring and m.ring != ring:
                 raise RingMismatch(f"mixed rings {ring.label} and {m.ring.label}")
-            pre, post = (z,) * off, (z,) * (cols - off - m.cols)
-            out += (pre + row + post for row in m.entries)
+            out += ({off + j: x for j, x in row.items()} if off else row for row in m.row_maps)
             off += m.cols
-        return _new(ring, len(out), cols, out)
+        return _new(ring, len(out), off, out)
 
     @staticmethod
     def identity(ring, n: int) -> "Matrix":
@@ -167,11 +175,12 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.row_maps[i].get(j, self.ring.zero())
 
     def nonzeros(self) -> list:
-        """(i, j, x) for each nonzero entry x at (i, j), row by row."""
-        return [(i, j, x) for i, row in enumerate(self.entries) for j, x in enumerate(row) if x]
+        """(i, j, x) for each nonzero entry x at (i, j): row by row, and within
+        a row in the row's own order, which no reader may depend on."""
+        return [(i, j, x) for i, row in enumerate(self.row_maps) for j, x in row.items()]
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -182,8 +191,10 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
         r = self.ring
+        add, z = r.add, r.zero()
         return _new(r, self.rows, self.cols, (
-            tuple(r.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)))
+            {j: x for j in ra.keys() | rb.keys() if (x := add(ra.get(j, z), rb.get(j, z)))}
+            for ra, rb in zip(self.row_maps, other.row_maps)))
 
     def sub(self, other: "Matrix") -> "Matrix":
         return self.add(other.neg())
@@ -192,12 +203,13 @@ class Matrix:
         r = self.ring
         if r.modulus_int == 2:
             return self  # -a = a in characteristic 2, and matrices are immutable
-        return _new(r, self.rows, self.cols, (tuple(r.neg(a) for a in row) for row in self.entries))
+        return _new(r, self.rows, self.cols, ({j: r.neg(x) for j, x in row.items()} for row in self.row_maps))
 
     def scale(self, c) -> "Matrix":
         r = self.ring
         c = r.canon(c)
-        return _new(r, self.rows, self.cols, (tuple(r.mul(c, a) for a in row) for row in self.entries))
+        return _new(r, self.rows, self.cols, (
+            {j: y for j, x in row.items() if (y := r.mul(c, x))} for row in self.row_maps))
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -205,103 +217,93 @@ class Matrix:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         r = self.ring
         mod = r.modulus_int
+        out = []
         if mod == 2:
             # row-xor over packed rows; one int op per nonzero of self
-            brows = []
-            for k in range(other.rows):
+            packed = [sum(1 << j for j in row) for row in other.row_maps]
+            for arow in self.row_maps:
                 acc = 0
-                row = other.entries[k]
-                for j in range(other.cols):
-                    if row[j]:
-                        acc |= 1 << j
-                brows.append(acc)
-            out = []
-            for i in range(self.rows):
-                acc = 0
-                arow = self.entries[i]
-                for k in range(self.cols):
-                    if arow[k]:
-                        acc ^= brows[k]
-                out.append(tuple((acc >> j) & 1 for j in range(other.cols)))
+                for k in arow:
+                    acc ^= packed[k]
+                out.append({j: 1 for j, bit in enumerate(bin(acc)[:1:-1]) if bit == "1"})
             return _new(r, self.rows, other.cols, out)
-        # sparse row accumulation over the nonzeros of other's rows, indexed once
+        # sparse row accumulation over the nonzeros of other's rows
         add, mul = (operator.add, operator.mul) if mod is not None else (r.add, r.mul)
-        brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
-        z = r.zero()
-        out = []
-        for arow in self.entries:
-            acc = [z] * other.cols
-            for a, brow in zip(arow, brows):
-                if a:
-                    for j, b in brow:
-                        acc[j] = add(acc[j], mul(a, b))
-            out.append(tuple(x % mod for x in acc) if mod else tuple(acc))
+        brows = other.row_maps
+        for arow in self.row_maps:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    acc[j] = add(acc[j], mul(a, b)) if j in acc else mul(a, b)
+            out.append({j: y for j, x in acc.items() if (y := x % mod if mod else x)})
         return _new(r, self.rows, other.cols, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check(other)
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
-        return _new(self.ring, self.rows, self.cols + other.cols, map(operator.add, self.entries, other.entries))
+        off = self.cols
+        return _new(self.ring, self.rows, off + other.cols, (
+            ra | {off + j: x for j, x in rb.items()} for ra, rb in zip(self.row_maps, other.row_maps)))
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product; block (i, j) is self[i][j] * other.  Built a row
-        at a time: a zero entry of self adds a shared zero row and a 1 adds
-        other's row as it is (exact, since elements are canonical and 1*b is
-        b), so only the other entries multiply."""
+        """Kronecker product; block (i, j) is self[i][j] * other.  A row at a time
+        over both factors' nonzeros; a 1 in self copies other's row, as 1*b is b."""
         self._check(other)
         r = self.ring
-        one, mul = r.one(), r.mul
-        zrow = (r.zero(),) * other.cols
+        one, mul, width = r.one(), r.mul, other.cols
         out = []
-        for arow in self.entries:
-            for brow in other.entries:
-                row = []
-                for a in arow:
-                    if not a:
-                        row += zrow
-                    elif a == one:
-                        row += brow
+        for arow in self.row_maps:
+            for brow in other.row_maps:
+                row = {}
+                for ja, a in arow.items():
+                    off = ja * width
+                    if a == one:
+                        row.update({off + j: b for j, b in brow.items()})
                     else:
-                        row += [mul(a, b) for b in brow]
-                out.append(tuple(row))
-        return _new(r, self.rows * other.rows, self.cols * other.cols, out)
+                        for j, b in brow.items():
+                            if y := mul(a, b):
+                                row[off + j] = y
+                out.append(row)
+        return _new(r, self.rows * other.rows, self.cols * width, out)
 
     def select_columns(self, idxs) -> "Matrix":
-        return _new(self.ring, self.rows, len(idxs), (tuple(row[j] for j in idxs) for row in self.entries))
+        return _new(self.ring, self.rows, len(idxs), (
+            {k: row[j] for k, j in enumerate(idxs) if j in row} for row in self.row_maps))
 
     def select_rows(self, idxs) -> "Matrix":
-        return _new(self.ring, len(idxs), self.cols, (self.entries[i] for i in idxs))
+        return _new(self.ring, len(idxs), self.cols, (self.row_maps[i] for i in idxs))
 
     def map_entries(self, fn, ring=None) -> "Matrix":
+        """fn of each nonzero entry, canonical in ring; fn must send zero to zero."""
         r = ring if ring is not None else self.ring
-        return _new(r, self.rows, self.cols, (tuple(r.canon(fn(e)) for e in row) for row in self.entries))
+        return _new(r, self.rows, self.cols, (
+            {j: y for j, x in row.items() if (y := r.canon(fn(x)))} for row in self.row_maps))
 
     def is_zero(self) -> bool:
-        # Ring.is_zero is `not a`: zero is the only falsy canonical element
-        return not any(map(any, self.entries))
+        return not any(self.row_maps)
 
     def __str__(self):
         f = self.ring.format_elem
         return "[" + "; ".join(" ".join(f(e) for e in row) for row in self.entries) + "]"
 
 
-def _new(ring, rows: int, cols: int, entries) -> Matrix:
-    """The matrix with rows the tuples in entries, or, with no rows or no columns,
-    the shared zero: every builder here returns through this one empty rule."""
+def _new(ring, rows: int, cols: int, row_maps) -> Matrix:
+    """The matrix with rows the dicts in row_maps, or, with no rows or no
+    columns, the shared zero: every builder here returns through this one
+    empty rule."""
     if rows and cols:
-        return Matrix(ring, rows, cols, tuple(entries))
+        return Matrix(ring, rows, cols, tuple(row_maps))
     return Matrix.zeros(ring, rows, cols)
 
 
 def _zeros(ring, rows: int, cols: int) -> Matrix:
-    return Matrix(ring, rows, cols, ((ring.zero(),) * cols,) * rows)
+    return Matrix(ring, rows, cols, ({},) * rows)
 
 
 def _identity(ring, n: int) -> Matrix:
-    zrow = (ring.zero(),) * n
-    one = (ring.one(),)
-    return Matrix(ring, n, n, tuple(zrow[:i] + one + zrow[i + 1:] for i in range(n)))
+    one = ring.one()
+    return Matrix(ring, n, n, tuple({i: one} for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -317,19 +319,8 @@ class ElementaryDivisors:
 
 
 # ---------------------------------------------------------------------------
-# elimination on sparse rows: the Smith worker, then the row store and its
-# pivot step
-
-
-def _sparse(rows) -> list:
-    """Each row as a dict {j: nonzero value}."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
-def _dense(ring, rows, cols) -> Matrix:
-    """The matrix of sparse rows, read at cols in order."""
-    zeros = (ring.zero(),) * len(cols)
-    return _new(ring, len(rows), len(cols), (tuple(map(row.get, cols, zeros)) for row in rows))
+# elimination on copies of the stored rows: the Smith worker, then the row
+# store and its pivot step
 
 
 class _Worker:
@@ -342,7 +333,7 @@ class _Worker:
         self.ring = m.ring
         plain = m.ring.modulus_int == 0  # Z: plain int arithmetic
         self.add, self.mul = (operator.add, operator.mul) if plain else (m.ring.add, m.ring.mul)
-        self.a = _sparse(m.entries)
+        self.a = list(map(dict, m.row_maps))
         self.rows, self.cols = m.rows, m.cols
         one = m.ring.one()
         self.u = [{i: one} for i in range(m.rows)] if transforms else None
@@ -454,17 +445,17 @@ def _canonical_diagonal(w: _Worker):
             if canon != row[k]:
                 row[k] = canon
                 w.u[k] = {j: r.mul(unit, x) for j, x in w.u[k].items()}
-    vt = _dense(r, w.v, range(w.cols))
-    return (_dense(r, w.a, range(w.cols)), _dense(r, w.u, range(w.rows)),
-            _new(r, w.cols, w.cols, zip(*vt.entries)))
+    v = Matrix.from_entries(r, w.cols, w.cols, {(i, j): x for j, col in enumerate(w.v) for i, x in col.items()})
+    return _new(r, w.rows, w.cols, w.a), _new(r, w.rows, w.rows, w.u), v
 
 
 def diagonal_of(d: Matrix) -> list:
-    return [d.entries[k][k] for k in range(min(d.rows, d.cols))]
+    return [d[k, k] for k in range(min(d.rows, d.cols))]
 
 
 def _store(rows):
-    """The nonempty rows {j: nonzero value} by position, and their column index."""
+    """The nonempty rows {j: nonzero value} by position, and their column
+    index.  The rows are taken, not copied: the pivot steps rewrite them."""
     rows = {i: row for i, row in enumerate(rows) if row}
     cols = {}
     for i, row in rows.items():
@@ -506,7 +497,7 @@ def _echelon(m: Matrix) -> list:
     """The forward pass over a field: [(column, pivot row)].  Columns ascend,
     each pivoting on its sparsest row left (ties to the lowest); pivot rows
     are dropped, with no back-substitution, so the rank is their number."""
-    rows, cols = _store(_sparse(m.entries))
+    rows, cols = _store(map(dict, m.row_maps))
     piv = []
     for c in range(m.cols):
         if cols.get(c):
@@ -535,9 +526,9 @@ def _unit_pivots(m: Matrix):
     itself when m has no unit entry, so such an m pays for one scan only."""
     r = m.ring
     is_unit = r.is_unit
-    if not any(is_unit(e) for row in m.entries for e in row if e):
+    if not any(is_unit(e) for row in m.row_maps for e in row.values()):
         return 0, m
-    rows, cols = _store(_sparse(m.entries))
+    rows, cols = _store(map(dict, m.row_maps))
     k = 0
     while True:
         best = None
@@ -559,7 +550,8 @@ def _unit_pivots(m: Matrix):
         k += 1
     if not rows:
         return k, None
-    return k, _dense(r, list(rows.values()), sorted(j for j, s in cols.items() if s))
+    at = {j: c for c, j in enumerate(sorted(j for j, s in cols.items() if s))}
+    return k, _new(r, len(rows), len(at), ({at[j]: x for j, x in row.items()} for row in rows.values()))
 
 
 def _diagonal(m: Matrix) -> list:
@@ -624,21 +616,20 @@ def solve_kernel(a: Matrix, b: Matrix):
     gens = [(j, annihilator_gen(r, diag[j]) if j < len(diag) else one) for j in range(a.cols)]
     gens = [(j, c) for j, c in gens if c]
     kernel = _new(r, a.cols, len(gens), (
-        tuple(row[j] if c == one else r.mul(c, row[j]) for j, c in gens) for row in v.entries))
+        {k: y for k, (j, c) in enumerate(gens) if j in row and (y := row[j] if c == one else r.mul(c, row[j]))}
+        for row in v.row_maps))
     if not b.cols:
         return Matrix.zeros(r, a.cols, 0), kernel
-    rhs = u.mul(b)
     y = {}
-    for i in range(a.rows):
-        for j in range(b.cols):
-            target = rhs.entries[i][j]
-            if i < len(diag) and not r.is_zero(diag[i]):
+    for i, row in enumerate(u.mul(b).row_maps):
+        if i < len(diag) and not r.is_zero(diag[i]):
+            for j, target in row.items():
                 q = r.divide(target, diag[i])
                 if q is None:
                     return None, kernel
                 y[(i, j)] = q
-            elif not r.is_zero(target):
-                return None, kernel
+        elif row:
+            return None, kernel
     return v.mul(Matrix.from_entries(r, a.cols, b.cols, y)), kernel
 
 

@@ -88,18 +88,20 @@ class Quiver:
 
 
 def build_quiver(vertices, arrows) -> Quiver:
-    """Arrows may be (name, source, target) triples or strings "a: 1 -> 2"."""
+    """Vertices and arrows are lists; an arrow is a string "a: 1 -> 2" or a
+    (name, source, target) triple.  Any other shape raises ShapeMismatch."""
+    if not isinstance(vertices, (list, tuple)) or not isinstance(arrows, (list, tuple)):
+        raise ShapeMismatch("vertices and arrows must be lists")
     parsed = []
     for a in arrows:
-        if isinstance(a, str):
-            try:
-                name, rest = a.split(":", 1)
-                s, t = rest.split("->")
-            except ValueError:
-                raise ShapeMismatch(f"cannot parse arrow {a!r}; expected 'name: src -> tgt'") from None
+        if isinstance(a, str) and a.partition(":")[2].count("->") == 1:
+            name, rest = a.split(":", 1)
+            s, t = rest.split("->")
             parsed.append((name.strip(), s.strip(), t.strip()))
-        else:
+        elif isinstance(a, (list, tuple)) and len(a) == 3:
             parsed.append(tuple(a))
+        else:
+            raise ShapeMismatch(f"cannot parse arrow {a!r}; expected 'name: src -> tgt' or [name, src, tgt]")
     return Quiver(vertices, parsed)
 
 

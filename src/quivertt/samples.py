@@ -55,8 +55,8 @@ def random_free_rep(q: Quiver, ring: Ring, rng: random.Random, max_rank: int = 2
     for name, s, t in q.arrows:
         rows, cols = ranks[t], ranks[s]
         # one draw per entry, row-major, zeros included
-        draws = ((i, j, ring.from_int(rng.randint(-2, 2))) for i in range(rows) for j in range(cols))
-        arrows[name] = Matrix.from_entries(ring, rows, cols, {(i, j): e for i, j, e in draws if e})
+        draws = {(i, j): ring.from_int(rng.randint(-2, 2)) for i in range(rows) for j in range(cols)}
+        arrows[name] = Matrix.from_entries(ring, rows, cols, draws)
     return rep_free(q, ring, ranks, arrows)
 
 

@@ -80,10 +80,15 @@ def _need(doc, key, where):
 
 
 def _named_section(doc, key, where) -> dict:
-    node = doc.get(key) or {}
+    return _keyed(_mapping(doc.get(key), f"{where}/{key}", "names").items(), str, f"{where}/{key}")
+
+
+def _mapping(node, where, of) -> dict:
+    """node, which must be a mapping of `of`, or {} for an omitted (empty) one."""
+    node = node or {}
     if not isinstance(node, dict):
-        raise WorkspaceError(f"{where}/{key}: expected a mapping of names")
-    return _keyed(node.items(), str, f"{where}/{key}")
+        raise WorkspaceError(f"{where}: expected a mapping of {of}")
+    return node
 
 
 def _items(pairs, norm, where):
@@ -132,7 +137,7 @@ def _matrix(ring: Ring, rows, where) -> Matrix:
         raise WorkspaceError(f"{where}: ragged rows {sorted(width)}")
     cols = width.pop() if width else 0
     ents = {(i, j): _elem(ring, e, where) for i, row in enumerate(rows) for j, e in enumerate(row)}
-    return Matrix.from_entries(ring, len(rows), cols, {ij: e for ij, e in ents.items() if e})
+    return Matrix.from_entries(ring, len(rows), cols, ents)
 
 
 # The most generators one fiber may have, and the most entries the implicit
@@ -184,7 +189,8 @@ def _build_term(node, q: Quiver, ring: Ring, where, budget) -> Representation:
     if not isinstance(node, dict):
         raise WorkspaceError(f"{where}: expected vertex: fiber entries")
     node = _keyed(node.items(), str, where)
-    arrow_specs = node.pop("arrow_maps", None) or {}
+    arrow_specs = _mapping(node.pop("arrow_maps", None), f"{where}/arrow_maps", "arrow names")
+    arrow_specs = _keyed(arrow_specs.items(), str, f"{where}/arrow_maps")
     fibers = {}
     for v in q.vertices:
         spec = node.pop(v, None)
@@ -199,7 +205,7 @@ def _build_term(node, q: Quiver, ring: Ring, where, budget) -> Representation:
             arrows[name] = _zeros(ring, fibers[t].gens, fibers[s].gens, budget, f"{where}/arrow_maps/{name}")
         else:
             arrows[name] = _matrix(ring, raw, f"{where}/arrow_maps/{name}")
-    bad = set(map(str, arrow_specs)) - known
+    bad = set(arrow_specs) - known
     if bad:
         raise WorkspaceError(f"{where}/arrow_maps: unknown arrows {sorted(bad)}")
     try:
@@ -216,10 +222,12 @@ def _build_object(node, q: Quiver, ring: Ring, where, budget) -> ComplexRQ:
         raise WorkspaceError(f"{where}: unknown keys {sorted(unknown)}")
     degree = partial(_int_key, where=where)
     terms = {}
-    for n, k, term_node in _items((node.get("degrees") or {}).items(), degree, f"{where}/degrees"):
+    degrees = _mapping(node.get("degrees"), f"{where}/degrees", "degrees")
+    for n, k, term_node in _items(degrees.items(), degree, f"{where}/degrees"):
         terms[n] = _build_term(term_node, q, ring, f"{where}/degrees/{k}", budget)
     diffs = {}
-    for n, k, diff_node in _items((node.get("differentials") or {}).items(), degree, f"{where}/differentials"):
+    differentials = _mapping(node.get("differentials"), f"{where}/differentials", "degrees")
+    for n, k, diff_node in _items(differentials.items(), degree, f"{where}/differentials"):
         if n not in terms or n + 1 not in terms:
             raise WorkspaceError(f"{where}/differentials/{k}: needs terms in degrees {n} and {n + 1}")
         if not isinstance(diff_node, dict):
@@ -305,8 +313,11 @@ def parse_filtration(node, q: Quiver, ring: Ring, where) -> Filtration:
     if unknown:
         raise WorkspaceError(f"{where}: unknown keys {sorted(unknown)}")
     tail_low = parse_support(_need(node, "tail_low", where), q, ring, f"{where}/tail_low")
+    levels = node.get("levels") or []
+    if not isinstance(levels, list):
+        raise WorkspaceError(f"{where}/levels: expected a list of [n, support]")
     entries = []
-    for i, pair in enumerate(node.get("levels") or []):
+    for i, pair in enumerate(levels):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise WorkspaceError(f"{where}/levels[{i}]: expected [n, support]")
         n = _int_key(pair[0], f"{where}/levels[{i}]")

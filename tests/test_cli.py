@@ -190,6 +190,12 @@ def test_unreadable_inputs_exit_1(capsys, tmp_path):
     bad.write_text("ring: Z\nquiver: {vertices: [1, 1]}\n")
     code, _, err = run(capsys, "support", str(bad), "U")
     assert code == 1 and err.startswith("ERR 1:")
+    # a node of the wrong shape is a parse problem, not a traceback
+    bad.write_text("ring: Z\nquiver: {vertices: [1, 2], arrows: ['a: 1 -> 2']}\n"
+                   "objects:\n  U: {degrees: {0: {1: free 1, arrow_maps: [[5]]}}}\n")
+    code, out, err = run(capsys, "support", str(bad), "U")
+    assert code == 1 and out == ""
+    assert err == f"ERR 1: {bad}/objects/U/degrees/0/arrow_maps: expected a mapping of arrow names\n"
     # bytes that are not UTF-8, as a workspace and as a filtration file
     undecodable = tmp_path / "undecodable.yaml"
     undecodable.write_bytes(b"ring: Z\n\xff\xfe x\n")

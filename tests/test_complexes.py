@@ -594,14 +594,14 @@ def _with_killed_generator(x, degree, rng):
     elems = [r.from_int(k) for k in range(-2, 3)]
 
     def ghost_row(m):
-        return Matrix(r, m.rows + 1, m.cols, m.entries + (tuple(rng.choice(elems) for _ in range(m.cols)),))
+        return Matrix.from_rows(r, m.entries + (tuple(rng.choice(elems) for _ in range(m.cols)),))
 
     def ghost_col(m, e):
-        return Matrix(r, m.rows, m.cols + 1, tuple(row + (e if i == m.rows - 1 else z,) for i, row in enumerate(m.entries)))
+        return Matrix.from_rows(r, tuple(row + (e if i == m.rows - 1 else z,) for i, row in enumerate(m.entries)))
 
     terms = dict(x.terms)
     rep = terms[degree]
-    fibers = {v: FGModule(r, Matrix(r, rep.gens(v) + 1, 1, ((z,),) * rep.gens(v) + ((one,),))) for v in q.vertices}
+    fibers = {v: FGModule(r, Matrix.from_rows(r, ((z,),) * rep.gens(v) + ((one,),))) for v in q.vertices}
     arrows = {name: ghost_col(ghost_row(m), one) for name, m in rep.arrows.items()}
     terms[degree] = Representation(q, r, fibers, arrows)
     diffs = {}
@@ -610,7 +610,8 @@ def _with_killed_generator(x, degree, rng):
         if n == degree - 1:
             mats = {v: ghost_row(m) for v, m in mats.items()}
         elif n == degree:
-            mats = {v: Matrix(r, m.rows, m.cols + 1, tuple(row + (z,) for row in m.entries)) for v, m in mats.items()}
+            mats = {v: Matrix.from_entries(r, m.rows, m.cols + 1, {(i, j): e for i, j, e in m.nonzeros()})
+                    for v, m in mats.items()}
         diffs[n] = RepMorphism(terms[n], terms[n + 1], mats)
     return ComplexRQ(q, r, terms, diffs)
 
@@ -664,7 +665,7 @@ def test_homology_keeps_cycle_generators_at_vertices_without_generators():
     r = Z
     x0 = Representation(A2, r, {"1": FGModule.free(r, 1), "2": FGModule.free(r, 0)},
                         {"a": Matrix.zeros(r, 0, 1)})
-    x1 = Representation(A2, r, {"1": FGModule.free(r, 0), "2": FGModule(r, Matrix(r, 1, 2, ((6, 0),)))},
+    x1 = Representation(A2, r, {"1": FGModule.free(r, 0), "2": FGModule(r, Matrix.from_rows(r, [[6, 0]]))},
                         {"a": Matrix.zeros(r, 1, 0)})
     x = ComplexRQ(A2, r, {0: x0, 1: x1}, {})
     h = homology(x, 0)

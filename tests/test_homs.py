@@ -94,7 +94,8 @@ def reference_kernel(ring, blocks, equations):
                     c = off[ks] + k * s_cols + cc
                     row[c] = ring.sub(row[c], b_mat[rr, k])
                 out.append(tuple(row))
-    return kernel_basis(Matrix(ring, len(out), n, tuple(out)))
+    entries = {(i, j): e for i, row in enumerate(out) for j, e in enumerate(row)}
+    return kernel_basis(Matrix.from_entries(ring, len(out), n, entries))
 
 
 # --- hom spaces on representations ---------------------------------------------

@@ -200,9 +200,9 @@ def reference_mul(a, b):
 
 def sparse_matrix(ring, rng, rows, cols, elems, density=0.1):
     """Entries drawn from elems with probability density, else zero."""
-    return Matrix(ring, rows, cols, tuple(
-        tuple(rng.choice(elems) if rng.random() < density else ring.zero() for _ in range(cols))
-        for _ in range(rows)))
+    return Matrix.from_entries(ring, rows, cols, {
+        (i, j): rng.choice(elems) if rng.random() < density else ring.zero()
+        for i in range(rows) for j in range(cols)})
 
 
 def cancelling_pair(ring, rng, rows, pairs, cols, elems):
@@ -212,8 +212,7 @@ def cancelling_pair(ring, rng, rows, pairs, cols, elems):
     for _ in range(pairs):
         row = [rng.choice(elems) for _ in range(cols)]
         b += [row, [ring.neg(e) for e in row]]
-    return (Matrix(ring, rows, 2 * pairs, tuple(map(tuple, a))),
-            Matrix(ring, 2 * pairs, cols, tuple(map(tuple, b))))
+    return Matrix.from_rows(ring, a), Matrix.from_rows(ring, b)
 
 
 @pytest.mark.parametrize("ring", SIX_RINGS + (PrimeField(2),), ids=str)
@@ -231,7 +230,8 @@ def test_integer_mul_matches_reference(ring):
             # the shape is restated for empty rows
             a = Matrix.from_rows(ring, [[rng.choice(pick) for _ in range(inner)] for _ in range(rows)])
             b = Matrix.from_rows(ring, [[rng.choice(pick) for _ in range(cols)] for _ in range(inner)])
-            pairs.append((Matrix(ring, rows, inner, a.entries), Matrix(ring, inner, cols, b.entries)))
+            pairs.append((Matrix.from_entries(ring, rows, inner, {(i, j): x for i, j, x in a.nonzeros()}),
+                          Matrix.from_entries(ring, inner, cols, {(i, j): x for i, j, x in b.nonzeros()})))
     for _ in range(30):
         rows, inner, cols = (rng.randint(1, 12) for _ in range(3))
         pairs.append((sparse_matrix(ring, rng, rows, inner, elems), sparse_matrix(ring, rng, inner, cols, elems)))
@@ -268,7 +268,8 @@ def test_is_zero_is_equality_with_zero(ring):
 
 def random_matrix(ring, rng, rows, cols):
     elems = sample_elements(ring, rng, 6)
-    return Matrix(ring, rows, cols, tuple(tuple(rng.choice(elems) for _ in range(cols)) for _ in range(rows)))
+    entries = {(i, j): rng.choice(elems) for i in range(rows) for j in range(cols)}
+    return Matrix.from_entries(ring, rows, cols, entries)
 
 
 @pytest.mark.parametrize("ring", SIX_RINGS + (PrimeField(2), PrimeField(3)), ids=str)
@@ -282,7 +283,7 @@ def test_neg_and_is_zero_match_entrywise(ring):
         if rows and cols:
             single = [[zero] * cols for _ in range(rows)]
             single[rng.randrange(rows)][rng.randrange(cols)] = ring.one()
-            cases.append(Matrix(ring, rows, cols, tuple(map(tuple, single))))
+            cases.append(Matrix.from_rows(ring, single))
     for m in cases:
         neg = m.neg()
         assert (neg.rows, neg.cols) == (m.rows, m.cols)
@@ -395,7 +396,7 @@ def test_field_elimination_matches_dense_reference(ring):
         if k == 40 or rng.random() < 0.5:  # one dense row among the sparse ones
             entries = list(m.entries)
             entries[rng.randrange(rows)] = tuple(rng.choice(elems) for _ in range(cols))
-            m = Matrix(ring, rows, cols, tuple(entries))
+            m = Matrix.from_rows(ring, entries)
         ref, piv = dense_rref(m)
         assert rank(m) == len(piv)
         free = [c for c in range(cols) if c not in piv]
@@ -485,9 +486,9 @@ def test_zeros_share_one_row():
 def unitriangular(ring, rng, n, lower):
     """Determinant one on every ring, so a product of two is unimodular."""
     elems = sample_elements(ring, rng, 6)
-    return Matrix(ring, n, n, tuple(
-        tuple(ring.one() if i == j else rng.choice(elems) if (i > j) == lower else ring.zero() for j in range(n))
-        for i in range(n)))
+    return Matrix.from_rows(ring, [
+        [ring.one() if i == j else rng.choice(elems) if (i > j) == lower else ring.zero() for j in range(n)]
+        for i in range(n)])
 
 
 # (units, non-units) per ring.  No entry of a matrix over the non-units is a
@@ -702,7 +703,8 @@ def test_kron_matches_entrywise_product(ring):
     assert units
     elems = sample_elements(ring, rng) + units * 3
     mats = [Matrix.identity(ring, n) for n in (0, 1, 3)]
-    mats += [Matrix(ring, rows, cols, tuple(tuple(rng.choice(elems) for _ in range(cols)) for _ in range(rows)))
+    mats += [Matrix.from_entries(ring, rows, cols, {(i, j): rng.choice(elems) for i in range(rows)
+                                                    for j in range(cols)})
              for rows, cols in ((0, 2), (2, 0), (1, 1), (2, 3), (3, 2), (3, 3))]
     mats.append(Matrix.from_entries(ring, 2, 2, {(0, 0): units[0], (1, 1): one}))
     for a in mats:
@@ -774,7 +776,6 @@ def test_empty_results_are_the_shared_zeros(ring):
         assert e.neg() is e and e.scale(ring.one()) is e and e.add(e) is e and e.sub(e) is e
         assert e.map_entries(lambda x: x) is e
         assert Matrix.zeros(Z, rows, cols).map_entries(int, ring=ring) is e
-    assert linalg._dense(ring, [], range(3)) is zero(0, 3) and linalg._dense(ring, [{}, {}], []) is zero(2, 0)
     assert solve_kernel(Matrix.identity(ring, 3), zero(3, 0)) == (zero(3, 0), zero(3, 0))
     assert solve_kernel(Matrix.identity(ring, 3), zero(3, 0))[1] is zero(3, 0)
     assert solve_kernel(zero(2, 0), zero(2, 1))[1] is zero(0, 0)
@@ -798,12 +799,33 @@ def test_empty_results_are_the_shared_zeros(ring):
 def test_nonzeros_agree_with_the_entries(ring):
     rng = random.Random(43)
     elems = [e for e in sample_elements(ring, rng) if e]
+    cases = []
     for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (4, 5), (6, 2)):
-        for m in (random_matrix(ring, rng, rows, cols), sparse_matrix(ring, rng, rows, cols, elems, 0.3),
-                  Matrix.zeros(ring, rows, cols)):
-            want = [(i, j, x) for i, row in enumerate(m.entries) for j, x in enumerate(row) if not ring.is_zero(x)]
-            assert m.nonzeros() == want
-            assert Matrix.from_entries(ring, rows, cols, {(i, j): x for i, j, x in want}) == m
+        cases += (random_matrix(ring, rng, rows, cols), sparse_matrix(ring, rng, rows, cols, elems, 0.3),
+                  Matrix.zeros(ring, rows, cols))
+    # the result of every builder and operation, with the zeros they make:
+    # 2 * 6 vanishes over Z/12 (and FpX(3)) in mul, kron and scale(6), sums
+    # cancel in add and mul, and from_entries is given a zero
+    zero, one = ring.zero(), ring.one()
+    two, six = ring.from_int(2), ring.from_int(6)
+    evens = Matrix.from_entries(ring, 2, 2, {(0, 0): two, (0, 1): zero, (1, 1): two})
+    sixes = Matrix.from_entries(ring, 2, 2, {(0, 0): six, (1, 0): six, (1, 1): six})
+    vanishing = (evens.mul(sixes), evens.kron(sixes), evens.scale(six))
+    assert all(m.is_zero() == ring.is_zero(ring.from_int(12)) for m in vanishing)
+    a, b = random_matrix(ring, rng, 4, 5), sparse_matrix(ring, rng, 5, 3, elems, 0.4)
+    x, y = cancelling_pair(ring, rng, 3, 2, 4, elems)
+    cases += vanishing + (
+        evens, sixes.kron(evens), Matrix.from_rows(ring, [[zero, one], [zero, zero]]), Matrix.identity(ring, 3),
+        x.mul(y), a.add(a.neg()), a.sub(a), a.add(random_matrix(ring, rng, 4, 5)), a.neg(), a.scale(ring.neg(one)),
+        a.mul(b), a.hstack(a.mul(b)), a.kron(b), a.select_rows([3, 0, 3]), a.select_columns([4, 1]),
+        a.map_entries(ring.neg), Matrix.blocks(ring, [[a, None], [None, b]], [4, 5], [5, 3]),
+        Matrix.direct_sum(ring, [b, a]), kernel_basis(a), solve(a, a.mul(b))) + smith_normal_form(a)
+    for m in cases:
+        assert not any(ring.is_zero(e) for row in m.row_maps for e in row.values())
+        want = [(i, j, e) for i, row in enumerate(m.entries) for j, e in enumerate(row) if not ring.is_zero(e)]
+        got = m.nonzeros()  # row by row; within a row in no set order
+        assert [i for i, _, _ in got] == [i for i, _, _ in want] and sorted(got, key=lambda t: t[:2]) == want
+        assert Matrix.from_entries(ring, m.rows, m.cols, {(i, j): e for i, j, e in want}) == m
 
 
 @pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
@@ -831,7 +853,7 @@ def test_empty_blocks_of_the_wrong_ring_or_shape_are_refused(ring):
 @pytest.mark.parametrize("ring", SIX_RINGS, ids=str)
 def test_matrix_compares_and_hashes_by_value(ring):
     one, zero = ring.one(), ring.zero()
-    a = Matrix(ring, 2, 2, ((one, zero), (zero, one)))
+    a = Matrix.from_rows(ring, ((one, zero), (zero, one)))
     b = Matrix.identity(parse_ring(ring.label), 2)
     assert a == b and hash(a) == hash(b) and a is not b
     assert len({a, b, Matrix.identity(ring, 2)}) == 1
@@ -839,7 +861,13 @@ def test_matrix_compares_and_hashes_by_value(ring):
     other = next(r for r in SIX_RINGS if r != ring)
     assert Matrix.zeros(ring, 1, 1) != Matrix.zeros(other, 1, 1)
     assert a != (ring, 2, 2, a.entries) and a != a.entries
-    assert repr(a) == f"Matrix(ring={ring!r}, rows=2, cols=2, entries={a.entries!r})"
+    # one value built two ways, its first row's dict filled in another order
+    m = Matrix.from_rows(ring, [[one, one], [zero, one]])
+    product = m.mul(m)
+    given = Matrix.from_entries(ring, 2, 2, {(1, 1): one, (0, 1): ring.add(one, one), (0, 0): one})
+    assert list(product.row_maps[0]) != list(given.row_maps[0])
+    assert product == given and hash(product) == hash(given) and len({product, given}) == 1
+    assert repr(a) == f"Matrix(ring={ring!r}, rows=2, cols=2, row_maps={a.row_maps!r})"
 
 
 @pytest.mark.parametrize("n", (12, 30))

@@ -171,11 +171,11 @@ def torsion_sample(text, c=None):
     ring = parse_ring(text)
     c = ring.parse_elem(c or NON_UNITS[text])
     cc, z = ring.mul(c, c), ring.zero()
-    t = Representation(V, ring, {v: FGModule(ring, Matrix(ring, 2, 1, ((cc,), (z,)))) for v in V.vertices},
+    t = Representation(V, ring, {v: FGModule(ring, Matrix.from_rows(ring, ((cc,), (z,)))) for v in V.vertices},
                        {a: Matrix.identity(ring, 2) for a in ("a", "b")})
 
     def on_torsion(e):
-        return Matrix(ring, 2, 2, ((e, z), (z, z)))
+        return Matrix.from_rows(ring, ((e, z), (z, z)))
 
     d0 = RepMorphism(t, t, {"1": on_torsion(c), "2": on_torsion(c), "3": on_torsion(ring.add(c, cc))})
     d1 = RepMorphism(t, t, {v: on_torsion(c) for v in V.vertices})

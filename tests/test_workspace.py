@@ -4,6 +4,7 @@ Every bad node must surface as WorkspaceError carrying the path to the
 offending entry, because the CLI turns that into its parse-error exit code.
 """
 
+import copy
 import os
 import re
 import subprocess
@@ -146,6 +147,80 @@ def test_object_errors_carry_node_paths():
     bad = {"degrees": {0: {"1": "free 1"}}, "differentials": {0: {"1": [[1]]}}}
     with pytest.raises(WorkspaceError, match="needs terms in degrees 0 and 1"):
         build_workspace(_doc({"objects": {"X": bad}}))
+
+
+def test_malformed_shapes_name_their_node():
+    term = {"1": "free 1", "2": "free 1"}
+    for extra, error in (
+            ({"objects": {"X": {"degrees": 1.5}}}, "objects/X/degrees: expected a mapping of degrees"),
+            ({"objects": {"X": {"degrees": {0: term}, "differentials": [[1]]}}},
+             "objects/X/differentials: expected a mapping of degrees"),
+            ({"objects": {"X": {"degrees": {0: dict(term, arrow_maps=[[5]])}}}},
+             "objects/X/degrees/0/arrow_maps: expected a mapping of arrow names"),
+            ({"quiver": {"vertices": [1, 2], "arrows": [["a", 1]]}},
+             "quiver: cannot parse arrow ['a', 1]; expected 'name: src -> tgt' or [name, src, tgt]"),
+            ({"quiver": {"vertices": [1, 2], "arrows": ["a: 1 -> 2 -> 1"]}}, "quiver: cannot parse arrow"),
+            ({"quiver": {"vertices": None}}, "quiver: vertices and arrows must be lists"),
+            ({"quiver": {"vertices": {"1": 2}}}, "quiver: vertices and arrows must be lists"),
+            ({"filtrations": {"F": {"tail_low": {}, "levels": True}}},
+             "filtrations/F/levels: expected a list of [n, support]")):
+        with pytest.raises(WorkspaceError, match="^workspace/" + re.escape(error)):
+            build_workspace(_doc(extra))
+
+
+def test_arrow_map_keys_are_arrow_names():
+    # an int key names the arrow its digits spell, as a vertex key does, and
+    # two spellings of one arrow are refused
+    doc = {"ring": "Z", "quiver": {"vertices": [1, 2], "arrows": ["1: 1 -> 2"]}}
+    term = {"1": "free 1", "2": "free 1"}
+    ws = build_workspace(dict(doc, objects={"X": {"degrees": {0: dict(term, arrow_maps={1: [[5]]})}}}))
+    assert ws.objects["X"].terms[0].arrows["1"][0, 0] == 5
+    twice = dict(term, arrow_maps={"1": [[5]], 1: [[5]]})
+    where = "workspace/objects/X/degrees/0/arrow_maps"
+    with pytest.raises(WorkspaceError, match=f"^{where}: keys '1' and 1 both name '1'$"):
+        build_workspace(dict(doc, objects={"X": {"degrees": {0: twice}}}))
+
+
+# One valid document with a node of every kind: both arrow spellings, free
+# and presented fibers, an arrow map, a differential, supports in both
+# spellings and a filtration with both tails.
+SWEEP_DOC = {
+    "ring": "Z",
+    "quiver": {"vertices": [1, 2, 3], "arrows": ["a: 1 -> 2", ["b", 2, 3]]},
+    "objects": {
+        "X": {"degrees": {0: {"1": "free 1", "2": [[2]], "arrow_maps": {"a": [[1]]}}, 1: {"1": "free 1"}},
+              "differentials": {0: {"1": [[2]]}}},
+    },
+    "supports": {"S": {"1": "all", "2": [2, 3]}, "T": "1: all; 3: [5]"},
+    "filtrations": {"F": {"tail_low": {"1": "all"}, "levels": [[0, {"1": [2]}], [2, {}]], "tail_high": {}}},
+}
+
+
+def _node_paths(node, at=()):
+    """The key path of every node below node, each before its children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield at + (k,)
+        yield from _node_paths(v, at + (k,))
+
+
+def test_every_node_of_every_shape_loads_or_raises_workspace_error():
+    build_workspace(copy.deepcopy(SWEEP_DOC))
+    paths = list(_node_paths(SWEEP_DOC))
+    assert len(paths) == 52
+    for path in paths:
+        for value in (None, True, 1.5, "x", [1], [[1]], {"k": 1}):
+            doc = copy.deepcopy(SWEEP_DOC)
+            parent = doc
+            for k in path[:-1]:
+                parent = parent[k]
+            parent[path[-1]] = value
+            try:
+                build_workspace(doc)
+            except WorkspaceError:
+                pass
+            except Exception as e:
+                pytest.fail(f"{'/'.join(map(str, path))} = {value!r}: {type(e).__name__}: {e}")
 
 
 def test_object_must_square_to_zero():
